@@ -43,7 +43,6 @@ from .materials import (
     london_depth,
     parallel_sheet,
     permittivity,
-    resistivity_lookup,
     sheet_resistance,
     ybco_normal_default,
 )
@@ -63,6 +62,7 @@ from .layers import (
 )
 from .noise import (
     ElectrodeModel,
+    ElectrodeNoise,
     FdtResult,
     FilterCapacitor,
     FilterNetwork,

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -40,13 +38,13 @@ from .configio import (
     load_temp_params,
     make_manifest,
     packaged_config,
+    read_alpha_csv,
     read_heating_csv,
     write_csv,
     write_heating_csv,
     write_json_report,
 )
 from .constants import (
-    CONSTANTS,
     DomainError,
     heating_rate_from_noise,
     noise_from_heating_rate,
@@ -68,12 +66,7 @@ from .inference import (
 from .layers import DegenerateInterfaceError
 from .leastsq import FitFailure
 from .materials import TemperatureRangeError, TwoFluidSC
-from .noise import (
-    electrode_resistance,
-    fdt_noise,
-    filter_effective_resistance,
-    lead_resistance,
-)
+from .noise import fdt_noise, jnn_budget
 from .patches import PatchBudgetError, zeta as zeta_share
 from .quadrature import QuadratureFailure
 
@@ -167,17 +160,6 @@ def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
     return resolved
 
 
-def _thread_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _default_threads() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 def _require_single_frequency(dataset: HeatingDataset, what: str) -> float:
     freqs = sorted({r.f_secular for r in dataset.records})
     if len(freqs) != 1:
@@ -242,7 +224,7 @@ def cmd_fdt(args) -> int:
         row.extend(r.s_e for r in results)
         return row
 
-    rows = _thread_map(one, temps, args.threads)
+    rows = [one(t) for t in temps]
     manifest = make_manifest(
         "fdt",
         config_paths=[configs["materials"], configs["stack"]],
@@ -266,37 +248,26 @@ def cmd_jnn(args) -> int:
     temps = parse_grid(args.temps)
     omega = omega_from_hz(args.omega_hz)
 
-    def one(temperature: float):
-        block = []
-        total = 0.0
+    rows = []
+    for temperature in temps:
+        budget = jnn_budget(electrodes, omega, temperature)
         for e in electrodes:
-            r_filter = (
-                filter_effective_resistance(e.filter, omega)
-                if e.filter is not None
-                else 0.0
-            )
-            r_lead = lead_resistance(e.lead, omega, temperature)
-            r_elec = electrode_resistance(e, temperature, omega)
-            r_eff = r_filter + r_lead + r_elec
-            s_e = (
-                4.0 * CONSTANTS.kB * temperature * r_eff
-                / e.characteristic_distance**2
-            )
-            total += s_e
-            block.append(
+            n = budget.electrodes[e.name]
+            rows.append(
                 [
                     temperature,
                     e.name,
-                    r_filter,
-                    r_lead,
-                    r_elec,
-                    r_eff,
+                    n.r_filter,
+                    n.r_lead,
+                    n.r_elec,
+                    n.r_eff,
                     e.characteristic_distance,
-                    s_e,
-                    heating_rate_from_noise(s_e, omega),
+                    n.s_e,
+                    heating_rate_from_noise(n.s_e, omega),
                 ]
             )
-        block.append(
+        total = budget.total
+        rows.append(
             [
                 temperature,
                 "TOTAL",
@@ -309,10 +280,6 @@ def cmd_jnn(args) -> int:
                 heating_rate_from_noise(total, omega),
             ]
         )
-        return block
-
-    blocks = _thread_map(one, temps, args.threads)
-    rows = [row for block in blocks for row in block]
     manifest = make_manifest(
         "jnn",
         config_paths=[configs["materials"], configs["circuit"]],
@@ -453,41 +420,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _read_alpha_csv(path):
-    """(alpha, sigma_alpha, T) triples from a T_K,alpha,sigma_alpha CSV."""
-    expected = ("T_K", "alpha", "sigma_alpha")
-    rows = []
-    header_seen = False
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataFileError(f"cannot read data file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = [f.strip() for f in text.split(",")]
-            if not header_seen:
-                if tuple(fields) != expected:
-                    raise DataFileError(
-                        f"{path}:{lineno}: expected header "
-                        f"'{','.join(expected)}', got {text!r}"
-                    )
-                header_seen = True
-                continue
-            if len(fields) != 3:
-                raise DataFileError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                t_k, alpha, sigma = (float(f) for f in fields)
-            except ValueError as exc:
-                raise DataFileError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((alpha, sigma, t_k))
-    if not rows:
-        raise DataFileError(f"{path}: no data rows")
-    return rows
-
-
 def cmd_taf(args) -> int:
     dataset = read_heating_csv(args.data)
     f_hz = _require_single_frequency(dataset, "TAF analysis")
@@ -509,7 +441,7 @@ def cmd_taf(args) -> int:
 
     consistency = None
     if args.alphas is not None:
-        measured = _read_alpha_csv(args.alphas)
+        measured = read_alpha_csv(args.alphas)
         chi2, p = taf_consistency_chi2(
             measured,
             lambda t: taf_alpha(float(curve(t)), omega, args.tau0_s),
@@ -557,20 +489,9 @@ def cmd_zeta(args) -> int:
         raise ConfigFileError("f-ratios must be >= 0")
     patch_size = args.patch_um * 1e-6
 
-    # The region integrals are independent of the ratio, so compute them once
-    # and sweep the ratio analytically.
     ref = zeta_share(scene, 1.0, patch_size, target_name=args.target,
                      exact=args.exact)
-    i_target = ref.region_integrals[args.target]
-    rest = sum(
-        region.weight * ref.region_integrals[region.name]
-        for region in scene.regions
-        if region.name != args.target
-    )
-    rows = [
-        [r, r * i_target / (r * i_target + rest) if r > 0.0 else 0.0]
-        for r in ratios
-    ]
+    rows = [[r, ref.at(r)] for r in ratios]
 
     manifest = make_manifest(
         "zeta",
@@ -652,12 +573,6 @@ def _add_common(parser, needs_config: bool = True) -> None:
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="seed recorded in the manifest"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for sweeps (default: CPU count, capped at 8)",
     )
     if needs_config:
         parser.add_argument(

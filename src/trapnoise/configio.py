@@ -13,8 +13,9 @@ object.  Section names are namespaced so several roles can share one file:
 Dimensioned keys carry their unit as a suffix (``_m``, ``_K``, ``_ohm``,
 ``_hz``); resistivity tables are multiline ``T_K  rho_ohm_m`` pairs.
 
-Dataset CSVs use the fixed schema ``T_K,f_Hz,gamma_phps,sigma_phps`` with a
-mandatory header row; lines starting with ``#`` are comments.  Every file
+Dataset CSVs use the fixed schema ``T_K,f_Hz,gamma_phps,sigma_phps``, and
+measured-exponent CSVs ``T_K,alpha,sigma_alpha``; both have a mandatory
+header row, and lines starting with ``#`` are comments.  Every file
 this package writes embeds a :class:`RunManifest` -- as a ``# manifest:``
 comment line in CSVs and as a top-level ``"manifest"`` field in JSON
 reports -- so outputs are traceable and reruns byte-identical.
@@ -68,6 +69,7 @@ __all__ = [
     "load_temp_params",
     "load_surface_params",
     "read_heating_csv",
+    "read_alpha_csv",
     "write_heating_csv",
     "write_csv",
     "write_json_report",
@@ -596,6 +598,8 @@ def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeMod
         sec.finish()
         names = [name] if copies == 1 else [f"{name}{i}" for i in range(1, copies + 1)]
         for elec_name in names:
+            if any(e.name == elec_name for e in electrodes):
+                raise sec.error(f"electrode name {elec_name!r} is already in use")
             try:
                 electrodes.append(
                     ElectrodeModel(
@@ -635,6 +639,8 @@ def load_scene(path) -> PatchScene:
 
     regions = []
     for name, rsec in _sections(parser, path, "region:"):
+        if not name:
+            raise rsec.error("region name must be non-empty")
         raw = rsec.raw("rect_m", required=True)
         parts = raw.split()
         if len(parts) != 4:
@@ -723,14 +729,14 @@ def load_surface_params(path, kind: str) -> dict[str, float]:
 # heating-rate dataset CSV
 
 
-def read_heating_csv(path) -> HeatingDataset:
-    """Dataset from a ``T_K,f_Hz,gamma_phps,sigma_phps`` CSV.
+def _read_numeric_csv(path, columns: tuple[str, ...], build) -> list:
+    """``build(*values)`` for each data row of a CSV with header ``columns``.
 
     The header row is mandatory; ``#`` comment lines and blank lines are
-    skipped.  Malformed content raises :class:`DataFileError` with the
-    offending line number.
+    skipped.  Malformed content, including a :class:`DomainError` from
+    ``build``, raises :class:`DataFileError` with the offending line number.
     """
-    records = []
+    rows = []
     header_seen = False
     try:
         fh = open(path, encoding="utf-8")
@@ -743,38 +749,43 @@ def read_heating_csv(path) -> HeatingDataset:
                 continue
             fields = [f.strip() for f in text.split(",")]
             if not header_seen:
-                if tuple(fields) != HEATING_COLUMNS:
+                if tuple(fields) != columns:
                     raise DataFileError(
                         f"{path}:{lineno}: expected header "
-                        f"'{','.join(HEATING_COLUMNS)}', got {text!r}"
+                        f"'{','.join(columns)}', got {text!r}"
                     )
                 header_seen = True
                 continue
-            if len(fields) != len(HEATING_COLUMNS):
+            if len(fields) != len(columns):
                 raise DataFileError(
-                    f"{path}:{lineno}: expected {len(HEATING_COLUMNS)} fields, "
+                    f"{path}:{lineno}: expected {len(columns)} fields, "
                     f"got {len(fields)}"
                 )
             try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise DataFileError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                records.append(
-                    HeatingRecord(
-                        temperature=values[0],
-                        f_secular=values[1],
-                        gamma=values[2],
-                        sigma_gamma=values[3],
-                    )
-                )
-            except DomainError as exc:
+                rows.append(build(*(float(f) for f in fields)))
+            except ValueError as exc:  # a bad number or a DomainError
                 raise DataFileError(f"{path}:{lineno}: {exc}") from exc
     if not header_seen:
         raise DataFileError(f"{path}: empty file (header row required)")
-    if not records:
+    if not rows:
         raise DataFileError(f"{path}: no data rows")
+    return rows
+
+
+def read_heating_csv(path) -> HeatingDataset:
+    """Dataset from a ``T_K,f_Hz,gamma_phps,sigma_phps`` CSV."""
+    records = _read_numeric_csv(path, HEATING_COLUMNS, HeatingRecord)
     return HeatingDataset(tuple(records))
+
+
+def read_alpha_csv(path) -> list[tuple[float, float, float]]:
+    """(alpha, sigma_alpha, T) triples from a ``T_K,alpha,sigma_alpha`` CSV,
+    in the order :func:`~trapnoise.inference.taf_consistency_chi2` takes."""
+    return _read_numeric_csv(
+        path,
+        ("T_K", "alpha", "sigma_alpha"),
+        lambda t_k, alpha, sigma: (alpha, sigma, t_k),
+    )
 
 
 def write_heating_csv(path, dataset: HeatingDataset, manifest: RunManifest) -> None:

@@ -26,7 +26,7 @@ from .constants import (
     heating_rate_from_noise,
     noise_from_heating_rate,
 )
-from .leastsq import FitResult, levenberg_marquardt
+from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
 
 __all__ = [
@@ -320,7 +320,7 @@ def _fit_gamma2(freqs, temps, gammas, sigmas, owner, seed1: FitResult):
             theta0[k + 3] += rng.normal(0.0, 0.3)
         try:
             res = levenberg_marquardt(residual, theta0)
-        except Exception:
+        except (FitFailure, np.linalg.LinAlgError):
             continue
         if best is None or res.rss < best.rss:
             best = res

@@ -209,11 +209,6 @@ def permittivity(model: MaterialModel, omega: float, temperature: float) -> comp
     return model.permittivity(omega, temperature)
 
 
-def resistivity_lookup(table: ResistivityTable, temperature: float) -> float:
-    """rho(T) from a table; see :meth:`ResistivityTable.lookup`."""
-    return table.lookup(temperature)
-
-
 def sheet_resistance(
     film: FilmSheet,
     temperature: float,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .constants import CONSTANTS, DomainError
 from .layers import GreensResult, LayerStack, greens_parallel
-from .materials import Conductor, FilmSheet, parallel_sheet
-from .materials import resistivity_lookup, sheet_resistance
+from .materials import Conductor, FilmSheet, parallel_sheet, sheet_resistance
 
 __all__ = [
     "RegimeWarning",
@@ -30,6 +29,7 @@ __all__ = [
     "WireBond",
     "LeadModel",
     "ElectrodeModel",
+    "ElectrodeNoise",
     "NoiseBudget",
     "blackbody_noise",
     "fdt_noise",
@@ -163,7 +163,7 @@ class RectTrace:
             raise DomainError("trace dimensions must be > 0")
 
     def resistance(self, omega: float, temperature: float) -> float:
-        rho = resistivity_lookup(self.material.rho, temperature)
+        rho = self.material.rho.lookup(temperature)
         delta = skin_depth(rho, omega)
         core_w = max(self.width - 2.0 * delta, 0.0)
         core_t = max(self.thickness - 2.0 * delta, 0.0)
@@ -187,7 +187,7 @@ class WireBond:
             raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity}")
 
     def resistance_single(self, omega: float, temperature: float) -> float:
-        rho = resistivity_lookup(self.material.rho, temperature)
+        rho = self.material.rho.lookup(temperature)
         delta = skin_depth(rho, omega)
         r = 0.5 * self.diameter
         area = np.pi * (r**2 - max(r - delta, 0.0) ** 2)
@@ -254,9 +254,28 @@ def electrode_resistance(
 
 
 @dataclass(frozen=True)
+class ElectrodeNoise:
+    """One electrode's line of a Johnson budget: resistances in ohm, S_E in
+    V^2 m^-2 Hz^-1."""
+
+    r_filter: float
+    r_lead: float
+    r_elec: float
+    r_eff: float
+    s_e: float
+
+
+@dataclass(frozen=True)
 class NoiseBudget:
-    per_source: dict[str, float]
-    total: float
+    electrodes: dict[str, ElectrodeNoise]
+
+    @property
+    def per_source(self) -> dict[str, float]:
+        return {name: n.s_e for name, n in self.electrodes.items()}
+
+    @property
+    def total(self) -> float:
+        return sum(n.s_e for n in self.electrodes.values())
 
     def fractions(self) -> dict[str, float]:
         if self.total <= 0.0:
@@ -264,14 +283,25 @@ class NoiseBudget:
         return {k: v / self.total for k, v in self.per_source.items()}
 
 
+def _electrode_noise(
+    e: ElectrodeModel, omega: float, temperature: float
+) -> ElectrodeNoise:
+    r_filter = (
+        filter_effective_resistance(e.filter, omega) if e.filter is not None else 0.0
+    )
+    r_lead = lead_resistance(e.lead, omega, temperature)
+    r_elec = electrode_resistance(e, temperature, omega)
+    # this summation order fixes the last digit of the CLI's R_eff column
+    r_eff = r_filter + r_lead + r_elec
+    s_e = 4.0 * CONSTANTS.kB * temperature * r_eff / e.characteristic_distance**2
+    return ElectrodeNoise(r_filter, r_lead, r_elec, r_eff, s_e)
+
+
 def electrode_effective_resistance(
     e: ElectrodeModel, omega: float, temperature: float
 ) -> float:
-    r = electrode_resistance(e, temperature, omega)
-    r += lead_resistance(e.lead, omega, temperature)
-    if e.filter is not None:
-        r += filter_effective_resistance(e.filter, omega)
-    return r
+    """R_eff = R_filter + R_lead + R_elec of one electrode."""
+    return _electrode_noise(e, omega, temperature).r_eff
 
 
 def jnn_budget(
@@ -279,16 +309,18 @@ def jnn_budget(
     omega: float,
     temperature: float,
 ) -> NoiseBudget:
-    """S_E = 4 kB T sum_i R_eff,i / D_i^2 over the electrode inventory."""
+    """S_E = 4 kB T sum_i R_eff,i / D_i^2 over the electrode inventory.
+
+    The budget keeps each electrode's resistance split next to its S_E, in
+    inventory order; electrode names must be unique.
+    """
     if not electrodes:
         raise DomainError("electrode list must be non-empty")
     if temperature < 0.0:
         raise DomainError(f"temperature must be >= 0, got {temperature}")
-    per: dict[str, float] = {}
+    per: dict[str, ElectrodeNoise] = {}
     for e in electrodes:
-        r_eff = electrode_effective_resistance(e, omega, temperature)
-        per[e.name] = (
-            4.0 * CONSTANTS.kB * temperature * r_eff
-            / e.characteristic_distance**2
-        )
-    return NoiseBudget(per_source=per, total=sum(per.values()))
+        if e.name in per:
+            raise DomainError(f"duplicate electrode name {e.name!r}")
+        per[e.name] = _electrode_noise(e, omega, temperature)
+    return NoiseBudget(electrodes=per)

@@ -273,12 +273,30 @@ def region_noise_integral(
     return total
 
 
+def _share(f_ratio: float, i_target: float, rest: float) -> float:
+    """f I_t / (f I_t + rest); zero at f = 0 even when every integral vanishes."""
+    if f_ratio < 0.0:
+        raise DomainError(f"f_ratio must be >= 0, got {f_ratio}")
+    if f_ratio == 0.0:
+        return 0.0
+    denom = f_ratio * i_target + rest
+    if denom <= 0.0:
+        raise DomainError("all weighted region integrals vanish")
+    return f_ratio * i_target / denom
+
+
 @dataclass(frozen=True)
 class ZetaResult:
     zeta: float
     f_ratio: float
     region_integrals: dict[str, float]
     patch_size_used: float
+    target_integral: float
+    weighted_rest: float
+
+    def at(self, f_ratio: float) -> float:
+        """zeta at another ratio, from the region integrals already summed."""
+        return _share(f_ratio, self.target_integral, self.weighted_rest)
 
 
 def _weighted_integrals(scene, target_name, patch_size, exact, **kwargs):
@@ -304,20 +322,19 @@ def zeta(
     **kwargs,
 ) -> ZetaResult:
     """Noise share of the target region when its fluctuation strength is
-    ``f_ratio`` times that of the other regions (whose own weights apply)."""
-    if f_ratio < 0.0:
-        raise DomainError(f"f_ratio must be >= 0, got {f_ratio}")
+    ``f_ratio`` times that of the other regions (whose own weights apply).
+
+    :meth:`ZetaResult.at` gives the share at further ratios."""
     i_target, rest, integrals = _weighted_integrals(
         scene, target_name, patch_size, exact, **kwargs
     )
-    denom = f_ratio * i_target + rest
-    if denom <= 0.0:
-        raise DomainError("all weighted region integrals vanish")
     return ZetaResult(
-        zeta=f_ratio * i_target / denom,
+        zeta=_share(f_ratio, i_target, rest),
         f_ratio=f_ratio,
         region_integrals=integrals,
         patch_size_used=patch_size,
+        target_integral=i_target,
+        weighted_rest=rest,
     )
 
 

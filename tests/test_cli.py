@@ -49,6 +49,24 @@ def test_parse_grid_forms():
         parse_grid("ten,twenty")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fdt"],
+        ["jnn"],
+        ["fit", "--data", "rates.csv", "--model", "temp"],
+        ["taf", "--data", "rates.csv"],
+        ["zeta"],
+        ["synth", "--model", "power"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_flag_is_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def test_resolve_configs_duplicate_role(tmp_path):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"
@@ -295,6 +313,17 @@ def test_zeta_sweep_is_monotone_from_zero(tmp_path):
     assert zetas[0] == 0.0
     assert zetas == sorted(zetas)
     assert 0.9 < zetas[-1] < 1.0
+
+
+def test_zeta_empty_region_name_is_config_error(tmp_path):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(
+        "[scene]\nion_height_m = 100e-6\n\n"
+        "[region:ybco]\nrect_m = -1e-4 1e-4 -1e-4 1e-4\n\n"
+        "[region:]\nrect_m = 2e-4 3e-4 -1e-4 1e-4\n"
+    )
+    rc = main(["zeta", "--config", str(scene), "--out", str(tmp_path / "z.csv")])
+    assert rc == EXIT_CONFIG
 
 
 def test_zeta_unknown_target_is_config_error(tmp_path):

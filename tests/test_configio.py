@@ -19,6 +19,7 @@ from trapnoise.configio import (
     load_temp_params,
     make_manifest,
     packaged_config,
+    read_alpha_csv,
     read_csv_manifest,
     read_heating_csv,
     write_csv,
@@ -249,6 +250,17 @@ def test_lead_multiplicity_requires_bond_wire(tmp_path, materials):
         load_circuit(path, materials)
 
 
+def test_circuit_duplicate_expanded_names(tmp_path, materials):
+    # DC with copies = 2 expands to DC1, DC2, which collides with [electrode:DC1]
+    electrode = "distance_m = 1e-3\nstrip_length_m = 1e-3\nstrip_width_m = 1e-5\n"
+    path = tmp_path / "circ.cfg"
+    path.write_text(
+        f"[electrode:DC]\n{electrode}copies = 2\n\n[electrode:DC1]\n{electrode}"
+    )
+    with pytest.raises(ConfigFileError, match="DC1"):
+        load_circuit(path, materials)
+
+
 def test_scene_inline_comments_and_case(tmp_path):
     # keys keep their case; inline comments are stripped
     path = tmp_path / "scene.cfg"
@@ -333,6 +345,23 @@ def test_heating_csv_empty_rejected(tmp_path):
 def test_heating_csv_missing_file(tmp_path):
     with pytest.raises(DataFileError):
         read_heating_csv(tmp_path / "nope.csv")
+
+
+def test_alpha_csv_reads_triples_and_numbers_bad_lines(tmp_path):
+    path = tmp_path / "alphas.csv"
+    path.write_text("# measured\nT_K,alpha,sigma_alpha\n\n50.0,-1.0,0.1\n")
+    assert read_alpha_csv(path) == [(-1.0, 0.1, 50.0)]
+    for body, lineno in (
+        ("T_K,alpha\n50.0,-1.0\n", 1),
+        ("T_K,alpha,sigma_alpha\n50.0,-1.0,0.1\n# c\n80.0,-1.1\n", 4),
+        ("T_K,alpha,sigma_alpha\n50.0,-1.0,0.1\n80.0,oops,0.1\n", 3),
+    ):
+        path.write_text(body)
+        with pytest.raises(DataFileError, match=f"alphas.csv:{lineno}:"):
+            read_alpha_csv(path)
+    path.write_text("T_K,alpha,sigma_alpha\n")
+    with pytest.raises(DataFileError, match="no data rows"):
+        read_alpha_csv(path)
 
 
 # ---------------------------------------------------------------------------

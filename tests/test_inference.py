@@ -30,6 +30,7 @@ from trapnoise.inference import (
     taf_alpha,
     taf_consistency_chi2,
 )
+from trapnoise.leastsq import levenberg_marquardt
 
 FREQS_HZ = (0.4e6, 0.6e6, 0.8e6, 1.0e6, 1.4e6, 1.8e6)
 TEMPS = (15.0, 40.0, 60.0, 80.0, 90.0, 100.0, 120.0, 160.0, 200.0)
@@ -211,6 +212,23 @@ def test_piecewise_data_prefers_piecewise_model():
     # per-frequency amplitudes come out near truth as well
     for f, g0 in PIECEWISE.gamma0.items():
         assert cmp.piecewise.params.gamma0[f] == pytest.approx(g0, rel=0.25)
+
+
+def test_piecewise_fit_lets_unexpected_errors_propagate(monkeypatch):
+    calls = []
+
+    def simple_fit_only(residual, theta0, **kwargs):
+        calls.append(theta0)
+        if len(calls) > 1:  # the first call is the simple-model fit
+            raise ValueError("injected")
+        return levenberg_marquardt(residual, theta0, **kwargs)
+
+    monkeypatch.setattr(
+        "trapnoise.inference.levenberg_marquardt", simple_fit_only
+    )
+    dataset = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=42)
+    with pytest.raises(ValueError, match="injected"):
+        fit_temperature_models(dataset)
 
 
 def test_fit_requires_enough_distinct_temperatures():

@@ -26,6 +26,7 @@ from trapnoise.noise import (
     RegimeWarning,
     WireBond,
     blackbody_noise,
+    electrode_effective_resistance,
     electrode_resistance,
     fdt_noise,
     filter_effective_resistance,
@@ -318,6 +319,34 @@ def test_jnn_budget_validation():
     e = strip_electrode()
     with pytest.raises(DomainError):
         jnn_budget([e], OMEGA_1MHZ, -4.0)
+    # keyed by name, a second "E" would silently replace the first
+    with pytest.raises(DomainError, match="duplicate"):
+        jnn_budget([e, strip_electrode(filter_net=FilterNetwork(50.0))],
+                   OMEGA_1MHZ, 40.0)
+
+
+def test_jnn_budget_resistance_split():
+    e = ElectrodeModel(
+        name="E",
+        characteristic_distance=5.10e-3,
+        strip_length=5.0e-3,
+        strip_width=25e-6,
+        films=(FilmSheet(Conductor(GOLD, name="au"), 200e-9),),
+        lead=LeadModel(
+            pcb_trace=RectTrace(100e-6, 35e-6, 0.1, Conductor(COPPER, "cu"))
+        ),
+        filter=FilterNetwork(50.0, (FilterCapacitor(1e-9, 0.1),)),
+    )
+    for temperature in (20.0, 80.0, 200.0):
+        n = jnn_budget([e], OMEGA_1MHZ, temperature).electrodes["E"]
+        assert n.r_filter == filter_effective_resistance(e.filter, OMEGA_1MHZ)
+        assert n.r_lead == lead_resistance(e.lead, OMEGA_1MHZ, temperature)
+        assert n.r_elec == electrode_resistance(e, temperature, OMEGA_1MHZ)
+        r_eff = electrode_effective_resistance(e, OMEGA_1MHZ, temperature)
+        assert n.r_filter + n.r_lead + n.r_elec == r_eff == n.r_eff
+        assert n.s_e == pytest.approx(
+            4.0 * CONSTANTS.kB * temperature * r_eff / 5.10e-3**2, rel=1e-15
+        )
 
 
 def test_aluminium_lead_benchmark():

@@ -225,6 +225,26 @@ def test_zeta_equal_strength_dominated_by_near_region():
     assert set(res.region_integrals) == {"inner", "east"}
 
 
+def test_zeta_result_at_matches_zeta():
+    scene = simple_scene()
+    ref = zeta(scene, 1.0, 2e-6, target_name="inner")
+    for f in (0.0, 0.05, 0.3, 1.0, 5.0):
+        assert ref.at(f) == zeta(scene, f, 2e-6, target_name="inner").zeta
+    with pytest.raises(DomainError):
+        ref.at(-0.5)
+
+
+def test_zeta_zero_ratio_on_target_only_scene():
+    # no other region: the share is 1 for any f > 0 and 0 at f = 0
+    scene = PatchScene(
+        regions=(PlaneRegion((-370e-6, 370e-6, -290e-6, 290e-6), name="inner"),),
+        ion_height=H,
+    )
+    res = zeta(scene, 0.0, 2e-6, target_name="inner")
+    assert res.zeta == 0.0
+    assert res.at(0.5) == 1.0
+
+
 def test_zeta_inverse_round_trip():
     scene = simple_scene()
     res = zeta(scene, 0.08, 2e-6, target_name="inner")
