@@ -29,7 +29,6 @@ from .configio import (
     ConfigFileError,
     DataFileError,
     config_roles,
-    format_value,
     load_circuit,
     load_materials,
     load_scene,
@@ -423,12 +422,14 @@ def cmd_fit(args) -> int:
 def cmd_taf(args) -> int:
     dataset = read_heating_csv(args.data)
     f_hz = _require_single_frequency(dataset, "TAF analysis")
+    temps = sorted({r.temperature for r in dataset.records})
+    if len(temps) < 4:
+        raise DataFileError("TAF analysis needs >= 4 distinct temperatures")
     curve_pts = _surface_curve(dataset, omega_from_hz(f_hz))
     omega = omega_from_hz(args.omega_hz)
     seed = args.seed if args.seed is not None else 7041
     curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=seed)
 
-    temps = sorted({r.temperature for r in dataset.records})
     t_arr = np.array(temps)
     slopes = np.atleast_1d(curve(t_arr))
     lo, hi = curve.band(t_arr)
@@ -440,6 +441,7 @@ def cmd_taf(args) -> int:
     ]
 
     consistency = None
+    comments = []
     if args.alphas is not None:
         measured = read_alpha_csv(args.alphas)
         chi2, p = taf_consistency_chi2(
@@ -447,6 +449,8 @@ def cmd_taf(args) -> int:
             lambda t: taf_alpha(float(curve(t)), omega, args.tau0_s),
         )
         consistency = {"chi2": chi2, "p_value": p, "n_points": len(measured)}
+        blob = json.dumps(consistency, sort_keys=True, separators=(",", ":"))
+        comments.append(f"taf-consistency: {blob}")
 
     manifest = make_manifest(
         "taf",
@@ -460,14 +464,7 @@ def cmd_taf(args) -> int:
         seed=seed,
     )
     header = ["T_K", "dlnS_dlnT", "slope_lo16", "slope_hi84", "alpha_pred"]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {manifest.to_json()}\n")
-        if consistency is not None:
-            blob = json.dumps(consistency, sort_keys=True, separators=(",", ":"))
-            fh.write(f"# taf-consistency: {blob}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    write_csv(args.out, manifest, header, rows, comments)
     if consistency is not None:
         print(
             f"taf consistency: chi2 = {consistency['chi2']:.4g} over "

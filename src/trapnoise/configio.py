@@ -37,6 +37,7 @@ from .inference import HeatingDataset, HeatingRecord, TempFitParams
 from .layers import Layer, LayerStack
 from .materials import (
     Conductor,
+    FilmSheet,
     LossyDielectric,
     MaterialModel,
     ResistivityTable,
@@ -158,10 +159,13 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, manifest: RunManifest, header, rows) -> None:
-    """CSV with the manifest as a leading ``# manifest:`` comment line."""
+def write_csv(path, manifest: RunManifest, header, rows, comments=()) -> None:
+    """CSV with the manifest as a leading ``# manifest:`` comment line,
+    followed by one ``# ...`` line per extra comment."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest: {manifest.to_json()}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
@@ -243,7 +247,14 @@ def config_roles(path) -> set[str]:
 
 
 class _Section:
-    """One config section with typed getters and leftover-key detection."""
+    """One config section: typed getters, leftover-key detection, and the
+    section's error boundary.
+
+    These methods are the only code that turns config text into values;
+    every fault they find is a :class:`ConfigFileError` naming the file and
+    section.  ``with sec:`` around a section's build does the same for the
+    ``ValueError``/``DomainError`` of the objects built from those values.
+    """
 
     def __init__(self, path, name: str, proxy):
         self.path = path
@@ -251,11 +262,15 @@ class _Section:
         self._proxy = proxy
         self._seen: set[str] = set()
 
+    def __enter__(self) -> "_Section":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, ConfigFileError):
+            raise self.error(str(exc)) from exc
+
     def error(self, message: str) -> ConfigFileError:
         return ConfigFileError(f"{self.path}: [{self.name}] {message}")
-
-    def has(self, key: str) -> bool:
-        return key in self._proxy
 
     def raw(self, key: str, default=None, required: bool = False) -> str | None:
         if key not in self._proxy:
@@ -265,59 +280,61 @@ class _Section:
         self._seen.add(key)
         return self._proxy[key].strip()
 
-    def text(self, key: str, default=None, required: bool = False):
-        return self.raw(key, default, required)
+    def number(self, key: str, text: str, kind=float):
+        """``kind(text)``, finite; a bad value is reported against ``key``."""
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            what = "an integer" if kind is int else "a number"
+            raise self.error(f"{key}: {text!r} is not {what}") from exc
+        if kind is float and not math.isfinite(value):
+            raise self.error(f"{key}: {text!r} is not finite")
+        return value
 
     def floatval(self, key: str, default=None, required: bool = False):
         raw = self.raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise self.error(f"{key} = {raw!r} is not a number") from exc
+        return default if raw is None else self.number(key, raw)
 
     def intval(self, key: str, default=None, required: bool = False):
         raw = self.raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise self.error(f"{key} = {raw!r} is not an integer") from exc
+        return default if raw is None else self.number(key, raw, int)
 
-    def boolval(self, key: str, default: bool = False) -> bool:
-        raw = self.raw(key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise self.error(f"{key} = {raw!r} is not a boolean")
+    def records(self, key: str, shape: str, sep="\n", required: bool = False):
+        """Multi-field value of ``key`` as lists of field strings.
 
-    def pair_lines(self, key: str, required: bool = False):
-        """Multiline value of whitespace-separated number pairs."""
+        The value is cut into items at ``sep`` (lines by default; ``None``
+        keeps the whole value as one item) and blank items are skipped.
+        Each item holds the whitespace-separated fields that ``shape`` names,
+        e.g. ``"C_F [esr_ohm]"``; bracketed trailing fields may be left out.
+        Returns None for an absent key and rejects a required empty one.
+        """
         raw = self.raw(key, None, required)
         if raw is None:
             return None
-        pairs = []
-        for line in raw.splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise self.error(
-                    f"{key}: expected two numbers per line, got {line.strip()!r}"
-                )
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise self.error(f"{key}: bad number in {line.strip()!r}") from exc
-        if not pairs:
-            raise self.error(f"{key} must contain at least one pair")
-        return pairs
+        names = shape.split()
+        fewest = sum(not n.startswith("[") for n in names)
+        items = [raw] if sep is None else [i for i in raw.split(sep) if i.strip()]
+        rows = []
+        for item in items:
+            fields = item.split()
+            if not fewest <= len(fields) <= len(names):
+                raise self.error(f"{key}: expected '{shape}', got {item.strip()!r}")
+            rows.append(fields)
+        if required and not rows:
+            raise self.error(f"{key} must not be empty")
+        return rows
+
+    def fields(self, key: str, shape: str, required: bool = False):
+        """The one ``shape`` record that makes up the value of ``key``."""
+        rows = self.records(key, shape, None, required)
+        return None if rows is None else rows[0]
+
+    def floats(self, key: str, shape: str, required: bool = False):
+        """:meth:`records` of lines with every field parsed as a number."""
+        rows = self.records(key, shape, required=required)
+        if rows is None:
+            return None
+        return [tuple(self.number(key, f) for f in row) for row in rows]
 
     def finish(self) -> None:
         leftover = set(self._proxy.keys()) - self._seen
@@ -328,7 +345,10 @@ class _Section:
 def _sections(parser, path, prefix: str):
     for name in parser.sections():
         if name.startswith(prefix):
-            yield name[len(prefix):], _Section(path, name, parser[name])
+            sec = _Section(path, name, parser[name])
+            if name == prefix:
+                raise sec.error("section name must be non-empty")
+            yield name[len(prefix):], sec
 
 
 def _single_section(parser, path, name: str) -> _Section:
@@ -342,12 +362,12 @@ def _single_section(parser, path, name: str) -> _Section:
 
 
 def _build_material(name: str, sec: _Section) -> MaterialModel:
-    kind = sec.text("kind", required=True)
+    kind = sec.raw("kind", required=True)
     if kind == "vacuum":
         sec.finish()
         return Vacuum(name=name)
     if kind == "conductor":
-        pairs = sec.pair_lines("rho_table", required=True)
+        pairs = sec.floats("rho_table", "T_K rho_ohm_m", required=True)
         sec.finish()
         return Conductor(
             rho=ResistivityTable.from_pairs(pairs, label=name), name=name
@@ -368,14 +388,13 @@ def _build_material(name: str, sec: _Section) -> MaterialModel:
             ),
             rs_residual=sec.floatval("sc_rs_residual_ohm", SCSheetSpec.rs_residual),
         )
-        rho_raw = sec.raw("rho_normal", "auto")
-        if rho_raw == "auto":
+        if sec.raw("rho_normal", "auto") == "auto":
             t_max = sec.floatval("rho_normal_t_max_K", 320.0)
             rho_normal = ybco_normal_default(
                 sigma_n=sigma_n, Tc=tc, t_max=t_max
             )
         else:
-            pairs = sec.pair_lines("rho_normal")
+            pairs = sec.floats("rho_normal", "T_K rho_ohm_m")
             rho_normal = ResistivityTable.from_pairs(
                 pairs, label=f"{name}-normal"
             )
@@ -396,14 +415,8 @@ def load_materials(path) -> dict[str, MaterialModel]:
     parser = _read_ini(path)
     materials: dict[str, MaterialModel] = {}
     for name, sec in _sections(parser, path, "material:"):
-        if not name:
-            raise sec.error("material name must be non-empty")
-        try:
+        with sec:
             materials[name] = _build_material(name, sec)
-        except (DomainError, ValueError) as exc:
-            if isinstance(exc, ConfigFileError):
-                raise
-            raise sec.error(str(exc)) from exc
     if not materials:
         raise ConfigFileError(f"{path}: no [material:NAME] sections found")
     return materials
@@ -433,33 +446,20 @@ def load_stack(path, materials: dict[str, MaterialModel]) -> LayerStack:
     """The ``[stack]`` section: one ``material thickness_m|bulk`` line per layer."""
     parser = _read_ini(path)
     sec = _single_section(parser, path, "stack")
-    name = sec.text("name", Path(path).stem)
-    raw = sec.raw("layers", required=True)
-    layers = []
-    for line in raw.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise sec.error(
-                f"layers: expected 'material thickness_m|bulk', got {line.strip()!r}"
+    with sec:
+        name = sec.raw("name", Path(path).stem)
+        layers = tuple(
+            Layer(
+                material=_resolve_material(sec, materials, mat),
+                thickness=None if thickness == "bulk"
+                else sec.number("layers", thickness),
             )
-        mat = _resolve_material(sec, materials, parts[0])
-        if parts[1] == "bulk":
-            thickness = None
-        else:
-            try:
-                thickness = float(parts[1])
-            except ValueError as exc:
-                raise sec.error(f"layers: bad thickness {parts[1]!r}") from exc
-        layers.append(Layer(material=mat, thickness=thickness))
-    sec.finish()
-    if not layers:
-        raise sec.error("layers must list at least the bulk layer")
-    try:
-        return LayerStack(layers=tuple(layers), name=name)
-    except DomainError as exc:
-        raise sec.error(str(exc)) from exc
+            for mat, thickness in sec.records(
+                "layers", "material thickness_m|bulk", required=True
+            )
+        )
+        sec.finish()
+        return LayerStack(layers=layers, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -468,82 +468,90 @@ def load_stack(path, materials: dict[str, MaterialModel]) -> LayerStack:
 
 def _build_filter(sec: _Section) -> FilterNetwork:
     series_r = sec.floatval("series_r_ohm", required=True)
-    caps = []
-    raw = sec.raw("capacitors")
-    if raw is not None:
-        for line in raw.splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (1, 2):
-                raise sec.error(
-                    f"capacitors: expected 'C_F [esr_ohm]', got {line.strip()!r}"
-                )
-            try:
-                cap = float(parts[0])
-                esr = float(parts[1]) if len(parts) == 2 else 0.0
-            except ValueError as exc:
-                raise sec.error(f"capacitors: bad number in {line.strip()!r}") from exc
-            caps.append(FilterCapacitor(capacitance=cap, esr=esr))
+    caps = sec.floats("capacitors", "C_F [esr_ohm]") or ()
     sec.finish()
-    return FilterNetwork(series_r=series_r, capacitors=tuple(caps))
+    return FilterNetwork(
+        series_r=series_r, capacitors=tuple(FilterCapacitor(*c) for c in caps)
+    )
 
 
 def _build_lead(sec: _Section, materials) -> LeadModel:
-    trace = None
-    raw = sec.raw("trace")
-    if raw is not None:
-        parts = raw.split()
-        if len(parts) != 4:
-            raise sec.error(
-                "trace: expected 'material width_m thickness_m length_m', "
-                f"got {raw!r}"
-            )
+    trace = sec.fields("trace", "material width_m thickness_m length_m")
+    if trace is not None:
+        mat, width, thickness, length = trace
         trace = RectTrace(
-            width=float(parts[1]),
-            thickness=float(parts[2]),
-            length=float(parts[3]),
-            material=_resolve_conductor(sec, materials, parts[0]),
+            width=sec.number("trace", width),
+            thickness=sec.number("trace", thickness),
+            length=sec.number("trace", length),
+            material=_resolve_conductor(sec, materials, mat),
         )
-    bond = None
-    raw = sec.raw("bond")
-    if raw is not None:
-        parts = raw.split()
-        if len(parts) != 3:
-            raise sec.error(
-                f"bond: expected 'material diameter_m length_m', got {raw!r}"
-            )
+    bond = sec.fields("bond", "material diameter_m length_m")
+    if bond is not None:
+        mat, diameter, length = bond
         bond = WireBond(
-            diameter=float(parts[1]),
-            length=float(parts[2]),
-            material=_resolve_conductor(sec, materials, parts[0]),
+            diameter=sec.number("bond", diameter),
+            length=sec.number("bond", length),
+            material=_resolve_conductor(sec, materials, mat),
         )
     contact = sec.floatval("contact_r_ohm", 0.0)
     sec.finish()
     return LeadModel(pcb_trace=trace, wire_bond=bond, contact_r_per_bond=contact)
 
 
-def _parse_films(sec: _Section, materials) -> tuple:
-    from .materials import FilmSheet
-
-    raw = sec.raw("films")
-    if raw is None:
-        return ()
-    films = []
-    for item in raw.split(","):
-        parts = item.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise sec.error(
-                f"films: expected 'material thickness_m', got {item.strip()!r}"
-            )
-        mat = _resolve_material(sec, materials, parts[0])
-        try:
-            films.append(FilmSheet(material=mat, thickness=float(parts[1])))
-        except ValueError as exc:
-            raise sec.error(f"films: {exc}") from exc
-    return tuple(films)
+def _build_electrodes(
+    name: str, sec: _Section, materials, filters, leads
+) -> list[ElectrodeModel]:
+    """One ``[electrode:NAME]`` section, expanded into its ``copies``."""
+    distance = sec.floatval("distance_m", required=True)
+    strip_length = sec.floatval("strip_length_m", required=True)
+    strip_width = sec.floatval("strip_width_m", required=True)
+    films = tuple(
+        FilmSheet(
+            material=_resolve_material(sec, materials, mat),
+            thickness=sec.number("films", thickness),
+        )
+        for mat, thickness in sec.records("films", "material thickness_m", ",") or ()
+    )
+    lead_name = sec.raw("lead")
+    if lead_name is None:
+        lead = LeadModel()
+    elif lead_name in leads:
+        lead = leads[lead_name]
+    else:
+        raise sec.error(f"unknown lead {lead_name!r}")
+    filter_name = sec.raw("filter")
+    if filter_name is None:
+        filt = None
+    elif filter_name in filters:
+        filt = filters[filter_name]
+    else:
+        raise sec.error(f"unknown filter {filter_name!r}")
+    bonds = sec.intval("bonds", 1)
+    if bonds < 1:
+        raise sec.error(f"bonds must be >= 1, got {bonds}")
+    if bonds > 1:
+        if lead.wire_bond is None:
+            raise sec.error("bonds > 1 requires a lead with a bond wire")
+        lead = replace(
+            lead, wire_bond=replace(lead.wire_bond, multiplicity=bonds)
+        )
+    copies = sec.intval("copies", 1)
+    if copies < 1:
+        raise sec.error(f"copies must be >= 1, got {copies}")
+    sec.finish()
+    names = [name] if copies == 1 else [f"{name}{i}" for i in range(1, copies + 1)]
+    return [
+        ElectrodeModel(
+            name=elec_name,
+            characteristic_distance=distance,
+            strip_length=strip_length,
+            strip_width=strip_width,
+            films=films,
+            lead=lead,
+            filter=filt,
+        )
+        for elec_name in names
+    ]
 
 
 def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeModel]:
@@ -551,70 +559,20 @@ def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeMod
     parser = _read_ini(path)
     filters = {}
     for name, sec in _sections(parser, path, "filter:"):
-        try:
+        with sec:
             filters[name] = _build_filter(sec)
-        except DomainError as exc:
-            raise sec.error(str(exc)) from exc
     leads = {}
     for name, sec in _sections(parser, path, "lead:"):
-        try:
+        with sec:
             leads[name] = _build_lead(sec, materials)
-        except DomainError as exc:
-            raise sec.error(str(exc)) from exc
 
     electrodes: list[ElectrodeModel] = []
     for name, sec in _sections(parser, path, "electrode:"):
-        distance = sec.floatval("distance_m", required=True)
-        strip_length = sec.floatval("strip_length_m", required=True)
-        strip_width = sec.floatval("strip_width_m", required=True)
-        films = _parse_films(sec, materials)
-        lead_name = sec.text("lead")
-        if lead_name is None:
-            lead = LeadModel()
-        elif lead_name in leads:
-            lead = leads[lead_name]
-        else:
-            raise sec.error(f"unknown lead {lead_name!r}")
-        filter_name = sec.text("filter")
-        if filter_name is None:
-            filt = None
-        elif filter_name in filters:
-            filt = filters[filter_name]
-        else:
-            raise sec.error(f"unknown filter {filter_name!r}")
-        bonds = sec.intval("bonds", 1)
-        if bonds < 1:
-            raise sec.error(f"bonds must be >= 1, got {bonds}")
-        if bonds > 1:
-            if lead.wire_bond is None:
-                raise sec.error("bonds > 1 requires a lead with a bond wire")
-            lead = replace(
-                lead, wire_bond=replace(lead.wire_bond, multiplicity=bonds)
-            )
-        approximate = sec.boolval("approximate", False)
-        copies = sec.intval("copies", 1)
-        if copies < 1:
-            raise sec.error(f"copies must be >= 1, got {copies}")
-        sec.finish()
-        names = [name] if copies == 1 else [f"{name}{i}" for i in range(1, copies + 1)]
-        for elec_name in names:
-            if any(e.name == elec_name for e in electrodes):
-                raise sec.error(f"electrode name {elec_name!r} is already in use")
-            try:
-                electrodes.append(
-                    ElectrodeModel(
-                        name=elec_name,
-                        characteristic_distance=distance,
-                        strip_length=strip_length,
-                        strip_width=strip_width,
-                        films=films,
-                        lead=lead,
-                        filter=filt,
-                        approximate=approximate,
-                    )
-                )
-            except DomainError as exc:
-                raise sec.error(str(exc)) from exc
+        with sec:
+            for elec in _build_electrodes(name, sec, materials, filters, leads):
+                if any(e.name == elec.name for e in electrodes):
+                    raise sec.error(f"electrode name {elec.name!r} is already in use")
+                electrodes.append(elec)
     if not electrodes:
         raise ConfigFileError(f"{path}: no [electrode:NAME] sections found")
     return electrodes
@@ -639,22 +597,12 @@ def load_scene(path) -> PatchScene:
 
     regions = []
     for name, rsec in _sections(parser, path, "region:"):
-        if not name:
-            raise rsec.error("region name must be non-empty")
-        raw = rsec.raw("rect_m", required=True)
-        parts = raw.split()
-        if len(parts) != 4:
-            raise rsec.error(f"rect_m: expected 'x0 x1 y0 y1', got {raw!r}")
-        try:
-            rect = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise rsec.error(f"rect_m: bad number in {raw!r}") from exc
-        weight = rsec.floatval("weight", 1.0)
-        rsec.finish()
-        try:
+        with rsec:
+            rect = rsec.fields("rect_m", "x0 x1 y0 y1", required=True)
+            rect = tuple(rsec.number("rect_m", v) for v in rect)
+            weight = rsec.floatval("weight", 1.0)
+            rsec.finish()
             regions.append(PlaneRegion(rect=rect, weight=weight, name=name))
-        except DomainError as exc:
-            raise rsec.error(str(exc)) from exc
     if not regions:
         raise ConfigFileError(f"{path}: no [region:NAME] sections found")
     try:
@@ -686,24 +634,21 @@ def load_temp_params(path) -> TempFitParams:
     given = [p is not None for p in piece]
     if any(given) and not all(given):
         raise sec.error("t2_K, beta2, t_star_K must be given together")
-    pairs = sec.pair_lines("gamma0_phps", required=True)
+    pairs = sec.floats("gamma0_phps", "f_Hz gamma0", required=True)
     sec.finish()
     gamma0 = {}
     for f_hz, g0 in pairs:
         if f_hz in gamma0:
             raise sec.error(f"gamma0_phps: duplicate frequency {f_hz} Hz")
         gamma0[f_hz] = g0
-    try:
-        return TempFitParams(
-            gamma0=gamma0,
-            t1=t1,
-            beta1=beta1,
-            t2=piece[0],
-            beta2=piece[1],
-            t_star=piece[2],
-        )
-    except DomainError as exc:
-        raise sec.error(str(exc)) from exc
+    return TempFitParams(
+        gamma0=gamma0,
+        t1=t1,
+        beta1=beta1,
+        t2=piece[0],
+        beta2=piece[1],
+        t_star=piece[2],
+    )
 
 
 _SURFACE_KEYS = {

@@ -18,6 +18,7 @@ anything further raises :class:`TemperatureRangeError`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .constants import CONSTANTS, DomainError
@@ -71,17 +72,12 @@ class ResistivityTable:
         t, r = self.temperatures, self.resistivities
         lo_margin = t[1] - t[0]
         hi_margin = t[-1] - t[-2]
-        if temperature < t[0] - lo_margin or temperature > t[-1] + hi_margin:
+        if not t[0] - lo_margin <= temperature <= t[-1] + hi_margin:  # or NaN
             raise TemperatureRangeError(
                 f"T = {temperature} K outside table '{self.label}' "
                 f"range [{t[0]}, {t[-1]}] K (one-step margin exceeded)"
             )
-        if temperature <= t[0]:
-            i = 0
-        elif temperature >= t[-1]:
-            i = len(t) - 2
-        else:
-            i = max(j for j in range(len(t) - 1) if t[j] <= temperature)
+        i = min(max(bisect_right(t, temperature) - 1, 0), len(t) - 2)
         frac = (temperature - t[i]) / (t[i + 1] - t[i])
         log_rho = (1.0 - frac) * math.log(r[i]) + frac * math.log(r[i + 1])
         return math.exp(log_rho)

@@ -232,7 +232,6 @@ class ElectrodeModel:
     films: tuple[FilmSheet, ...] = ()
     lead: LeadModel = field(default_factory=LeadModel)
     filter: FilterNetwork | None = None
-    approximate: bool = False
 
     def __post_init__(self):
         if self.characteristic_distance <= 0.0:

@@ -290,6 +290,18 @@ def test_taf_consistency_comment_line(tmp_path):
     assert 0.0 <= verdict["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize("temps", [(20, 40, 60), (20, 40, 60, 60)])
+def test_taf_short_data_exits_data(temps, tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    rows = "".join(f"{t},1000000.0,2.0,0.1\n" for t in temps)
+    data.write_text("T_K,f_Hz,gamma_phps,sigma_phps\n" + rows)
+    rc = main(
+        ["taf", "--data", str(data), "--n-boot", "5", "--out", str(tmp_path / "o")]
+    )
+    assert rc == EXIT_DATA
+    assert "4 distinct temperatures" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # zeta
 
@@ -358,6 +370,33 @@ def test_missing_data_file_exits_data(tmp_path):
         ]
     )
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "command, config, old, new, section",
+    [
+        ("jnn", ("circuits", "ybco-trap"), "cu 300e-6", "cu abc", "[lead:standard]"),
+        ("jnn", ("circuits", "ybco-trap"), "au 25e-6 1e-2", "au 25e-6 xx",
+         "[lead:standard]"),
+        ("fdt", ("stacks", "sapphire-ybco"), "ybco 300e-9", "ybco -2e-7", "[stack]"),
+        ("fdt", ("stacks", "sapphire-ybco"), "ybco 300e-9", "ybco 0", "[stack]"),
+        ("jnn", ("circuits", "ybco-trap"), "distance_m = 5.10e-3",
+         "distance_m = nan", "[electrode:C1]"),
+    ],
+    ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan"],
+)
+def test_config_value_faults_exit_config(
+    command, config, old, new, section, tmp_path, capsys
+):
+    text = packaged_config(*config).read_text()
+    assert old in text
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text.replace(old, new))
+    rc = main(
+        [command, "--config", str(cfg), "--temps", "50", "--out", str(tmp_path / "o")]
+    )
+    assert rc == EXIT_CONFIG
+    assert section in capsys.readouterr().err
 
 
 def test_unknown_config_section_exits_config(tmp_path):

@@ -2,9 +2,11 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnoise.configio import (
     ConfigFileError,
@@ -91,12 +93,10 @@ def test_packaged_trap_circuit(materials):
     assert c1.lead.wire_bond.multiplicity == 1
     assert c1.filter.series_r == pytest.approx(100.0)
     assert len(c1.filter.capacitors) == 2
-    assert c1.approximate is False
     cc = by_name["CC"]
     assert cc.characteristic_distance == pytest.approx(24.3e-3)
     assert cc.lead.wire_bond.multiplicity == 2
     dc = by_name["DC7"]
-    assert dc.approximate is True
     assert dc.characteristic_distance == pytest.approx(20e-3)
     # the ten DC electrodes are identical copies apart from the name
     assert by_name["DC1"].strip_width == by_name["DC10"].strip_width
@@ -261,6 +261,15 @@ def test_circuit_duplicate_expanded_names(tmp_path, materials):
         load_circuit(path, materials)
 
 
+@pytest.mark.parametrize("kind", ["filter", "lead", "electrode"])
+def test_circuit_section_names_must_be_non_empty(kind, tmp_path, materials):
+    electrode = "distance_m = 1e-3\nstrip_length_m = 1e-3\nstrip_width_m = 1e-5\n"
+    path = tmp_path / "circ.cfg"
+    path.write_text(f"[electrode:E]\n{electrode}\n[{kind}:]\n{electrode}")
+    with pytest.raises(ConfigFileError, match=f"\\[{kind}:\\] section name"):
+        load_circuit(path, materials)
+
+
 def test_scene_inline_comments_and_case(tmp_path):
     # keys keep their case; inline comments are stripped
     path = tmp_path / "scene.cfg"
@@ -276,6 +285,64 @@ def test_scene_inline_comments_and_case(tmp_path):
     assert scene.ion_height == pytest.approx(100e-6)
     assert scene.axial_dir == pytest.approx((0.0, 1.0))
     assert scene.region("Target").name == "Target"
+
+
+# A number in a config value: not part of a key or section name like 'C1'.
+_NUMBER = re.compile(r"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _numeric_fields(text):
+    """(start, end) spans of the numbers in a config's values, bar ``copies``."""
+    spans = []
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        if not line.strip().startswith(("#", "[", "copies")):
+            spans += [(offset + m.start(), offset + m.end()) for m in _NUMBER.finditer(line)]
+        offset += len(line)
+    return spans
+
+
+_LOADERS = {
+    "circuits": load_circuit,
+    "stacks": load_stack,
+    "scenes": lambda path, mats: load_scene(path),
+}
+
+
+@pytest.mark.parametrize(
+    "category, name",
+    [
+        ("circuits", "ybco-trap"),
+        ("circuits", "al-lead-benchmark"),
+        ("stacks", "sapphire-ybco-au"),
+        ("stacks", "sapphire-ybco"),
+        ("scenes", "ybco-chip"),
+    ],
+)
+def test_any_text_in_a_numeric_field_loads_or_is_config_error(
+    category, name, materials, tmp_path_factory
+):
+    text = packaged_config(category, name).read_text(encoding="utf-8")
+    spans = _numeric_fields(text)
+    assert spans
+    path = tmp_path_factory.mktemp("fuzz") / f"{name}.cfg"
+    values = st.one_of(
+        st.text(st.characters(codec="utf-8")),
+        st.floats().map(repr),
+        st.integers().map(str),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(span=st.sampled_from(spans), value=values)
+    def check(span, value):
+        start, end = span
+        path.write_text(text[:start] + value + text[end:], encoding="utf-8")
+        try:
+            _LOADERS[category](path, materials)
+        except ConfigFileError:
+            pass
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +494,14 @@ def test_write_csv_round_trip(tmp_path):
     assert lines[2] == "20.0,7.33e-16"
     assert lines[3] == "40.0,"
     assert read_csv_manifest(path)["command"] == "jnn"
+
+
+def test_write_csv_comments_follow_the_manifest(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, make_manifest("taf"), ["T_K"], [[20.0]], ["a: 1", "b"])
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# manifest: {")
+    assert lines[1:] == ["# a: 1", "# b", "T_K", "20.0"]
 
 
 def test_write_json_report(tmp_path):

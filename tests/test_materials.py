@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnoise.constants import CONSTANTS, DomainError
 from trapnoise.materials import (
@@ -58,6 +59,19 @@ def test_table_extrapolates_one_grid_step_then_raises():
         tab.lookup(-3.0)
     with pytest.raises(TemperatureRangeError):
         tab.lookup(328.0)
+    with pytest.raises(TemperatureRangeError):
+        tab.lookup(math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 327.0) | st.sampled_from([t for t, _ in GOLD_PAIRS]))
+def test_table_lookup_interpolates_on_the_last_knot_at_or_below_t(temperature):
+    t, r = zip(*GOLD_PAIRS)
+    below = [j for j in range(len(t)) if t[j] <= temperature]
+    i = min(max(below, default=0), len(t) - 2)  # end segments extend outward
+    frac = (temperature - t[i]) / (t[i + 1] - t[i])
+    log_rho = (1.0 - frac) * math.log(r[i]) + frac * math.log(r[i + 1])
+    assert gold_table().lookup(temperature) == math.exp(log_rho)
 
 
 def test_table_extrapolation_continues_end_segment():
