@@ -105,6 +105,7 @@ from .inference import (
     TempFitParams,
     TempModelComparison,
     TempModelFit,
+    UnusableDataError,
     fit_freq_power_law,
     fit_surface_models,
     fit_temperature_models,

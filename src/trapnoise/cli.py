@@ -52,6 +52,7 @@ from .constants import (
 from .inference import (
     HeatingDataset,
     HeatingRecord,
+    UnusableDataError,
     fit_freq_power_law,
     fit_surface_models,
     fit_temperature_models,
@@ -328,10 +329,8 @@ def _temp_fit_dict(fit) -> dict:
 
 
 def _fit_temp_report(dataset: HeatingDataset, args) -> dict:
-    if len({r.temperature for r in dataset.records}) < 4:
-        raise DataFileError("temperature-model fit needs >= 4 distinct temperatures")
     comparison = fit_temperature_models(dataset)
-    report = {
+    return {
         "mode": "temp",
         "n_records": len(dataset.records),
         "simple": _temp_fit_dict(comparison.simple),
@@ -343,7 +342,6 @@ def _fit_temp_report(dataset: HeatingDataset, args) -> dict:
             "width_K": plateau_width(comparison.piecewise.params, args.plateau_tol),
         },
     }
-    return report
 
 
 def _fit_freq_report(dataset: HeatingDataset) -> dict:
@@ -352,14 +350,9 @@ def _fit_freq_report(dataset: HeatingDataset) -> dict:
         groups.setdefault(r.temperature, []).append(r)
     fits = []
     for temperature in sorted(groups):
-        recs = groups[temperature]
-        if len({r.f_secular for r in recs}) < 3:
-            raise DataFileError(
-                f"frequency fit at T = {temperature} K needs >= 3 distinct "
-                "frequencies"
-            )
         points = [
-            (omega_from_hz(r.f_secular), r.gamma, r.sigma_gamma) for r in recs
+            (omega_from_hz(r.f_secular), r.gamma, r.sigma_gamma)
+            for r in groups[temperature]
         ]
         fit = fit_freq_power_law(points)
         err_g, err_a = fit.errors()
@@ -388,10 +381,7 @@ def _surface_fit_dict(fit) -> dict:
 
 def _fit_surface_report(dataset: HeatingDataset) -> dict:
     f_hz = _require_single_frequency(dataset, "surface-model fit")
-    curve = _surface_curve(dataset, omega_from_hz(f_hz))
-    if len(curve) < 5:
-        raise DataFileError("surface-model fit needs >= 5 points")
-    fits = fit_surface_models(curve)
+    fits = fit_surface_models(_surface_curve(dataset, omega_from_hz(f_hz)))
     return {
         "mode": "surface",
         "n_records": len(dataset.records),
@@ -423,8 +413,6 @@ def cmd_taf(args) -> int:
     dataset = read_heating_csv(args.data)
     f_hz = _require_single_frequency(dataset, "TAF analysis")
     temps = sorted({r.temperature for r in dataset.records})
-    if len(temps) < 4:
-        raise DataFileError("TAF analysis needs >= 4 distinct temperatures")
     curve_pts = _surface_curve(dataset, omega_from_hz(f_hz))
     omega = omega_from_hz(args.omega_hz)
     seed = args.seed if args.seed is not None else 7041
@@ -709,7 +697,7 @@ def main(argv=None) -> int:
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataFileError as exc:
+    except (DataFileError, UnusableDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except _NUMERIC_ERRORS as exc:

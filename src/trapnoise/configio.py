@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CONSTANTS, DomainError
-from .inference import HeatingDataset, HeatingRecord, TempFitParams
+from .inference import SURFACE_MODELS, HeatingDataset, HeatingRecord, TempFitParams
 from .layers import Layer, LayerStack
 from .materials import (
     Conductor,
@@ -572,6 +572,8 @@ def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeMod
             for elec in _build_electrodes(name, sec, materials, filters, leads):
                 if any(e.name == elec.name for e in electrodes):
                     raise sec.error(f"electrode name {elec.name!r} is already in use")
+                if elec.name == "TOTAL":
+                    raise sec.error("electrode name 'TOTAL' names the budget's sum row")
                 electrodes.append(elec)
     if not electrodes:
         raise ConfigFileError(f"{path}: no [electrode:NAME] sections found")
@@ -651,21 +653,17 @@ def load_temp_params(path) -> TempFitParams:
     )
 
 
-_SURFACE_KEYS = {
-    "power": ("s_e0", "beta", "t0_K"),
-    "arrhenius": ("s_e0", "s_et", "t0_K"),
-}
-
-
 def load_surface_params(path, kind: str) -> dict[str, float]:
-    """Surface-noise model parameters from a ``[surface-model]`` section."""
-    if kind not in _SURFACE_KEYS:
+    """Surface-noise model parameters from a ``[surface-model]`` section;
+    the key of the temperature ``t0`` is ``t0_K``."""
+    if kind not in SURFACE_MODELS:
         raise ConfigFileError(f"unknown surface model kind {kind!r}")
     parser = _read_ini(path)
     sec = _single_section(parser, path, "surface-model")
-    out = {}
-    for key in _SURFACE_KEYS[kind]:
-        out[key.removesuffix("_K")] = sec.floatval(key, required=True)
+    out = {
+        name: sec.floatval(name + "_K" if name == "t0" else name, required=True)
+        for name in SURFACE_MODELS[kind].names
+    }
     sec.finish()
     return out
 

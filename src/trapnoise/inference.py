@@ -15,17 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
 
-from .constants import (
-    CONSTANTS,
-    DomainError,
-    heating_rate_from_noise,
-    noise_from_heating_rate,
-)
+from .constants import DomainError, heating_rate_from_noise, noise_from_heating_rate
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
 
@@ -33,6 +29,7 @@ __all__ = [
     "OMEGA0",
     "FitRangeWarning",
     "IllConditionedWarning",
+    "UnusableDataError",
     "HeatingRecord",
     "HeatingDataset",
     "FreqPowerLawFit",
@@ -40,6 +37,8 @@ __all__ = [
     "TempModelFit",
     "TempModelComparison",
     "ModelScore",
+    "SurfaceModel",
+    "SURFACE_MODELS",
     "SurfaceModelFit",
     "SurfaceFitParams",
     "SlopeCurve",
@@ -67,6 +66,18 @@ class FitRangeWarning(UserWarning):
 
 class IllConditionedWarning(UserWarning):
     """A formula is evaluated where it is numerically ill-conditioned."""
+
+
+class UnusableDataError(DomainError):
+    """Data a fit cannot use: too few or repeated points, non-positive values."""
+
+
+def _exp(x) -> float:
+    """``math.exp``, but NaN where it overflows, so a fit rejects the step."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,10 @@ class HeatingDataset:
 # frequency power law
 
 
+def _power_law(omega, gamma_coeff, alpha, omega0):
+    return gamma_coeff * (np.asarray(omega) / omega0) ** (alpha - 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class FreqPowerLawFit:
     """Gamma(omega) = gamma_coeff * (omega/omega0)^(alpha - 1)."""
@@ -120,9 +135,7 @@ class FreqPowerLawFit:
     fit: FitResult = field(repr=False, compare=False, default=None)
 
     def __call__(self, omega):
-        return self.gamma_coeff * (np.asarray(omega) / self.omega0) ** (
-            self.alpha - 1.0
-        )
+        return _power_law(omega, self.gamma_coeff, self.alpha, self.omega0)
 
     def errors(self) -> tuple[float, float]:
         d = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
@@ -133,14 +146,14 @@ def fit_freq_power_law(points, omega0: float = OMEGA0) -> FreqPowerLawFit:
     """Weighted fit of the frequency power law at fixed temperature."""
     pts = [(float(w), float(g), float(s)) for w, g, s in points]
     if len(pts) < 3:
-        raise DomainError(f"need at least 3 points, got {len(pts)}")
+        raise UnusableDataError(f"need at least 3 points, got {len(pts)}")
     omegas = np.array([p[0] for p in pts])
     if np.unique(omegas).size != omegas.size:
-        raise DomainError("frequencies must be distinct")
+        raise UnusableDataError("frequencies must be distinct")
     gammas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
     if np.any(gammas <= 0.0) or np.any(sigmas <= 0.0):
-        raise DomainError("gamma and sigma must be > 0 for the power-law fit")
+        raise UnusableDataError("gamma and sigma must be > 0 for the power-law fit")
 
     # log-log regression seeds the nonlinear fit
     lx = np.log(omegas / omega0)
@@ -148,7 +161,7 @@ def fit_freq_power_law(points, omega0: float = OMEGA0) -> FreqPowerLawFit:
     theta0 = np.array([intercept, slope + 1.0])
 
     def residual(theta):
-        model = np.exp(theta[0]) * (omegas / omega0) ** (theta[1] - 1.0)
+        model = _power_law(omegas, np.exp(theta[0]), theta[1], omega0)
         return (gammas - model) / sigmas
 
     res = levenberg_marquardt(residual, theta0)
@@ -272,61 +285,55 @@ def _flatten(groups):
     return freqs, temps, gammas, sigmas, owner
 
 
-def _fit_gamma1(freqs, temps, gammas, sigmas, owner):
+_SHAPE_NAMES = ("t1", "beta1", "t2", "beta2", "t_star")
+
+
+def _shape(theta) -> tuple:
+    """Shape parameters from fit coordinates: logarithms for all but T*."""
+    return tuple(v if n == "t_star" else _exp(v) for n, v in zip(_SHAPE_NAMES, theta))
+
+
+def _temp_model_fit(starts, freqs, temps, gammas, sigmas, owner) -> TempModelFit:
+    """Best fit over ``starts`` (ln Gamma0 per frequency, then 2 or 5 shape
+    coordinates); failed starts are skipped unless there is only one."""
     k = len(freqs)
 
     def residual(theta):
-        g0 = np.exp(theta[:k])[owner]
-        t1 = math.exp(theta[k])
-        b1 = math.exp(theta[k + 1])
-        return (gammas - model_gamma1(temps, g0, t1, b1)) / sigmas
+        # trial steps may overflow; NaN/inf residuals just lose the step
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            g0 = np.exp(theta[:k])[owner]
+            shape = _shape(theta[k:])
+            model = model_gamma2 if len(shape) == 5 else model_gamma1
+            return (gammas - model(temps, g0, *shape)) / sigmas
 
-    g0_init = np.array(
-        [max(gammas[owner == i].min(), 1e-12) for i in range(k)]
-    )
-    theta0 = np.concatenate(
-        [np.log(g0_init), [math.log(np.median(temps)), math.log(2.0)]]
-    )
-    return levenberg_marquardt(residual, theta0), residual
-
-
-def _fit_gamma2(freqs, temps, gammas, sigmas, owner, seed1: FitResult):
-    k = len(freqs)
-
-    def residual(theta):
-        g0 = np.exp(theta[:k])[owner]
-        t1 = math.exp(theta[k])
-        b1 = math.exp(theta[k + 1])
-        t2 = math.exp(theta[k + 2])
-        b2 = math.exp(theta[k + 3])
-        ts = theta[k + 4]
-        return (gammas - model_gamma2(temps, g0, t1, b1, t2, b2, ts)) / sigmas
-
-    t_lo, t_hi = temps.min(), temps.max()
-    span = t_hi - t_lo
-    rng = np.random.default_rng(1849)
     best = None
-    for s in range(8):
-        t_star0 = t_lo + span * (0.35 + 0.45 * s / 7.0)
-        theta0 = np.concatenate(
-            [
-                seed1.params[: k + 2],
-                [math.log(0.5 * span), math.log(3.0), t_star0],
-            ]
-        )
-        if s > 0:
-            theta0[: k + 2] += rng.normal(0.0, 0.05, k + 2)
-            theta0[k + 2] += rng.normal(0.0, 0.3)
-            theta0[k + 3] += rng.normal(0.0, 0.3)
+    for theta0 in starts:
         try:
             res = levenberg_marquardt(residual, theta0)
+            if not np.all(np.isfinite(_shape(res.params[k:]))):
+                raise FitFailure(
+                    "a shape parameter overflowed", res.params, res.rss, res.n_iter
+                )
         except (FitFailure, np.linalg.LinAlgError):
+            if len(starts) == 1:
+                raise
             continue
         if best is None or res.rss < best.rss:
             best = res
     if best is None:
         raise DomainError("piecewise temperature fit failed from all starts")
-    return best, residual
+
+    shape = _shape(best.params[k:])
+    params = TempFitParams(
+        gamma0={f: float(math.exp(best.params[i])) for i, f in enumerate(freqs)},
+        **{n: float(v) for n, v in zip(_SHAPE_NAMES, shape)},
+    )
+    errors = {
+        n: err if n == "t_star" else v * err
+        for n, v, err in zip(_SHAPE_NAMES, shape, best.errors()[k:])
+    }
+    score = information_criteria(best.rss, temps.size, best.params.size)
+    return TempModelFit(params, score, best, errors)
 
 
 def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
@@ -334,62 +341,50 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
 
     Gamma0 is free per frequency set; (T1, beta1) and, for the piecewise
     model, (T2, beta2, T*) are shared across sets.  Both models are scored
-    on the same weighted residuals.
+    on the same weighted residuals.  The piecewise fit starts from the
+    simple optimum with T* spread over the data, jittered with a fixed seed.
     """
     groups = dataset.by_frequency()
-    if len(groups) < 1:
-        raise DomainError("no frequency groups")
     temps_all = [r.temperature for recs in groups.values() for r in recs]
     if len(set(temps_all)) < 4:
-        raise DomainError("need at least 4 distinct temperatures")
-    freqs, temps, gammas, sigmas, owner = _flatten(groups)
-    k = len(freqs)
-    n = temps.size
+        raise UnusableDataError("need at least 4 distinct temperatures")
+    n_params = len(groups) + len(_SHAPE_NAMES)
+    if len(temps_all) <= n_params:
+        raise UnusableDataError(
+            f"need more than {n_params} records for the piecewise model, "
+            f"got {len(temps_all)}"
+        )
+    data = _flatten(groups)
+    freqs, temps, gammas, _, owner = data
 
-    res1, _ = _fit_gamma1(freqs, temps, gammas, sigmas, owner)
-    params1 = TempFitParams(
-        gamma0={f: float(math.exp(res1.params[i])) for i, f in enumerate(freqs)},
-        t1=float(math.exp(res1.params[k])),
-        beta1=float(math.exp(res1.params[k + 1])),
-    )
-    err1 = res1.errors()
-    global_err1 = {
-        "t1": params1.t1 * err1[k],
-        "beta1": params1.beta1 * err1[k + 1],
-    }
-    score1 = information_criteria(res1.rss, n, k + 2)
+    g0 = [max(gammas[owner == i].min(), 1e-12) for i in range(len(freqs))]
+    start = np.concatenate([np.log(g0), [math.log(np.median(temps)), math.log(2.0)]])
+    simple = _temp_model_fit([start], *data)
 
-    res2, _ = _fit_gamma2(freqs, temps, gammas, sigmas, owner, res1)
-    t_star = float(res2.params[k + 4])
-    params2 = TempFitParams(
-        gamma0={f: float(math.exp(res2.params[i])) for i, f in enumerate(freqs)},
-        t1=float(math.exp(res2.params[k])),
-        beta1=float(math.exp(res2.params[k + 1])),
-        t2=float(math.exp(res2.params[k + 2])),
-        beta2=float(math.exp(res2.params[k + 3])),
-        t_star=t_star,
-    )
-    if not temps.min() <= t_star <= temps.max():
+    n = simple.fit.params.size
+    t_lo, t_hi = temps.min(), temps.max()
+    span = t_hi - t_lo
+    rng = np.random.default_rng(1849)
+    starts = []
+    for s in range(8):
+        t_star0 = t_lo + span * (0.35 + 0.45 * s / 7.0)
+        start = np.concatenate(
+            [simple.fit.params, [math.log(0.5 * span), math.log(3.0), t_star0]]
+        )
+        if s > 0:
+            start[:n] += rng.normal(0.0, 0.05, n)
+            start[n : n + 2] += rng.normal(0.0, 0.3, 2)
+        starts.append(start)
+    piecewise = _temp_model_fit(starts, *data)
+    t_star = piecewise.params.t_star
+    if not t_lo <= t_star <= t_hi:
         warnings.warn(
             f"T* = {t_star:.1f} K lies outside the data range "
-            f"[{temps.min():.1f}, {temps.max():.1f}] K",
+            f"[{t_lo:.1f}, {t_hi:.1f}] K",
             FitRangeWarning,
             stacklevel=2,
         )
-    err2 = res2.errors()
-    global_err2 = {
-        "t1": params2.t1 * err2[k],
-        "beta1": params2.beta1 * err2[k + 1],
-        "t2": params2.t2 * err2[k + 2],
-        "beta2": params2.beta2 * err2[k + 3],
-        "t_star": err2[k + 4],
-    }
-    score2 = information_criteria(res2.rss, n, k + 5)
-
-    return TempModelComparison(
-        simple=TempModelFit(params1, score1, res1, global_err1),
-        piecewise=TempModelFit(params2, score2, res2, global_err2),
-    )
+    return TempModelComparison(simple=simple, piecewise=piecewise)
 
 
 def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
@@ -406,6 +401,33 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
 
 
 @dataclass(frozen=True)
+class SurfaceModel:
+    """S_E(T) = formula(T, *params) with the parameters in ``names`` order;
+    those flagged in ``logged`` are fitted as logarithms."""
+
+    formula: Callable
+    names: tuple[str, ...]
+    logged: tuple[bool, ...]
+
+    def __call__(self, t, params: dict[str, float]):
+        return self.formula(t, *(params[name] for name in self.names))
+
+
+SURFACE_MODELS = {
+    "power": SurfaceModel(  # S_E0 (1 + T/T0)^beta
+        lambda t, s_e0, beta, t0: s_e0 * (1.0 + t / t0) ** beta,
+        ("s_e0", "beta", "t0"),
+        (True, False, True),
+    ),
+    "arrhenius": SurfaceModel(  # S_E0 + S_ET exp(-T0/T)
+        lambda t, s_e0, s_et, t0: s_e0 + s_et * np.exp(-t0 / t),
+        ("s_e0", "s_et", "t0"),
+        (True, True, True),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class SurfaceModelFit:
     kind: str
     params: dict[str, float]
@@ -415,11 +437,7 @@ class SurfaceModelFit:
     p_value: float
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.kind == "power":
-            return p["s_e0"] * (1.0 + t / p["t0"]) ** p["beta"]
-        return p["s_e0"] + p["s_et"] * np.exp(-p["t0"] / t)
+        return SURFACE_MODELS[self.kind](np.asarray(t, dtype=float), self.params)
 
 
 @dataclass(frozen=True)
@@ -429,75 +447,41 @@ class SurfaceFitParams:
 
 
 def _surface_fit(kind, temps, s_e, sigmas) -> SurfaceModelFit:
-    n = temps.size
-
+    model = SURFACE_MODELS[kind]
     if kind == "power":
-
-        def model(theta):
-            return np.exp(theta[0]) * (1.0 + temps / math.exp(theta[2])) ** theta[1]
-
         slope0 = (math.log(s_e[-1] / s_e[0])) / math.log(
             (1.0 + temps[-1] / np.median(temps)) / (1.0 + temps[0] / np.median(temps))
         )
-        theta0 = np.array(
-            [math.log(s_e.min()), max(slope0, 0.5), math.log(np.median(temps))]
-        )
-        names = ("s_e0", "beta", "t0")
-
-        def unpack(theta):
-            return {
-                "s_e0": math.exp(theta[0]),
-                "beta": theta[1],
-                "t0": math.exp(theta[2]),
-            }
-
-        def grads(theta):
-            return np.array([math.exp(theta[0]), 1.0, math.exp(theta[2])])
-
+        theta0 = [math.log(s_e.min()), max(slope0, 0.5), math.log(np.median(temps))]
     else:
+        theta0 = [
+            math.log(max(s_e.min(), 1e-300)),
+            math.log(max(s_e.max() - 0.9 * s_e.min(), 1e-300))
+            + (temps.max() - temps.min()) / temps.max(),
+            math.log(temps.max()),
+        ]
 
-        def model(theta):
-            return np.exp(theta[0]) + np.exp(theta[1]) * np.exp(
-                -math.exp(theta[2]) / temps
-            )
-
-        theta0 = np.array(
-            [
-                math.log(max(s_e.min(), 1e-300)),
-                math.log(max(s_e.max() - 0.9 * s_e.min(), 1e-300))
-                + (temps.max() - temps.min()) / temps.max(),
-                math.log(temps.max()),
-            ]
-        )
-        names = ("s_e0", "s_et", "t0")
-
-        def unpack(theta):
-            return {
-                "s_e0": math.exp(theta[0]),
-                "s_et": math.exp(theta[1]),
-                "t0": math.exp(theta[2]),
-            }
-
-        def grads(theta):
-            return np.exp(theta)
+    def unpack(theta):
+        values = (_exp(v) if log else v for v, log in zip(theta, model.logged))
+        return dict(zip(model.names, values))
 
     def residual(theta):
-        return (s_e - model(theta)) / sigmas
+        return (s_e - model(temps, unpack(theta))) / sigmas
 
     res = levenberg_marquardt(residual, theta0)
     params = unpack(res.params)
-    scale = grads(res.params)
+    # delta method: d p / d theta is p for a logarithm, 1 otherwise
+    scale = [p if log else 1.0 for p, log in zip(params.values(), model.logged)]
     cov = res.covariance * np.outer(scale, scale)
-    errors = {nm: float(np.sqrt(max(cov[i, i], 0.0))) for i, nm in enumerate(names)}
-    dof = n - 3
-    chi2 = res.rss
+    errors = {n: float(np.sqrt(max(cov[i, i], 0.0))) for i, n in enumerate(model.names)}
+    dof = temps.size - len(model.names)
     return SurfaceModelFit(
         kind=kind,
         params=params,
         errors=errors,
-        chi2=chi2,
-        chi2_red=chi2 / dof,
-        p_value=float(stats.chi2.sf(chi2, dof)),
+        chi2=res.rss,
+        chi2_red=res.rss / dof,
+        p_value=float(stats.chi2.sf(res.rss, dof)),
     )
 
 
@@ -505,12 +489,12 @@ def fit_surface_models(curve) -> SurfaceFitParams:
     """Fit both surface-noise models S_E(T) and score each against chi^2."""
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
     if len(pts) < 5:
-        raise DomainError(f"need at least 5 points, got {len(pts)}")
+        raise UnusableDataError(f"need at least 5 points, got {len(pts)}")
     temps = np.array([p[0] for p in pts])
     s_e = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
     if np.any(s_e <= 0.0) or np.any(sigmas <= 0.0):
-        raise DomainError("S_E and sigma must be > 0")
+        raise UnusableDataError("S_E and sigma must be > 0")
     return SurfaceFitParams(
         power=_surface_fit("power", temps, s_e, sigmas),
         arrhenius=_surface_fit("arrhenius", temps, s_e, sigmas),
@@ -553,13 +537,18 @@ def loglog_spline_slope(
     residual bootstrap refit at the selected smoothing.
     """
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
-    if len(pts) < 4:
-        raise DomainError(f"need at least 4 points, got {len(pts)}")
     t = np.array([p[0] for p in pts])
+    n_distinct = np.unique(t).size
+    if n_distinct < 4:
+        raise UnusableDataError(
+            f"need at least 4 distinct temperatures, got {n_distinct}"
+        )
+    if n_distinct != t.size:
+        raise UnusableDataError("temperatures must be distinct")
     s = np.array([p[1] for p in pts])
     sg = np.array([p[2] for p in pts])
     if np.any(t <= 0.0) or np.any(s <= 0.0):
-        raise DomainError("T and S_E must be > 0 for log-log analysis")
+        raise UnusableDataError("T and S_E must be > 0 for log-log analysis")
     x = np.log(t)
     y = np.log(s)
     sig_y = sg / s
@@ -603,11 +592,11 @@ def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
     """chi^2 of measured exponents against a prediction callable(T)."""
     pts = list(measured)
     if len(pts) < 2:
-        raise DomainError(f"need at least 2 points, got {len(pts)}")
+        raise UnusableDataError(f"need at least 2 points, got {len(pts)}")
     chi2 = 0.0
     for alpha, sigma_alpha, temp in pts:
         if sigma_alpha <= 0.0:
-            raise DomainError("sigma_alpha must be > 0")
+            raise UnusableDataError("sigma_alpha must be > 0")
         chi2 += ((alpha - float(predicted(temp))) / sigma_alpha) ** 2
     p = float(stats.chi2.sf(chi2, len(pts)))
     return chi2, p
@@ -656,20 +645,13 @@ def synth_dataset(
         raise DomainError("gamma2 requires piecewise parameters")
     if noise_frac < 0.0:
         raise DomainError(f"noise_frac must be >= 0, got {noise_frac}")
+    if model == "gamma1":
+        params = replace(params, t2=None, beta2=None, t_star=None)
     rng = np.random.default_rng(seed)
     records = []
     for f in freqs:
-        g0 = params.gamma0[f]
         for t in temps:
-            if model == "gamma1":
-                value = float(model_gamma1(t, g0, params.t1, params.beta1))
-            else:
-                value = float(
-                    model_gamma2(
-                        t, g0, params.t1, params.beta1,
-                        params.t2, params.beta2, params.t_star,
-                    )
-                )
+            value = float(params(t, f))
             noisy = value * (1.0 + noise_frac * rng.standard_normal())
             records.append(
                 HeatingRecord(
@@ -686,17 +668,14 @@ def synth_surface(
     kind: str, params: dict[str, float], temps, noise_frac: float, seed: int
 ):
     """(T, S_E, sigma) tuples from a surface-noise model plus relative noise."""
-    if kind not in ("power", "arrhenius"):
+    if kind not in SURFACE_MODELS:
         raise DomainError(f"unknown surface model {kind!r}")
     if noise_frac < 0.0:
         raise DomainError(f"noise_frac must be >= 0, got {noise_frac}")
     rng = np.random.default_rng(seed)
     out = []
     for t in temps:
-        if kind == "power":
-            value = params["s_e0"] * (1.0 + t / params["t0"]) ** params["beta"]
-        else:
-            value = params["s_e0"] + params["s_et"] * math.exp(-params["t0"] / t)
+        value = float(SURFACE_MODELS[kind](t, params))
         noisy = value * (1.0 + noise_frac * rng.standard_normal())
         out.append((float(t), max(noisy, 1e-300), max(noise_frac, 1e-12) * value))
     return out

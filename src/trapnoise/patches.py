@@ -58,11 +58,6 @@ class PlaneRegion:
         if self.weight < 0.0:
             raise DomainError(f"region weight must be >= 0, got {self.weight}")
 
-    @property
-    def area(self) -> float:
-        x0, x1, y0, y1 = self.rect
-        return (x1 - x0) * (y1 - y0)
-
 
 def _overlaps(a: PlaneRegion, b: PlaneRegion) -> bool:
     ax0, ax1, ay0, ay1 = a.rect
@@ -99,19 +94,23 @@ class PatchScene:
         raise KeyError(f"no region named {name!r}")
 
 
+def _kernel(x, y, area, scene: PatchScene):
+    """3 h da A / (2 pi R^5) for patches of area A centred at (x, y)."""
+    dx = x - scene.ion_xy[0]
+    dy = y - scene.ion_xy[1]
+    da = dx * scene.axial_dir[0] + dy * scene.axial_dir[1]
+    h = scene.ion_height
+    r2 = dx * dx + dy * dy + h * h
+    return 3.0 * h * da * area / (2.0 * np.pi * r2**2.5)
+
+
 def axial_patch_kernel(centers, areas, scene: PatchScene):
     """Axial field per volt for patches at ``centers`` with ``areas``.
 
     ``centers`` is an (N, 2) array of patch centres; scalar input is fine.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
-    dx = c[:, 0] - scene.ion_xy[0]
-    dy = c[:, 1] - scene.ion_xy[1]
-    ax, ay = scene.axial_dir
-    da = dx * ax + dy * ay
-    h = scene.ion_height
-    r2 = dx * dx + dy * dy + h * h
-    k = 3.0 * h * da * np.asarray(areas, dtype=float) / (2.0 * np.pi * r2**2.5)
+    k = _kernel(c[:, 0], c[:, 1], np.asarray(areas, dtype=float), scene)
     return k if k.size > 1 else float(k[0])
 
 
@@ -139,19 +138,12 @@ def _direct_sum_k2(rect, scene: PatchScene, patch_size: float,
     cy = 0.5 * (ey[:-1] + ey[1:])
     wy = np.diff(ey)
 
-    h = scene.ion_height
-    axu, ayu = scene.axial_dir
-    ion_x, ion_y = scene.ion_xy
     partials = []
     rows_per_chunk = max(1, _CHUNK // max(nx, 1))
     for j0 in range(0, ny, rows_per_chunk):
         j1 = min(j0 + rows_per_chunk, ny)
-        dy = (cy[j0:j1] - ion_y)[:, None]
-        dx = (cx - ion_x)[None, :]
         area = wy[j0:j1][:, None] * wx[None, :]
-        da = dx * axu + dy * ayu
-        r2 = dx * dx + dy * dy + h * h
-        k = 3.0 * h * da * area / (2.0 * np.pi * r2**2.5)
+        k = _kernel(cx[None, :], cy[j0:j1][:, None], area, scene)
         partials.append(float(np.sum(k * k)))
     return math.fsum(partials)
 
@@ -181,16 +173,13 @@ def _geom_edges(lo: float, hi: float, center: float, scale: float) -> np.ndarray
 def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
     """Continuum limit of the kernel-squared sum: patch_size^2 * int k^2 dA.
 
-    The pointwise kernel density k = 3 h da / (2 pi R^5) is smooth away
+    The pointwise kernel density (the kernel at unit area) is smooth away
     from the ion, so fixed-order Gauss-Legendre cells on a geometrically
     graded grid integrate it to near machine accuracy.
     """
     x0, x1, y0, y1 = rect
-    h = scene.ion_height
-    axu, ayu = scene.axial_dir
-    ion_x, ion_y = scene.ion_xy
-    ex = _geom_edges(x0, x1, ion_x, h)
-    ey = _geom_edges(y0, y1, ion_y, h)
+    ex = _geom_edges(x0, x1, scene.ion_xy[0], scene.ion_height)
+    ey = _geom_edges(y0, y1, scene.ion_xy[1], scene.ion_height)
 
     total = 0.0
     for i in range(ex.size - 1):
@@ -201,11 +190,7 @@ def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
             hy = 0.5 * (ey[j + 1] - ey[j])
             my = 0.5 * (ey[j + 1] + ey[j])
             ys = my + hy * _GL_NODES
-            dx = (xs - ion_x)[:, None]
-            dy = (ys - ion_y)[None, :]
-            da = dx * axu + dy * ayu
-            r2 = dx * dx + dy * dy + h * h
-            k_density = 3.0 * h * da / (2.0 * np.pi * r2**2.5)
+            k_density = _kernel(xs[:, None], ys[None, :], 1.0, scene)
             w = _GL_WEIGHTS[:, None] * _GL_WEIGHTS[None, :]
             total += hx * hy * float(np.sum(w * k_density**2))
     return patch_size**2 * total
@@ -290,7 +275,6 @@ class ZetaResult:
     zeta: float
     f_ratio: float
     region_integrals: dict[str, float]
-    patch_size_used: float
     target_integral: float
     weighted_rest: float
 
@@ -332,7 +316,6 @@ def zeta(
         zeta=_share(f_ratio, i_target, rest),
         f_ratio=f_ratio,
         region_integrals=integrals,
-        patch_size_used=patch_size,
         target_integral=i_target,
         weighted_rest=rest,
     )

@@ -302,6 +302,69 @@ def test_taf_short_data_exits_data(temps, tmp_path, capsys):
     assert "4 distinct temperatures" in capsys.readouterr().err
 
 
+_HEATING_HEADER = "T_K,f_Hz,gamma_phps,sigma_phps\n"
+
+
+def _rates_at_1mhz(*gammas):
+    """Heating-rate CSV rows at 1 MHz and T = 20, 40, 60, ... K."""
+    return "".join(f"{20 * i},1e6,{g},0.1\n" for i, g in enumerate(gammas, 1))
+
+
+_ZERO_RATE = _rates_at_1mhz(2, 0, 3, 4, 5)
+_TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "command, rows, alphas, message",
+    [
+        (["fit", "--model", "freq"],
+         "20,4e5,2,0.1\n20,4e5,2.1,0.1\n20,1e6,3,0.1\n20,2e6,4,0.1\n", None,
+         "frequencies must be distinct"),
+        (["fit", "--model", "surface"], _ZERO_RATE, None, "must be > 0"),
+        (["fit", "--model", "temp"], _ZERO_RATE, None, "piecewise model"),
+        (["taf"], _ZERO_RATE, None, "must be > 0"),
+        (["taf"], _TAF_ROWS + "80,1e6,4.2,0.1\n", None,
+         "temperatures must be distinct"),
+        (["taf"], _TAF_ROWS, "40,-1.0,0.1\n", "at least 2 points"),
+        (["taf"], _TAF_ROWS, "40,-1.0,0.1\n80,-1.1,0\n", "sigma_alpha"),
+    ],
+    ids=["freq-repeated-f", "surface-zero-rate", "temp-too-few-records",
+         "taf-zero-rate", "taf-repeated-t", "taf-one-alpha", "taf-zero-sigma"],
+)
+def test_data_a_fit_cannot_use_exits_data(
+    command, rows, alphas, message, tmp_path, capsys
+):
+    data = tmp_path / "rates.csv"
+    data.write_text(_HEATING_HEADER + rows)
+    argv = [*command, "--data", str(data), "--out", str(tmp_path / "o")]
+    if alphas is not None:
+        (tmp_path / "alphas.csv").write_text("T_K,alpha,sigma_alpha\n" + alphas)
+        argv += ["--alphas", str(tmp_path / "alphas.csv")]
+    if command == ["taf"]:
+        argv += ["--n-boot", "5"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+
+
+def test_temp_fit_running_off_to_overflow_exits_numeric(tmp_path, capsys):
+    # a zero rate at 260 K drives the simple model's shape past exp() range
+    rows = (
+        (10, 1.152), (50, 8.198), (90, 19.101), (130, 62.821), (140, 43.754),
+        (150, 26.638), (170, 30.735), (180, 95.147), (210, 41.004), (260, 0.0),
+        (270, 73.625),
+    )
+    data = tmp_path / "rates.csv"
+    data.write_text(
+        _HEATING_HEADER
+        + "".join(f"{t},1e6,{g},{max(0.1 * g, 0.1)}\n" for t, g in rows)
+    )
+    out = tmp_path / "fit.json"
+    rc = main(["fit", "--model", "temp", "--data", str(data), "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    assert "overflowed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # zeta
 
@@ -397,6 +460,19 @@ def test_config_value_faults_exit_config(
     )
     assert rc == EXIT_CONFIG
     assert section in capsys.readouterr().err
+
+
+def test_electrode_named_total_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "total.cfg"
+    cfg.write_text(
+        "[electrode:TOTAL]\ndistance_m = 1e-3\nstrip_length_m = 1e-3\n"
+        "strip_width_m = 1e-5\n"
+    )
+    out = tmp_path / "o"
+    rc = main(["jnn", "--config", str(cfg), "--temps", "50", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "[electrode:TOTAL]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_section_exits_config(tmp_path):

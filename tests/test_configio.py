@@ -261,6 +261,17 @@ def test_circuit_duplicate_expanded_names(tmp_path, materials):
         load_circuit(path, materials)
 
 
+def test_circuit_rejects_the_name_of_the_sum_row(tmp_path, materials):
+    electrode = "distance_m = 1e-3\nstrip_length_m = 1e-3\nstrip_width_m = 1e-5\n"
+    path = tmp_path / "circ.cfg"
+    path.write_text(f"[electrode:TOTAL]\n{electrode}")
+    with pytest.raises(ConfigFileError, match=r"\[electrode:TOTAL\]"):
+        load_circuit(path, materials)
+    # the check applies to expanded names: copies of TOTAL are TOTAL1, TOTAL2
+    path.write_text(f"[electrode:TOTAL]\n{electrode}copies = 2\n")
+    assert [e.name for e in load_circuit(path, materials)] == ["TOTAL1", "TOTAL2"]
+
+
 @pytest.mark.parametrize("kind", ["filter", "lead", "electrode"])
 def test_circuit_section_names_must_be_non_empty(kind, tmp_path, materials):
     electrode = "distance_m = 1e-3\nstrip_length_m = 1e-3\nstrip_width_m = 1e-5\n"

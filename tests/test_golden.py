@@ -3,9 +3,11 @@
 The files under ``tests/data/golden/`` were written by an earlier commit's
 CLI; a refactor must reproduce them byte for byte.  They hold every output
 line except ``# manifest:``, whose config paths depend on the checkout.
+JSON reports are compared as parsed values, without their ``manifest``.
 ``fdt`` is left out on purpose: its quadrature is due to change.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ CASES = {
     "jnn-al-lead-benchmark.csv": ["jnn", *_circuit("al-lead-benchmark")],
     "zeta-default.csv": ["zeta"],
     "zeta-exact-5um.csv": ["zeta", "--exact", "--patch-um", "5"],
+    "synth-gamma1-seed3.csv": ["synth", "--model", "gamma1", "--seed", "3"],
+    "synth-gamma2-seed3.csv": ["synth", "--model", "gamma2", "--seed", "3"],
     "synth-power-seed3.csv": ["synth", "--model", "power", "--seed", "3"],
     "taf-alphas.csv": [
         "taf",
@@ -45,3 +49,21 @@ def test_cli_output_matches_golden(name, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
     got = "".join(line for line in lines if not line.startswith("# manifest:"))
     assert got == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+JSON_CASES = {
+    name: ["fit", "--model", model, "--data", str(GOLDEN / "synth-gamma2-seed3.csv")]
+    for name, model in (
+        ("fit-temp-gamma2-seed3.json", "temp"),
+        ("fit-freq-gamma2-seed3.json", "freq"),
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_fit_report_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main([*JSON_CASES[name], "--out", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text(encoding="utf-8"))
+    got.pop("manifest")
+    assert got == json.loads((GOLDEN / name).read_text(encoding="utf-8"))

@@ -1,9 +1,12 @@
 """Heating-rate inference: power laws, model selection, slopes, and TAF."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnoise.constants import (
     DomainError,
@@ -12,9 +15,11 @@ from trapnoise.constants import (
 )
 from trapnoise.inference import (
     OMEGA0,
+    SURFACE_MODELS,
     HeatingDataset,
     HeatingRecord,
     IllConditionedWarning,
+    SurfaceModelFit,
     TempFitParams,
     fit_freq_power_law,
     fit_surface_models,
@@ -231,6 +236,38 @@ def test_piecewise_fit_lets_unexpected_errors_propagate(monkeypatch):
         fit_temperature_models(dataset)
 
 
+def _zeroed_synth_records():
+    ds = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=1)
+    return (replace(ds.records[0], gamma=0.0), *ds.records[1:])
+
+
+_ZERO_FIRST_RATE = (
+    (10.0, 0.0), (20.0, 8.542), (50.0, 2.605), (60.0, 18.31), (70.0, 7.433),
+    (110.0, 44.90), (130.0, 38.06), (190.0, 42.59), (220.0, 70.05),
+    (250.0, 22.59), (270.0, 43.39),
+)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        _zeroed_synth_records(),
+        tuple(HeatingRecord(t, 1e6, g, 0.1 + 0.1 * g) for t, g in _ZERO_FIRST_RATE),
+    ],
+    ids=["six-frequencies", "one-frequency"],
+)
+def test_temperature_fit_on_a_zero_rate_is_quiet(records):
+    # trial steps overflow exp() on such data; they must be rejected silently,
+    # neither warned about nor raised as OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cmp = fit_temperature_models(HeatingDataset(records))
+    for fit in (cmp.simple, cmp.piecewise):
+        p = fit.params
+        shape = [p.t1, p.beta1, p.t2, p.beta2, p.t_star]
+        assert np.all(np.isfinite([v for v in shape if v is not None]))
+
+
 def test_fit_requires_enough_distinct_temperatures():
     recs = tuple(
         HeatingRecord(t, 1e6, 1.0 + t / 100.0, 0.1) for t in (20.0, 40.0, 60.0)
@@ -429,3 +466,55 @@ def test_noise_conversion_survives_synth_round_trip():
         assert heating_rate_from_noise(s, OMEGA0) == pytest.approx(
             rec.gamma, rel=1e-13
         )
+
+
+# ---------------------------------------------------------------------------
+# one formula per model: evaluation and synthesis agree exactly
+
+
+_positive = st.floats(0.05, 8.0)
+_temps = st.lists(st.floats(1.0, 400.0), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SURFACE_MODELS)),
+    amplitudes=st.tuples(st.floats(1e-17, 1e-11), st.floats(1e-17, 1e-11)),
+    beta=_positive,
+    t0=st.floats(1.0, 500.0),
+    temps=_temps,
+)
+def test_surface_fit_evaluates_what_synth_surface_draws(
+    kind, amplitudes, beta, t0, temps
+):
+    pool = {"s_e0": amplitudes[0], "s_et": amplitudes[1], "beta": beta, "t0": t0}
+    params = {name: pool[name] for name in SURFACE_MODELS[kind].names}
+    fit = SurfaceModelFit(kind, params, {}, 0.0, 0.0, 1.0)
+    drawn = [s for _, s, _ in synth_surface(kind, params, temps, 0.0, seed=0)]
+    assert [float(fit(t)) for t in temps] == drawn
+    np.testing.assert_allclose(fit(np.array(temps)), drawn, rtol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma0=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+    t1=st.floats(1.0, 200.0),
+    beta1=_positive,
+    t2=st.floats(1.0, 200.0),
+    beta2=_positive,
+    t_star=st.floats(1.0, 300.0),
+    temps=_temps,
+    model=st.sampled_from(["gamma1", "gamma2"]),
+)
+def test_synth_dataset_draws_the_temperature_model(
+    gamma0, t1, beta1, t2, beta2, t_star, temps, model
+):
+    freqs = [0.4e6 * (i + 1) for i in range(len(gamma0))]
+    params = TempFitParams(
+        dict(zip(freqs, gamma0)), t1, beta1, t2=t2, beta2=beta2, t_star=t_star
+    )
+    # gamma1 on piecewise parameters ignores the piecewise fields
+    truth = params if model == "gamma2" else TempFitParams(params.gamma0, t1, beta1)
+    ds = synth_dataset(model, params, temps, freqs, 0.0, seed=0)
+    expected = [float(truth(t, f)) for f in freqs for t in temps]
+    assert [r.gamma for r in ds.records] == expected
