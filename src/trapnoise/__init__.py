@@ -53,10 +53,8 @@ from .layers import (
     Layer,
     LayerStack,
     branch_sqrt,
-    fresnel_four_layer,
     fresnel_interface,
     fresnel_stack,
-    fresnel_three_layer,
     greens_parallel,
     stack_reflection,
 )

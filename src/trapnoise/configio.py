@@ -161,14 +161,16 @@ def format_value(value) -> str:
 
 def write_csv(path, manifest: RunManifest, header, rows, comments=()) -> None:
     """CSV with the manifest as a leading ``# manifest:`` comment line,
-    followed by one ``# ...`` line per extra comment."""
+    followed by one ``# ...`` line per extra comment.  Every value is
+    formatted before the file is opened, so a refused one leaves no file."""
+    lines = [
+        f"# manifest: {manifest.to_json()}",
+        *(f"# {comment}" for comment in comments),
+        ",".join(header),
+        *(",".join(format_value(v) for v in row) for row in rows),
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {manifest.to_json()}\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _json_default(value):
@@ -180,12 +182,16 @@ def _json_default(value):
 
 
 def write_json_report(path, manifest: RunManifest, payload: dict) -> None:
-    """JSON report with a schema tag and the manifest as a top-level field."""
+    """JSON report with a schema tag and the manifest as a top-level field;
+    a non-finite value raises :class:`DomainError` before the file is opened."""
     doc = {"schema": "trapnoise-report/1", "manifest": manifest.as_dict()}
     doc.update(payload)
+    try:
+        text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"refusing to serialize non-finite value ({exc})") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_csv_manifest(path) -> dict:

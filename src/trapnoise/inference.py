@@ -515,7 +515,8 @@ class SlopeCurve:
     def __call__(self, t):
         return self.spline.derivative(np.log(t))
 
-    def band(self, t, lo_pct: float = 16.0, hi_pct: float = 84.0):
+    def band(self, t):
+        """The 16th and 84th percentile slopes of the bootstrap refits."""
         if not self.boot_splines:
             val = self(t)
             return val, val
@@ -523,8 +524,8 @@ class SlopeCurve:
             [sp.derivative(np.log(t)) for sp in self.boot_splines]
         )
         return (
-            np.percentile(samples, lo_pct, axis=0),
-            np.percentile(samples, hi_pct, axis=0),
+            np.percentile(samples, 16.0, axis=0),
+            np.percentile(samples, 84.0, axis=0),
         )
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "DegenerateInterfaceError",
     "branch_sqrt",
     "fresnel_interface",
-    "fresnel_three_layer",
-    "fresnel_four_layer",
     "stack_reflection",
     "fresnel_stack",
     "greens_parallel",
@@ -70,11 +68,6 @@ class LayerStack:
             if lay.thickness is None:
                 raise DomainError("only the bottom layer may be semi-infinite")
 
-    def permittivities(self, omega: float, temperature: float) -> tuple[complex, ...]:
-        return tuple(
-            permittivity(lay.material, omega, temperature) for lay in self.layers
-        )
-
 
 @dataclass(frozen=True)
 class GreensResult:
@@ -100,11 +93,8 @@ def _check_denominator(den, eps_a, eps_b, pol: str):
         )
 
 
-def fresnel_interface(eps_a, eps_b, u):
-    """(Rs, Rp) for a wave in medium a reflecting off medium b."""
-    u2 = np.asarray(u, dtype=float) ** 2
-    wa = branch_sqrt(eps_a - u2)
-    wb = branch_sqrt(eps_b - u2)
+def _interface(eps_a, eps_b, wa, wb):
+    """(Rs, Rp) of the a|b interface from its vertical wavevector factors."""
     den_s = wa + wb
     den_p = eps_b * wa + eps_a * wb
     _check_denominator(den_s, eps_a, eps_b, "s")
@@ -114,60 +104,42 @@ def fresnel_interface(eps_a, eps_b, u):
     return rs, rp
 
 
-def _phase(eps, u2, k, thickness):
-    w = branch_sqrt(eps - u2)
-    return np.exp(2j * k * thickness * w)
-
-
-def fresnel_three_layer(eps_a, eps_b, eps_c, t_b, u, k):
-    """Explicit a|b|c reflection with finite middle layer of thickness t_b."""
-    rs_ab, rp_ab = fresnel_interface(eps_a, eps_b, u)
-    rs_bc, rp_bc = fresnel_interface(eps_b, eps_c, u)
-    ph = _phase(eps_b, np.asarray(u, dtype=float) ** 2, k, t_b)
-    rs = (rs_ab + rs_bc * ph) / (1.0 + rs_ab * rs_bc * ph)
-    rp = (rp_ab + rp_bc * ph) / (1.0 + rp_ab * rp_bc * ph)
-    return rs, rp
-
-
-def fresnel_four_layer(eps_a, eps_b, eps_c, eps_d, t_b, t_c, u, k):
-    """Explicit a|b|c|d reflection written as one rational expression."""
+def fresnel_interface(eps_a, eps_b, u):
+    """(Rs, Rp) for a wave in medium a reflecting off medium b."""
     u2 = np.asarray(u, dtype=float) ** 2
-    ph_b = _phase(eps_b, u2, k, t_b)
-    ph_c = _phase(eps_c, u2, k, t_c)
-    out = []
-    for pol in (0, 1):
-        r_ab = fresnel_interface(eps_a, eps_b, u)[pol]
-        r_bc = fresnel_interface(eps_b, eps_c, u)[pol]
-        r_cd = fresnel_interface(eps_c, eps_d, u)[pol]
-        num = r_ab + r_bc * ph_b + (r_ab * r_bc + ph_b) * r_cd * ph_c
-        den = 1.0 + r_ab * r_bc * ph_b + (r_bc + r_ab * ph_b) * r_cd * ph_c
-        out.append(num / den)
-    return tuple(out)
+    return _interface(eps_a, eps_b, branch_sqrt(eps_a - u2), branch_sqrt(eps_b - u2))
 
 
 def stack_reflection(eps_media, thicknesses, u, k):
-    """Downward recursion over interfaces; media listed top to bulk.
+    """Recursion over interfaces from the bulk up; media listed top to bulk.
 
     eps_media has N+1 entries (index 0 is the upper half-space) and
-    thicknesses has N-1 entries for the interior finite media.
+    thicknesses has N-1 entries for the interior finite media.  Each
+    medium's W is computed once; only two are held at a time.
     """
     u2 = np.asarray(u, dtype=float) ** 2
-    n_if = len(eps_media) - 1
-    rs, rp = fresnel_interface(eps_media[-2], eps_media[-1], u)
-    for i in range(n_if - 2, -1, -1):
-        ph = _phase(eps_media[i + 1], u2, k, thicknesses[i])
-        r_s, r_p = fresnel_interface(eps_media[i], eps_media[i + 1], u)
+    w_below = branch_sqrt(eps_media[-1] - u2)
+    w = branch_sqrt(eps_media[-2] - u2)
+    rs, rp = _interface(eps_media[-2], eps_media[-1], w, w_below)
+    for i in range(len(eps_media) - 3, -1, -1):
+        ph = np.exp(2j * k * thicknesses[i] * w)
+        w_below, w = w, branch_sqrt(eps_media[i] - u2)
+        r_s, r_p = _interface(eps_media[i], eps_media[i + 1], w, w_below)
         rs = (r_s + rs * ph) / (1.0 + r_s * rs * ph)
         rp = (r_p + rp * ph) / (1.0 + r_p * rp * ph)
     return rs, rp
 
 
+def _media(stack: LayerStack, omega: float, temperature: float):
+    """(eps_media, thicknesses) of a vacuum-terminated stack."""
+    eps = [permittivity(lay.material, omega, temperature) for lay in stack.layers]
+    return (1.0 + 0.0j, *eps), tuple(lay.thickness for lay in stack.layers[:-1])
+
+
 def fresnel_stack(stack: LayerStack, u, omega: float, temperature: float):
     """(Rs, Rp) of a vacuum-terminated stack at normalised wavevector u."""
-    eps_media = (1.0 + 0.0j, *stack.permittivities(omega, temperature))
-    thicknesses = tuple(lay.thickness for lay in stack.layers[:-1])
-    k = omega / CONSTANTS.c
-    return stack_reflection(eps_media, thicknesses, u, k)
+    eps_media, thicknesses = _media(stack, omega, temperature)
+    return stack_reflection(eps_media, thicknesses, u, omega / CONSTANTS.c)
 
 
 def greens_parallel(
@@ -192,8 +164,7 @@ def greens_parallel(
     """
     if distance <= 0.0:
         raise DomainError(f"ion height must be > 0, got {distance}")
-    eps_media = (1.0 + 0.0j, *stack.permittivities(omega, temperature))
-    thicknesses = tuple(lay.thickness for lay in stack.layers[:-1])
+    eps_media, thicknesses = _media(stack, omega, temperature)
     k = omega / CONSTANTS.c
     kd = k * distance
 

@@ -15,6 +15,9 @@ import numpy as np
 __all__ = ["FitFailure", "FitResult", "levenberg_marquardt", "fd_jacobian"]
 
 _FD_STEP = 1e-6
+_RSS_TOL = 1e-12
+_STEP_TOL = 1e-12
+_LAM0 = 1e-3
 
 
 class FitFailure(RuntimeError):
@@ -68,14 +71,11 @@ def levenberg_marquardt(
     theta0,
     jacobian=None,
     max_iter: int = 200,
-    rss_tol: float = 1e-12,
-    step_tol: float = 1e-12,
-    lam0: float = 1e-3,
 ) -> FitResult:
     theta = np.asarray(theta0, dtype=float).copy()
     r = np.asarray(residual_fn(theta), dtype=float)
     rss = float(r @ r)
-    lam = lam0
+    lam = _LAM0
     n_iter = 0
     grad_norm = np.inf
 
@@ -111,9 +111,9 @@ def levenberg_marquardt(
             lam *= 10.0
         if not accepted:
             break  # stuck at a (possibly non-smooth) local minimum
-        if improvement <= rss_tol * max(rss, 1e-300) or np.linalg.norm(
+        if improvement <= _RSS_TOL * max(rss, 1e-300) or np.linalg.norm(
             delta
-        ) <= step_tol * (np.linalg.norm(theta) + step_tol):
+        ) <= _STEP_TOL * (np.linalg.norm(theta) + _STEP_TOL):
             break
     else:
         raise FitFailure(

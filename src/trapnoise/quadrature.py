@@ -79,7 +79,6 @@ def adaptive_gk(
     abs_tol: float = 0.0,
     max_evals: int = 2_000_000,
     breakpoints=None,
-    raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
@@ -104,14 +103,12 @@ def adaptive_gk(
         if total_err <= tol:
             return QuadratureResult(total, total_err, evals, lows.size)
         if evals >= max_evals:
-            if raise_on_failure:
-                raise QuadratureFailure(
-                    f"no convergence after {evals} evaluations over "
-                    f"[{a}, {b}]: error {total_err:.3e} > tol {tol:.3e} "
-                    f"({lows.size} panels)",
-                    total, total_err, evals,
-                )
-            return QuadratureResult(total, total_err, evals, lows.size)
+            raise QuadratureFailure(
+                f"no convergence after {evals} evaluations over "
+                f"[{a}, {b}]: error {total_err:.3e} > tol {tol:.3e} "
+                f"({lows.size} panels)",
+                total, total_err, evals,
+            )
 
         # bisect the panels near the current error maximum; a fixed
         # per-panel share rule splits ever more panels as the count grows

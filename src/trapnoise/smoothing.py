@@ -106,13 +106,6 @@ def fit_smoothing_spline(x, y, sigma=None, lam: float | None = None) -> Smoothin
     if lam is not None:
         if lam < 0.0:
             raise DomainError(f"lam must be >= 0, got {lam}")
-        if lam == 0.0:
-            # interpolating natural spline
-            f = y.copy()
-            gamma_int = np.linalg.solve(r_mat, q.T @ f)
-            m = np.zeros(x.size)
-            m[1:-1] = gamma_int
-            return SmoothingSpline(x, f, m, 0.0, 0.0, float(x.size))
         f, m, rss, trace, gcv = _solve_at(lam, w, k, y, r_mat, q)
         return SmoothingSpline(x, f, m, lam, gcv, trace)
 

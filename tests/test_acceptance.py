@@ -33,9 +33,7 @@ from trapnoise.inference import (
 from trapnoise.layers import (
     Layer,
     LayerStack,
-    fresnel_four_layer,
     fresnel_interface,
-    fresnel_three_layer,
     stack_reflection,
 )
 from trapnoise.materials import Conductor, ResistivityTable
@@ -47,6 +45,8 @@ from trapnoise.noise import (
     lead_resistance,
 )
 from trapnoise.patches import region_noise_integral, zeta, zeta_inverse
+
+from fresnel_oracles import fresnel_four_layer, fresnel_three_layer
 
 OMEGA = 2 * math.pi * 1e6
 

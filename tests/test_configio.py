@@ -526,3 +526,19 @@ def test_write_json_report(tmp_path):
     assert data["alpha"] == pytest.approx(-1.07)
     assert data["n"] == 54
     assert data["flag"] is True
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+    ids=["nan", "inf", "-inf", "np-nan"],
+)
+def test_writers_refuse_non_finite_values_and_leave_no_file(bad, tmp_path):
+    manifest = make_manifest("fit")
+    csv_path = tmp_path / "table.csv"
+    with pytest.raises(DomainError, match="non-finite"):
+        write_csv(csv_path, manifest, ["a", "b"], [[1.0, 2.0], [3.0, bad]])
+    assert not csv_path.exists()
+    json_path = tmp_path / "report.json"
+    with pytest.raises(DomainError, match="non-finite"):
+        write_json_report(json_path, manifest, {"errors": {"t1": bad, "n": 3}})
+    assert not json_path.exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnoise.constants import CONSTANTS, DomainError
 from trapnoise.layers import (
@@ -11,14 +12,14 @@ from trapnoise.layers import (
     Layer,
     LayerStack,
     branch_sqrt,
-    fresnel_four_layer,
     fresnel_interface,
     fresnel_stack,
-    fresnel_three_layer,
     greens_parallel,
     stack_reflection,
 )
 from trapnoise.materials import Conductor, ResistivityTable, Vacuum
+
+from fresnel_oracles import fresnel_four_layer, fresnel_three_layer
 
 OMEGA_1MHZ = 2.0 * math.pi * 1.0e6
 K_1MHZ = OMEGA_1MHZ / CONSTANTS.c
@@ -179,6 +180,47 @@ def test_thick_absorbing_layer_hides_the_bottom():
         rs_ref, rp_ref = fresnel_interface(ea, eb, 1.5)
         assert rs == pytest.approx(rs_ref, abs=1e-10)
         assert rp == pytest.approx(rp_ref, abs=1e-10)
+
+
+# the permittivities each material kind can produce at 0.1 MHz - 1 GHz; not
+# arbitrary complex eps, since a lossless eps-near-zero layer, which no kind
+# produces, breaks the |R| <= 1 bound by cancellation in the recursion
+_MEDIUM_EPS = st.one_of(
+    st.just(1.0 + 0.0j),  # vacuum
+    st.builds(  # lossy dielectric
+        lambda eps_r, tan_delta: eps_r * complex(1.0, tan_delta),
+        st.floats(1.0, 100.0),
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(lambda x: complex(0.0, 10.0**x), st.floats(3.0, 16.0)),  # conductor
+    st.builds(  # superconductor
+        lambda a, b: complex(-(10.0**a), 10.0**b),
+        st.floats(4.0, 14.0),
+        st.floats(0.0, 12.0),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    media=st.lists(
+        st.tuples(_MEDIUM_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
+    ),
+    log_f=st.floats(5.0, 9.0),
+    u_prop=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+    log_excess=st.lists(st.floats(-6.0, 7.0), min_size=1, max_size=4),
+)
+def test_passive_stack_reflection_is_bounded(media, log_f, u_prop, log_excess):
+    # |R| <= 1 for propagating waves and Im R >= 0 for evanescent ones:
+    # a passive stack cannot return more energy than it receives
+    eps_media = (1.0 + 0.0j, *(eps for eps, _ in media))
+    thicknesses = tuple(10.0**log_t for _, log_t in media[:-1])
+    k = 2.0 * math.pi * 10.0**log_f / CONSTANTS.c
+    for r in stack_reflection(eps_media, thicknesses, np.array(u_prop), k):
+        assert np.all(np.abs(r) <= 1.0 + 1e-12)
+    u_evan = 1.0 + 10.0 ** np.array(log_excess)
+    for r in stack_reflection(eps_media, thicknesses, u_evan, k):
+        assert np.all(r.imag >= -1e-12 * np.maximum(1.0, np.abs(r)))
 
 
 # ---------------------------------------------------------------------------
