@@ -70,7 +70,6 @@ from .noise import (
     RegimeWarning,
     WireBond,
     blackbody_noise,
-    electrode_effective_resistance,
     electrode_resistance,
     fdt_noise,
     filter_effective_resistance,

@@ -9,10 +9,14 @@ taf    Thermally-activated-fluctuator exponent prediction (CSV).
 zeta   Patch-noise share of a target region vs fluctuation ratio (CSV).
 synth  Synthetic heating-rate datasets from model parameters (CSV).
 
-Every output embeds a run manifest (seed, configs, tool version, constants
-fingerprint; no timestamps), so repeated runs with identical inputs produce
-byte-identical files.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numerical failure.
+Each ``cmd_*`` function returns ``(inputs, output)``: the config and data
+paths it read, and a report dict, a ``HeatingDataset`` or ``(header, rows[,
+comments])``.  :func:`main` alone builds the run manifest and writes the file.
+The manifest records the seed, the inputs as ``config_paths``, every other
+flag but ``--out`` as an override, the tool version and the constants
+fingerprint; it has no timestamps, so repeated runs with identical inputs
+produce byte-identical files.  Exit codes: 0 success, 2 config error, 3 data
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -100,6 +104,10 @@ _SYNTH_DEFAULT_PARAMS = {
 
 _DEFAULT_TEMPS = "15,40,60,80,90,100,120,160,200"
 
+# flags a manifest does not list under overrides: the output path, the seed
+# (a manifest field of its own) and the input paths (its config_paths)
+_NOT_OVERRIDES = {"command", "func", "out", "seed", "config", "data", "alphas", "params"}
+
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -153,11 +161,10 @@ def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
                     f"role '{role}' given twice: {resolved[role]} and {path}"
                 )
             resolved[role] = str(path)
-    for role in needed:
-        if role not in resolved:
-            category, name = _DEFAULT_CONFIGS[role]
-            resolved[role] = str(packaged_config(category, name))
-    return resolved
+    return {
+        role: resolved.get(role) or str(packaged_config(*_DEFAULT_CONFIGS[role]))
+        for role in needed
+    }
 
 
 def _require_single_frequency(dataset: HeatingDataset, what: str) -> float:
@@ -185,7 +192,7 @@ def _surface_curve(dataset: HeatingDataset, omega: float):
 # commands
 
 
-def cmd_fdt(args) -> int:
+def cmd_fdt(args):
     configs = resolve_configs(args.config, ("materials", "stack"))
     materials = load_materials(configs["materials"])
     stack = load_stack(configs["stack"], materials)
@@ -225,23 +232,10 @@ def cmd_fdt(args) -> int:
         return row
 
     rows = [one(t) for t in temps]
-    manifest = make_manifest(
-        "fdt",
-        config_paths=[configs["materials"], configs["stack"]],
-        overrides={
-            "omega_hz": args.omega_hz,
-            "temps": args.temps,
-            "distance_um": args.distance_um,
-            "tolerance": args.tolerance,
-            "lambda0_nm": ",".join(f"{nm:g}" for nm in lambdas),
-        },
-        seed=args.seed,
-    )
-    write_csv(args.out, manifest, ["T_K", "S_BB_V2m2Hz", *s_cols], rows)
-    return EXIT_OK
+    return list(configs.values()), (["T_K", "S_BB_V2m2Hz", *s_cols], rows)
 
 
-def cmd_jnn(args) -> int:
+def cmd_jnn(args):
     configs = resolve_configs(args.config, ("materials", "circuit"))
     materials = load_materials(configs["materials"])
     electrodes = load_circuit(configs["circuit"], materials)
@@ -280,12 +274,6 @@ def cmd_jnn(args) -> int:
                 heating_rate_from_noise(total, omega),
             ]
         )
-    manifest = make_manifest(
-        "jnn",
-        config_paths=[configs["materials"], configs["circuit"]],
-        overrides={"omega_hz": args.omega_hz, "temps": args.temps},
-        seed=args.seed,
-    )
     header = [
         "T_K",
         "electrode",
@@ -297,19 +285,7 @@ def cmd_jnn(args) -> int:
         "S_E_V2m2Hz",
         "gamma_phps",
     ]
-    write_csv(args.out, manifest, header, rows)
-    return EXIT_OK
-
-
-def _score_dict(score) -> dict:
-    return {
-        "rss": score.rss,
-        "n_data": score.n_data,
-        "n_params": score.n_params,
-        "aic": score.aic,
-        "bic": score.bic,
-        "perfect": score.perfect,
-    }
+    return list(configs.values()), (header, rows)
 
 
 def _temp_fit_dict(fit) -> dict:
@@ -324,7 +300,7 @@ def _temp_fit_dict(fit) -> dict:
     return {
         "params": out,
         "errors": dict(fit.global_errors),
-        "score": _score_dict(fit.score),
+        "score": asdict(fit.score),
     }
 
 
@@ -370,13 +346,7 @@ def _fit_freq_report(dataset: HeatingDataset) -> dict:
 
 
 def _surface_fit_dict(fit) -> dict:
-    return {
-        "params": dict(fit.params),
-        "errors": dict(fit.errors),
-        "chi2": fit.chi2,
-        "chi2_red": fit.chi2_red,
-        "p_value": fit.p_value,
-    }
+    return {k: v for k, v in asdict(fit).items() if k != "kind"}
 
 
 def _fit_surface_report(dataset: HeatingDataset) -> dict:
@@ -391,7 +361,7 @@ def _fit_surface_report(dataset: HeatingDataset) -> dict:
     }
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     dataset = read_heating_csv(args.data)
     if args.model == "temp":
         report = _fit_temp_report(dataset, args)
@@ -399,24 +369,16 @@ def cmd_fit(args) -> int:
         report = _fit_freq_report(dataset)
     else:
         report = _fit_surface_report(dataset)
-    manifest = make_manifest(
-        "fit",
-        config_paths=[str(args.data)],
-        overrides={"model": args.model},
-        seed=args.seed,
-    )
-    write_json_report(args.out, manifest, report)
-    return EXIT_OK
+    return [args.data], report
 
 
-def cmd_taf(args) -> int:
+def cmd_taf(args):
     dataset = read_heating_csv(args.data)
     f_hz = _require_single_frequency(dataset, "TAF analysis")
     temps = sorted({r.temperature for r in dataset.records})
     curve_pts = _surface_curve(dataset, omega_from_hz(f_hz))
     omega = omega_from_hz(args.omega_hz)
-    seed = args.seed if args.seed is not None else 7041
-    curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=seed)
+    curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=args.seed)
 
     t_arr = np.array(temps)
     slopes = np.atleast_1d(curve(t_arr))
@@ -428,7 +390,6 @@ def cmd_taf(args) -> int:
         for t, s, s_lo, s_hi in zip(temps, slopes, lo, hi)
     ]
 
-    consistency = None
     comments = []
     if args.alphas is not None:
         measured = read_alpha_csv(args.alphas)
@@ -440,28 +401,12 @@ def cmd_taf(args) -> int:
         blob = json.dumps(consistency, sort_keys=True, separators=(",", ":"))
         comments.append(f"taf-consistency: {blob}")
 
-    manifest = make_manifest(
-        "taf",
-        config_paths=[str(args.data)]
-        + ([str(args.alphas)] if args.alphas else []),
-        overrides={
-            "omega_hz": args.omega_hz,
-            "tau0_s": args.tau0_s,
-            "n_boot": args.n_boot,
-        },
-        seed=seed,
-    )
     header = ["T_K", "dlnS_dlnT", "slope_lo16", "slope_hi84", "alpha_pred"]
-    write_csv(args.out, manifest, header, rows, comments)
-    if consistency is not None:
-        print(
-            f"taf consistency: chi2 = {consistency['chi2']:.4g} over "
-            f"{consistency['n_points']} points, p = {consistency['p_value']:.3g}"
-        )
-    return EXIT_OK
+    inputs = [path for path in (args.data, args.alphas) if path]
+    return inputs, (header, rows, comments)
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args):
     configs = resolve_configs(args.config, ("scene",))
     scene = load_scene(configs["scene"])
     if all(region.name != args.target for region in scene.regions):
@@ -477,30 +422,16 @@ def cmd_zeta(args) -> int:
     ref = zeta_share(scene, 1.0, patch_size, target_name=args.target,
                      exact=args.exact)
     rows = [[r, ref.at(r)] for r in ratios]
-
-    manifest = make_manifest(
-        "zeta",
-        config_paths=[configs["scene"]],
-        overrides={
-            "f_ratios": args.f_ratios,
-            "patch_um": args.patch_um,
-            "target": args.target,
-            "exact": args.exact,
-        },
-        seed=args.seed,
-    )
-    write_csv(args.out, manifest, ["f_ratio", "zeta"], rows)
-    return EXIT_OK
+    return list(configs.values()), (["f_ratio", "zeta"], rows)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     if args.params is not None:
         params_path = str(args.params)
     else:
         category, name = _SYNTH_DEFAULT_PARAMS[args.model]
         params_path = str(packaged_config(category, name))
     temps = parse_grid(args.temps)
-    seed = args.seed if args.seed is not None else 0
 
     if args.model in ("gamma1", "gamma2"):
         params = load_temp_params(params_path)
@@ -515,11 +446,11 @@ def cmd_synth(args) -> int:
                 f"{params_path}: no gamma0 for frequencies {missing}"
             )
         dataset = synth_dataset(
-            args.model, params, temps, freqs, args.noise_frac, seed
+            args.model, params, temps, freqs, args.noise_frac, args.seed
         )
     else:
         params = load_surface_params(params_path, args.model)
-        pts = synth_surface(args.model, params, temps, args.noise_frac, seed)
+        pts = synth_surface(args.model, params, temps, args.noise_frac, args.seed)
         omega = omega_from_hz(args.f_hz)
         records = tuple(
             HeatingRecord(
@@ -531,21 +462,7 @@ def cmd_synth(args) -> int:
             for t, s, sigma in pts
         )
         dataset = HeatingDataset(records)
-
-    manifest = make_manifest(
-        "synth",
-        config_paths=[params_path],
-        overrides={
-            "model": args.model,
-            "temps": args.temps,
-            "freqs": args.freqs or "",
-            "noise_frac": args.noise_frac,
-            "f_hz": args.f_hz,
-        },
-        seed=seed,
-    )
-    write_heating_csv(args.out, dataset, manifest)
-    return EXIT_OK
+    return [params_path], dataset
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional T_K,alpha,sigma_alpha CSV for the consistency test",
     )
-    p.set_defaults(func=cmd_taf)
+    p.set_defaults(func=cmd_taf, seed=7041)
 
     p = sub.add_parser("zeta", help="patch-noise share of a surface region")
     _add_common(p)
@@ -684,16 +601,39 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e6,
         help="embedding frequency for surface-model datasets (Hz)",
     )
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, seed=0)
 
     return parser
 
 
+def _override_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(f"{x:g}" for x in value)
+    return str(value)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, output = args.func(args)
+        manifest = make_manifest(
+            args.command,
+            config_paths=inputs,
+            overrides={
+                key: _override_text(value)
+                for key, value in vars(args).items()
+                if key not in _NOT_OVERRIDES
+            },
+            seed=args.seed,
+        )
+        if isinstance(output, dict):
+            write_json_report(args.out, manifest, output)
+        elif isinstance(output, HeatingDataset):
+            write_heating_csv(args.out, output, manifest)
+        else:
+            write_csv(args.out, manifest, *output)
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -703,6 +643,14 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if args.command == "taf" and args.alphas is not None:
+        # the one comment line of the file holds the verdict as JSON
+        c = json.loads(output[2][0].split(":", 1)[1])
+        print(
+            f"taf consistency: chi2 = {c['chi2']:.4g} over "
+            f"{c['n_points']} points, p = {c['p_value']:.3g}"
+        )
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -296,13 +296,6 @@ def _electrode_noise(
     return ElectrodeNoise(r_filter, r_lead, r_elec, r_eff, s_e)
 
 
-def electrode_effective_resistance(
-    e: ElectrodeModel, omega: float, temperature: float
-) -> float:
-    """R_eff = R_filter + R_lead + R_elec of one electrode."""
-    return _electrode_noise(e, omega, temperature).r_eff
-
-
 def jnn_budget(
     electrodes: list[ElectrodeModel] | tuple[ElectrodeModel, ...],
     omega: float,

@@ -1,5 +1,6 @@
 """End-to-end command-line runs through main(argv), including exit codes."""
 
+import argparse
 import json
 import math
 
@@ -10,6 +11,7 @@ from trapnoise.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
+    build_parser,
     main,
     parse_grid,
     resolve_configs,
@@ -511,3 +513,76 @@ def test_manifest_records_grid_overrides(tmp_path):
         100.0,
         140.0,
     ]
+
+
+def _subcommand_flags(command):
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (
+            ["fdt", "--temps", "50", "--lambda0-nm", "140", "--lambda0-nm", "200"],
+            ["{materials}", "{stack}"],
+        ),
+        (["jnn", "--temps", "50"], ["{materials}", "{circuit}"]),
+        (["zeta", "--patch-um", "5", "--f-ratios", "0,1"], ["{scene}"]),
+        (["synth", "--model", "power"], ["{power}"]),
+        (["fit", "--data", "{rates}", "--model", "freq"], ["{rates}"]),
+        (
+            ["taf", "--data", "{rates_1mhz}", "--n-boot", "5", "--alphas", "{alphas}"],
+            ["{rates_1mhz}", "{alphas}"],
+        ),
+    ],
+    ids=["fdt", "jnn", "zeta", "synth", "fit", "taf"],
+)
+def test_manifest_records_every_flag_but_out_seed_and_inputs(argv, inputs, tmp_path):
+    paths = {
+        "materials": packaged_config("materials", "default"),
+        "stack": packaged_config("stacks", "sapphire-ybco"),
+        "circuit": packaged_config("circuits", "ybco-trap"),
+        "scene": packaged_config("scenes", "ybco-chip"),
+        "power": packaged_config("synth", "surface-power"),
+        "rates": tmp_path / "rates.csv",
+        "rates_1mhz": tmp_path / "rates-1mhz.csv",
+        "alphas": tmp_path / "alphas.csv",
+    }
+    main(["synth", "--model", "gamma2", "--out", str(paths["rates"])])
+    one_f = ["--freqs", "1e6", "--out", str(paths["rates_1mhz"])]
+    main(["synth", "--model", "gamma2", *one_f])
+    paths["alphas"].write_text("T_K,alpha,sigma_alpha\n50.0,-1.0,0.1\n80.0,-1.1,0.1\n")
+    command = argv[0]
+    out = tmp_path / ("out.json" if command == "fit" else "out.csv")
+    rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert rc == EXIT_OK
+    if command == "fit":
+        manifest = json.loads(out.read_text())["manifest"]
+    else:
+        manifest = read_csv_manifest(out)
+    not_overrides = {"out", "seed", "config", "data", "alphas", "params"}
+    assert manifest["command"] == command
+    assert set(manifest["overrides"]) == _subcommand_flags(command) - not_overrides
+    assert manifest["config_paths"] == [p.format(**paths) for p in inputs]
+
+
+def test_manifest_formats_list_and_absent_flags(tmp_path):
+    out = tmp_path / "fdt.csv"
+    argv = ["fdt", "--temps", "50", "--out", str(out)]
+    main([*argv, "--lambda0-nm", "140", "--lambda0-nm", "200"])
+    assert read_csv_manifest(out)["overrides"]["lambda0_nm"] == "140,200"
+    main(argv)
+    assert read_csv_manifest(out)["overrides"]["lambda0_nm"] == ""
+
+
+def test_jnn_config_paths_follow_role_order_not_flag_order(tmp_path):
+    materials = str(packaged_config("materials", "default"))
+    circuit = str(packaged_config("circuits", "al-lead-benchmark"))
+    out = tmp_path / "jnn.csv"
+    configs = ["--config", circuit, "--config", materials]
+    rc = main(["jnn", *configs, "--temps", "50", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert read_csv_manifest(out)["config_paths"] == [materials, circuit]

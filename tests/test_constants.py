@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnoise.constants import (
     CONSTANTS,
@@ -93,3 +94,22 @@ def test_conversion_rejects_bad_inputs():
 def test_omega_hz_round_trip():
     assert omega_from_hz(1.0e6) == pytest.approx(2.0 * math.pi * 1.0e6, rel=0.0)
     assert hz_from_omega(omega_from_hz(0.73e6)) == pytest.approx(0.73e6, rel=1e-15)
+
+
+_OMEGA = st.floats(4.0, 9.0).map(lambda e: 2.0 * math.pi * 10.0**e)
+
+
+@settings(max_examples=300)
+@given(log_s=st.floats(-20.0, -6.0), omega=_OMEGA)
+def test_noise_to_rate_and_back_is_exact_to_rounding(log_s, omega):
+    s_e = 10.0**log_s
+    back = noise_from_heating_rate(heating_rate_from_noise(s_e, omega), omega)
+    assert abs(back - s_e) <= 1e-15 * s_e
+
+
+@settings(max_examples=300)
+@given(log_gamma=st.floats(-4.0, 6.0), omega=_OMEGA)
+def test_rate_to_noise_and_back_is_exact_to_rounding(log_gamma, omega):
+    gamma = 10.0**log_gamma
+    back = heating_rate_from_noise(noise_from_heating_rate(gamma, omega), omega)
+    assert abs(back - gamma) <= 1e-15 * gamma

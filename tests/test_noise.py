@@ -26,7 +26,6 @@ from trapnoise.noise import (
     RegimeWarning,
     WireBond,
     blackbody_noise,
-    electrode_effective_resistance,
     electrode_resistance,
     fdt_noise,
     filter_effective_resistance,
@@ -342,7 +341,7 @@ def test_jnn_budget_resistance_split():
         assert n.r_filter == filter_effective_resistance(e.filter, OMEGA_1MHZ)
         assert n.r_lead == lead_resistance(e.lead, OMEGA_1MHZ, temperature)
         assert n.r_elec == electrode_resistance(e, temperature, OMEGA_1MHZ)
-        r_eff = electrode_effective_resistance(e, OMEGA_1MHZ, temperature)
+        r_eff = n.r_eff
         assert n.r_filter + n.r_lead + n.r_elec == r_eff == n.r_eff
         assert n.s_e == pytest.approx(
             4.0 * CONSTANTS.kB * temperature * r_eff / 5.10e-3**2, rel=1e-15

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from trapnoise.constants import DomainError
@@ -271,3 +272,34 @@ def test_zeta_validation():
         zeta(scene, -0.5, 2e-6, target_name="inner")
     with pytest.raises(DomainError):
         zeta_inverse(scene, 1.5, 2e-6, target_name="inner")
+
+
+# one reference sum serves every drawn ratio; 5 um patches keep it cheap
+_SCENE_REF = zeta(simple_scene(), 1.0, 5e-6, target_name="inner")
+_RATIO = st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300)
+@given(f=_RATIO)
+def test_zeta_at_is_a_share(f):
+    share = _SCENE_REF.at(f)
+    assert 0.0 <= share <= 1.0
+    assert (share == 0.0) == (f == 0.0)
+
+
+@settings(max_examples=300)
+@given(f_a=_RATIO, f_b=_RATIO)
+def test_zeta_at_is_non_decreasing(f_a, f_b):
+    # f I / (f I + rest) may fall by one ulp between adjacent ratios, since
+    # the numerator and the denominator round apart; hence the 2-ulp slack
+    lo, hi = sorted((f_a, f_b))
+    for a, b in ((lo, hi), (lo, math.nextafter(lo, math.inf))):
+        share = _SCENE_REF.at(b)
+        assert _SCENE_REF.at(a) <= share + 2.0 * math.ulp(share)
+
+
+@settings(max_examples=50, deadline=None)
+@given(share=st.floats(1e-6, 1.0 - 1e-6))
+def test_zeta_inverse_inverts_zeta_at(share):
+    f = zeta_inverse(simple_scene(), share, 5e-6, target_name="inner")
+    assert _SCENE_REF.at(f) == pytest.approx(share, rel=1e-12)
