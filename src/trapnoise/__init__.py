@@ -103,6 +103,7 @@ from .inference import (
     TempModelComparison,
     TempModelFit,
     UnusableDataError,
+    chi2_sf,
     fit_freq_power_law,
     fit_surface_models,
     fit_temperature_models,

@@ -118,6 +118,10 @@ def stack_reflection(eps_media, thicknesses, u, k):
     medium's W is computed once; only two are held at a time.
     """
     u2 = np.asarray(u, dtype=float) ** 2
+    lossless = [e.real for e in eps_media[1:-1] if e.imag == 0.0]
+    if lossless and np.isin(u2, lossless).any():
+        # W = 0 in a lossless finite layer, where the recursion gives 0/0
+        return _admittance_reflection(eps_media, thicknesses, u2, k)
     w_below = branch_sqrt(eps_media[-1] - u2)
     w = branch_sqrt(eps_media[-2] - u2)
     rs, rp = _interface(eps_media[-2], eps_media[-1], w, w_below)
@@ -128,6 +132,24 @@ def stack_reflection(eps_media, thicknesses, u, k):
         rs = (r_s + rs * ph) / (1.0 + r_s * rs * ph)
         rp = (r_p + rp * ph) / (1.0 + r_p * rp * ph)
     return rs, rp
+
+
+def _admittance_reflection(eps_media, thicknesses, u2, k):
+    """(Rs, Rp) from the input admittance q = W (s) or W/eps (p) carried up
+    through each finite layer: q <- (q - i W^2 g / e) / (1 - i q e g) with
+    g = tan(k d W) / W, which is k d at W = 0, and e = 1 (s) or eps (p).
+    Unlike the reflection recursion it stays finite where a layer's W = 0."""
+    w = branch_sqrt(eps_media[-1] - u2)
+    qs, qp = w, w / eps_media[-1]
+    for eps, d in zip(eps_media[-2:0:-1], thicknesses[::-1]):
+        w = branch_sqrt(eps - u2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(w == 0.0, k * d, np.tan(k * d * w) / w)
+        qs = (qs - 1j * w * w * g) / (1.0 - 1j * qs * g)
+        qp = (qp - 1j * w * w * g / eps) / (1.0 - 1j * qp * eps * g)
+    w = branch_sqrt(eps_media[0] - u2)
+    q0p = w / eps_media[0]
+    return (w - qs) / (w + qs), (q0p - qp) / (q0p + qp)
 
 
 def _media(stack: LayerStack, omega: float, temperature: float):

@@ -3,6 +3,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,27 @@ def test_fit_surface_distinguishes_models(tmp_path):
     assert report["power"]["params"]["beta"] == pytest.approx(1.9, abs=0.5)
 
 
+_NO_SCIPY_RUN = """
+import sys
+from trapnoise import cli
+rates, fit = sys.argv[1:]
+assert cli.main(["synth", "--model", "power", "--seed", "3", "--out", rates]) == 0
+assert cli.main(["fit", "--model", "surface", "--data", rates, "--out", fit]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # start-up cost: importing scipy.stats alone takes about a second
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "r.csv"),
+            str(tmp_path / "f.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "f.json").read_text())["power"]["p_value"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # taf
 
@@ -324,6 +349,8 @@ _TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
          "frequencies must be distinct"),
         (["fit", "--model", "surface"], _ZERO_RATE, None, "must be > 0"),
         (["fit", "--model", "temp"], _ZERO_RATE, None, "piecewise model"),
+        (["fit", "--model", "temp"], _rates_at_1mhz(*[0] * 7), None,
+         "no positive heating rate"),
         (["taf"], _ZERO_RATE, None, "must be > 0"),
         (["taf"], _TAF_ROWS + "80,1e6,4.2,0.1\n", None,
          "temperatures must be distinct"),
@@ -331,6 +358,7 @@ _TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
         (["taf"], _TAF_ROWS, "40,-1.0,0.1\n80,-1.1,0\n", "sigma_alpha"),
     ],
     ids=["freq-repeated-f", "surface-zero-rate", "temp-too-few-records",
+         "temp-no-positive-rate",
          "taf-zero-rate", "taf-repeated-t", "taf-one-alpha", "taf-zero-sigma"],
 )
 def test_data_a_fit_cannot_use_exits_data(
@@ -350,11 +378,12 @@ def test_data_a_fit_cannot_use_exits_data(
 
 
 def test_temp_fit_running_off_to_overflow_exits_numeric(tmp_path, capsys):
-    # a zero rate at 260 K drives the simple model's shape past exp() range
+    # a zero rate at 180 K between steeply rising rates drives the simple
+    # model's shape past exp() range
     rows = (
-        (10, 1.152), (50, 8.198), (90, 19.101), (130, 62.821), (140, 43.754),
-        (150, 26.638), (170, 30.735), (180, 95.147), (210, 41.004), (260, 0.0),
-        (270, 73.625),
+        (20, 0.861), (60, 2.009), (130, 6.978), (150, 5.996), (160, 5.705),
+        (180, 0.0), (220, 31.818), (240, 58.613), (250, 62.334), (260, 74.571),
+        (280, 113.975),
     )
     data = tmp_path / "rates.csv"
     data.write_text(

@@ -1,8 +1,10 @@
 """Heating-rate inference: power laws, model selection, slopes, and TAF."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from trapnoise.inference import (
     IllConditionedWarning,
     SurfaceModelFit,
     TempFitParams,
+    UnusableDataError,
+    chi2_sf,
     fit_freq_power_law,
     fit_surface_models,
     fit_temperature_models,
@@ -35,7 +39,7 @@ from trapnoise.inference import (
     taf_alpha,
     taf_consistency_chi2,
 )
-from trapnoise.leastsq import levenberg_marquardt
+from trapnoise.leastsq import FitFailure, levenberg_marquardt
 
 FREQS_HZ = (0.4e6, 0.6e6, 0.8e6, 1.0e6, 1.4e6, 1.8e6)
 TEMPS = (15.0, 40.0, 60.0, 80.0, 90.0, 100.0, 120.0, 160.0, 200.0)
@@ -193,6 +197,35 @@ def test_information_criteria_edge_cases():
         information_criteria(-1.0, 10, 3)
 
 
+def test_chi2_sf_matches_mpmath_reference():
+    # records from tests/record_chi2_sf_reference.py (mpmath, 50 digits)
+    path = Path(__file__).parent / "data" / "chi2_sf.json"
+    bad = []
+    for dof, x, want in json.loads(path.read_text())["records"]:
+        got = chi2_sf(x, dof)
+        if want < 1e-300:
+            ok = 0.0 <= got < 1e-290
+        else:
+            # above x = 1e3 the sum is scaled in log space, whose rounding
+            # grows with the number of terms
+            tol = 1e-13 if x <= 1e3 else 5e-13 if dof <= 300 else 2e-12
+            ok = abs(got - want) <= tol * want
+        if not ok:
+            bad.append((dof, x, got, want))
+    assert not bad, bad[:10]
+
+
+def test_chi2_sf_edge_cases():
+    for dof in (1, 2, 7, 300):
+        assert chi2_sf(0.0, dof) == 1.0
+        assert chi2_sf(-3.0, dof) == 1.0
+        assert chi2_sf(math.inf, dof) == 0.0
+    assert chi2_sf(2.0, 2.0) == chi2_sf(2.0, np.int64(2)) == math.exp(-1.0)
+    for dof in (0, -2, 1.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="dof"):
+            chi2_sf(1.0, dof)
+
+
 def test_simple_data_prefers_simple_model():
     dataset = synth_dataset("gamma1", SIMPLE, TEMPS, FREQS_HZ, 0.05, seed=11)
     cmp = fit_temperature_models(dataset)
@@ -266,6 +299,53 @@ def test_temperature_fit_on_a_zero_rate_is_quiet(records):
         p = fit.params
         shape = [p.t1, p.beta1, p.t2, p.beta2, p.t_star]
         assert np.all(np.isfinite([v for v in shape if v is not None]))
+
+
+def _one_frequency_set_with_zero_rates(seed, sigma_from_rate):
+    """7-11 gamma2 rates at 1 MHz between 10 and 290 K, one or two set to 0;
+    sigma is the model's (as synth_dataset draws it) or the noisy rate's,
+    floored at 0.1 (as a lab file might quote it)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(7, 12))
+    temps = np.sort(rng.choice(np.arange(10.0, 291.0, 10.0), n, replace=False))
+    params = replace(PIECEWISE, gamma0={1e6: PIECEWISE.gamma0[1e6]})
+    records = list(synth_dataset("gamma2", params, temps, [1e6], 0.3, seed).records)
+    for i in rng.choice(n, int(rng.integers(1, 3)), replace=False):
+        records[i] = replace(records[i], gamma=0.0)
+    if sigma_from_rate:
+        records = [replace(r, sigma_gamma=max(0.1 * r.gamma, 0.1)) for r in records]
+    return HeatingDataset(tuple(records))
+
+
+@pytest.mark.parametrize(
+    "sigma_from_rate", [False, True], ids=["model-sigma", "rate-sigma"]
+)
+@pytest.mark.parametrize("seed", range(12))
+def test_temperature_fit_with_zero_rates_is_finite_or_fails(seed, sigma_from_rate):
+    dataset = _one_frequency_set_with_zero_rates(seed, sigma_from_rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cmp = fit_temperature_models(dataset)
+        except FitFailure:
+            return
+    # a Gamma0 start near 0 leaves no downhill step: the fit stops after one
+    # iteration at its start
+    assert cmp.simple.fit.n_iter > 1
+    for fit in (cmp.simple, cmp.piecewise):
+        p = fit.params
+        logged = [v for v in (p.t1, p.beta1, p.t2, p.beta2) if v is not None]
+        values = [*p.gamma0.values(), *logged, p.t_star]
+        values += [fit.fit.rss, *fit.global_errors.values()]
+        assert np.all(np.isfinite([v for v in values if v is not None]))
+        assert all(v > 0.0 for v in logged)
+
+
+def test_temperature_fit_needs_a_positive_rate_per_frequency():
+    records = [HeatingRecord(t, 1e6, 1.0 + t / 50.0, 0.1) for t in TEMPS]
+    records += [HeatingRecord(t, 2e6, 0.0, 0.1) for t in TEMPS]
+    with pytest.raises(UnusableDataError, match="no positive heating rate at 2e"):
+        fit_temperature_models(HeatingDataset(tuple(records)))
 
 
 def test_fit_requires_enough_distinct_temperatures():

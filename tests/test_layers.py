@@ -127,6 +127,23 @@ def test_recursion_matches_explicit_forms_on_randomized_stacks():
     assert worst <= 1e-12
 
 
+def test_lossless_layer_at_its_own_wavevector():
+    # u^2 = eps zeroes the layer's W, where the recursion alone gives 0/0
+    k, d = 2.0 * math.pi * 1e5 / CONSTANTS.c, 1e-3
+    rs, rp = stack_reflection((1.0 + 0.0j, 4.0 + 0.0j, 1.0 + 0.0j), (d,), 2.0, k)
+    # the W -> 0 limit of the three-layer form with vacuum W = i sqrt(3)
+    a = math.sqrt(3.0) * k * d
+    assert rs == pytest.approx(a / (2.0 + a), rel=1e-12)
+    assert rp == pytest.approx(2.0 * a / (1.0 + 2.0 * a), rel=1e-12)
+    # between lossy media it joins the explicit form on either side
+    eps = (1.0 + 0.0j, 4.0 + 0.0j, 9.0 + 2.0j, -30.0 + 5.0j)
+    exact = stack_reflection(eps, (1e-4, 1e-6), np.array([2.0]), k)
+    for u in (2.0 * (1.0 - 1e-9), 2.0 * (1.0 + 1e-9)):
+        near = fresnel_four_layer(*eps, 1e-4, 1e-6, u, k)
+        for r_near, r_exact in zip(near, exact):
+            assert r_near == pytest.approx(r_exact[0], rel=1e-6)
+
+
 def test_zero_thickness_middle_layer_vanishes():
     ea, eb, ec = 1.0 + 0.0j, -30.0 + 8.0j, 11.0 + 0.3j
     for u in (0.0, 0.6, 1.7):
