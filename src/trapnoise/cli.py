@@ -54,6 +54,7 @@ from .constants import (
     omega_from_hz,
 )
 from .inference import (
+    OMEGA0,
     HeatingDataset,
     HeatingRecord,
     UnusableDataError,
@@ -339,7 +340,7 @@ def _fit_freq_report(dataset: HeatingDataset) -> dict:
                 "gamma_coeff_phps": fit.gamma_coeff,
                 "alpha": fit.alpha,
                 "errors": {"gamma_coeff_phps": err_g, "alpha": err_a},
-                "omega0_rad_s": fit.omega0,
+                "omega0_rad_s": OMEGA0,
             }
         )
     return {"mode": "freq", "n_records": len(dataset.records), "fits": fits}

@@ -126,17 +126,16 @@ class RunManifest:
 def make_manifest(
     command: str,
     config_paths=(),
-    overrides=(),
+    overrides: dict | None = None,
     seed: int | None = None,
 ) -> RunManifest:
     """Manifest stamped with the package version and constants fingerprint."""
     from . import __version__
 
-    pairs = overrides.items() if isinstance(overrides, dict) else overrides
     return RunManifest(
         command=str(command),
         config_paths=tuple(str(p) for p in config_paths),
-        overrides=tuple((str(k), str(v)) for k, v in pairs),
+        overrides=tuple((str(k), str(v)) for k, v in (overrides or {}).items()),
         seed=None if seed is None else int(seed),
         tool_version=__version__,
         constants_fingerprint=CONSTANTS.fingerprint(),

@@ -42,44 +42,30 @@ class DomainError(ValueError):
     """Input outside the physical domain of an operation."""
 
 
-def heating_rate_from_noise(
-    s_e: float,
-    omega: float,
-    charge: float = CONSTANTS.q_e,
-    mass: float = CONSTANTS.m_Ca40,
-) -> float:
-    """Motional heating rate (phonons/s) of a trapped ion of the given charge
-    and mass, from the single-sided electric-field noise density ``s_e``
-    (V^2 m^-2 Hz^-1) at the secular frequency ``omega`` (rad/s).
+def heating_rate_from_noise(s_e: float, omega: float) -> float:
+    """Motional heating rate (phonons/s) of a trapped 40Ca+ ion, from the
+    single-sided electric-field noise density ``s_e`` (V^2 m^-2 Hz^-1) at the
+    secular frequency ``omega`` (rad/s).
 
     Gamma = q^2 * S_E / (4 m hbar omega).
     """
     if omega <= 0.0:
         raise DomainError(f"omega must be > 0, got {omega}")
-    if mass <= 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
     if s_e < 0.0:
         raise DomainError(f"noise density must be >= 0, got {s_e}")
-    return charge**2 * s_e / (4.0 * mass * CONSTANTS.hbar * omega)
+    return CONSTANTS.q_e**2 * s_e / (4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega)
 
 
-def noise_from_heating_rate(
-    gamma: float,
-    omega: float,
-    charge: float = CONSTANTS.q_e,
-    mass: float = CONSTANTS.m_Ca40,
-) -> float:
-    """Electric-field noise density (V^2 m^-2 Hz^-1) equivalent to a heating
-    rate ``gamma`` (phonons/s); exact algebraic inverse of
+def noise_from_heating_rate(gamma: float, omega: float) -> float:
+    """Electric-field noise density (V^2 m^-2 Hz^-1) equivalent to a 40Ca+
+    heating rate ``gamma`` (phonons/s); exact algebraic inverse of
     :func:`heating_rate_from_noise`.
     """
     if omega <= 0.0:
         raise DomainError(f"omega must be > 0, got {omega}")
-    if mass <= 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
     if gamma < 0.0:
         raise DomainError(f"heating rate must be >= 0, got {gamma}")
-    return gamma * 4.0 * mass * CONSTANTS.hbar * omega / charge**2
+    return gamma * 4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega / CONSTANTS.q_e**2
 
 
 def omega_from_hz(f_hz: float) -> float:

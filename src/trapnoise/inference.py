@@ -119,30 +119,29 @@ class HeatingDataset:
 # frequency power law
 
 
-def _power_law(omega, gamma_coeff, alpha, omega0):
-    return gamma_coeff * (np.asarray(omega) / omega0) ** (alpha - 1.0)
+def _power_law(omega, gamma_coeff, alpha):
+    return gamma_coeff * (np.asarray(omega) / OMEGA0) ** (alpha - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class FreqPowerLawFit:
-    """Gamma(omega) = gamma_coeff * (omega/omega0)^(alpha - 1)."""
+    """Gamma(omega) = gamma_coeff * (omega/OMEGA0)^(alpha - 1)."""
 
     gamma_coeff: float
     alpha: float
     covariance: np.ndarray
-    omega0: float
     points: tuple[tuple[float, float, float], ...]  # (omega, gamma, sigma)
     fit: FitResult = field(repr=False, compare=False, default=None)
 
     def __call__(self, omega):
-        return _power_law(omega, self.gamma_coeff, self.alpha, self.omega0)
+        return _power_law(omega, self.gamma_coeff, self.alpha)
 
     def errors(self) -> tuple[float, float]:
         d = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
         return float(d[0]), float(d[1])
 
 
-def fit_freq_power_law(points, omega0: float = OMEGA0) -> FreqPowerLawFit:
+def fit_freq_power_law(points) -> FreqPowerLawFit:
     """Weighted fit of the frequency power law at fixed temperature."""
     pts = [(float(w), float(g), float(s)) for w, g, s in points]
     if len(pts) < 3:
@@ -156,12 +155,12 @@ def fit_freq_power_law(points, omega0: float = OMEGA0) -> FreqPowerLawFit:
         raise UnusableDataError("gamma and sigma must be > 0 for the power-law fit")
 
     # log-log regression seeds the nonlinear fit
-    lx = np.log(omegas / omega0)
+    lx = np.log(omegas / OMEGA0)
     slope, intercept = np.polyfit(lx, np.log(gammas), 1)
     theta0 = np.array([intercept, slope + 1.0])
 
     def residual(theta):
-        model = _power_law(omegas, np.exp(theta[0]), theta[1], omega0)
+        model = _power_law(omegas, np.exp(theta[0]), theta[1])
         return (gammas - model) / sigmas
 
     res = levenberg_marquardt(residual, theta0)
@@ -173,7 +172,6 @@ def fit_freq_power_law(points, omega0: float = OMEGA0) -> FreqPowerLawFit:
         gamma_coeff=float(math.exp(ln_g)),
         alpha=float(alpha),
         covariance=cov,
-        omega0=omega0,
         points=tuple(pts),
         fit=res,
     )
@@ -593,13 +591,11 @@ class SlopeCurve:
         )
 
 
-def loglog_spline_slope(
-    curve, n_boot: int = 200, seed: int = 7041, lam: float | None = None
-) -> SlopeCurve:
+def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurve:
     """Smoothing-spline slope of ln S_E versus ln T.
 
-    The smoothing parameter comes from GCV unless given; the band is a
-    residual bootstrap refit at the selected smoothing.
+    The smoothing parameter comes from GCV; the band is a residual bootstrap
+    refit at the selected smoothing.
     """
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
     t = np.array([p[0] for p in pts])
@@ -618,7 +614,7 @@ def loglog_spline_slope(
     y = np.log(s)
     sig_y = sg / s
 
-    spline = fit_smoothing_spline(x, y, sig_y, lam=lam)
+    spline = fit_smoothing_spline(x, y, sig_y)
     fitted = spline(x)
     resid = y - fitted
 
@@ -682,7 +678,7 @@ def jnn_corrected_alpha(fit: FreqPowerLawFit, jnn_level) -> FreqPowerLawFit:
                 f"JNN level exceeds total noise at omega = {omega:.4g} rad/s"
             )
         corrected.append((omega, heating_rate_from_noise(s_corr, omega), sigma))
-    return fit_freq_power_law(corrected, omega0=fit.omega0)
+    return fit_freq_power_law(corrected)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ __all__ = [
     "greens_parallel",
 ]
 
+_ABS_TOL = 1e-5  # g units; errors far below 1 do not matter to 1 + g_parallel
+_MAX_EVALS = 2_000_000  # per g_parallel call, split over its two integrals
+
 
 class DegenerateInterfaceError(ZeroDivisionError):
     """A Fresnel denominator vanished exactly for some (eps_a, eps_b, u)."""
@@ -170,8 +173,6 @@ def greens_parallel(
     temperature: float,
     distance: float,
     rel_tol: float = 1e-6,
-    abs_tol: float = 1e-5,
-    max_evals: int = 2_000_000,
 ) -> GreensResult:
     """Surface response for the in-plane field at height ``distance``.
 
@@ -181,8 +182,6 @@ def greens_parallel(
     The propagating part (u in [0, 1]) is computed with u = sin(theta),
     which removes the 1/v endpoint singularity.  The evanescent part uses
     t = sqrt(u^2 - 1), giving int_0^inf e^{-2 k d t} Im[Rs + t^2 Rp] dt.
-    ``abs_tol`` is an absolute floor in g units; errors far below 1 are
-    irrelevant to the observable 1 + g_parallel.
     """
     if distance <= 0.0:
         raise DomainError(f"ion height must be > 0, got {distance}")
@@ -201,10 +200,10 @@ def greens_parallel(
         rs, rp = stack_reflection(eps_media, thicknesses, u, k)
         return (np.exp(-2.0 * kd * t) * (rs + t * t * rp)).imag
 
-    budget = max_evals // 2
+    budget = _MAX_EVALS // 2
     res_p = adaptive_gk(
         integrand_prop, 0.0, np.pi / 2, rel_tol=rel_tol,
-        abs_tol=abs_tol / 2.0, max_evals=budget,
+        abs_tol=_ABS_TOL / 2.0, max_evals=budget,
     )
 
     t_cap = max(37.0 / (2.0 * kd), 10.0)
@@ -215,7 +214,7 @@ def greens_parallel(
     breaks.update(s for s in scales if lo < s < t_cap)
     res_e = adaptive_gk(
         integrand_evan, 0.0, t_cap, rel_tol=rel_tol,
-        abs_tol=abs_tol / 2.0, max_evals=budget, breakpoints=sorted(breaks),
+        abs_tol=_ABS_TOL / 2.0, max_evals=budget, breakpoints=sorted(breaks),
     )
 
     prop = 0.75 * float(np.real(res_p.value))

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = ["FitFailure", "FitResult", "levenberg_marquardt", "fd_jacobian"]
 
 _FD_STEP = 1e-6
+_MAX_ITER = 200
 _RSS_TOL = 1e-12
 _STEP_TOL = 1e-12
 _LAM0 = 1e-3
@@ -70,7 +71,6 @@ def levenberg_marquardt(
     residual_fn,
     theta0,
     jacobian=None,
-    max_iter: int = 200,
 ) -> FitResult:
     theta = np.asarray(theta0, dtype=float).copy()
     r = np.asarray(residual_fn(theta), dtype=float)
@@ -79,7 +79,7 @@ def levenberg_marquardt(
     n_iter = 0
     grad_norm = np.inf
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         jac = (
             jacobian(theta) if jacobian is not None else fd_jacobian(residual_fn, theta, r)
         )
@@ -117,9 +117,9 @@ def levenberg_marquardt(
             break
     else:
         raise FitFailure(
-            f"no convergence in {max_iter} iterations (rss {rss:.6e}, "
+            f"no convergence in {_MAX_ITER} iterations (rss {rss:.6e}, "
             f"|grad| {grad_norm:.3e})",
-            theta, rss, max_iter,
+            theta, rss, _MAX_ITER,
         )
 
     jac = jacobian(theta) if jacobian is not None else fd_jacobian(residual_fn, theta, r)

@@ -238,15 +238,16 @@ def parallel_sheet(a: float, b: float) -> float:
 
 
 def ybco_normal_default(
-    sigma_n: float = 1.81e6, Tc: float = 89.0, t_max: float = 320.0, n: int = 24
+    sigma_n: float = 1.81e6, Tc: float = 89.0, t_max: float = 320.0
 ) -> ResistivityTable:
-    """Constant-slope normal-state resistivity for YBCO above Tc.
+    """Constant-slope normal-state resistivity for YBCO above Tc, tabulated at
+    24 points from Tc to t_max.
 
     Anchored at rho(Tc) = 1/sigma_n and extrapolated linearly through the
     origin, the usual approximation when no measured 4-wire data is supplied.
     """
     rho_c = 1.0 / sigma_n
-    temps = [Tc + i * (t_max - Tc) / (n - 1) for i in range(n)]
+    temps = [Tc + i * (t_max - Tc) / 23 for i in range(24)]
     return ResistivityTable(
         temperatures=tuple(temps),
         resistivities=tuple(rho_c * t / Tc for t in temps),

@@ -87,11 +87,12 @@ def fdt_noise(
     omega: float,
     temperature: float,
     distance: float,
-    **quad_kwargs,
+    rel_tol: float = 1e-6,
 ) -> FdtResult:
-    """S_E = S_bb * (1 + g_parallel) above the given layer stack."""
+    """S_E = S_bb * (1 + g_parallel) above the given layer stack; ``rel_tol``
+    is the relative tolerance of the g_parallel quadrature."""
     s_bb = blackbody_noise(omega, temperature)
-    res = greens_parallel(stack, omega, temperature, distance, **quad_kwargs)
+    res = greens_parallel(stack, omega, temperature, distance, rel_tol)
     factor = 1.0 + res.g_parallel
     if factor < 0.0:
         # tiny negative excursions within the quadrature error are noise

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
+_CORE_HALFWIDTH = 1.0e-3  # m, half-side of the hybrid mode's direct-sum window
+_MAX_PATCHES = 250_000_000
 
 
 class PatchBudgetError(RuntimeError):
@@ -122,15 +124,14 @@ def _tile_edges(lo: float, hi: float, step: float) -> np.ndarray:
     return edges
 
 
-def _direct_sum_k2(rect, scene: PatchScene, patch_size: float,
-                   max_patches: int) -> float:
+def _direct_sum_k2(rect, scene: PatchScene, patch_size: float) -> float:
     x0, x1, y0, y1 = rect
     ex = _tile_edges(x0, x1, patch_size)
     ey = _tile_edges(y0, y1, patch_size)
     nx, ny = ex.size - 1, ey.size - 1
-    if nx * ny > max_patches:
+    if nx * ny > _MAX_PATCHES:
         raise PatchBudgetError(
-            f"{nx * ny:.3g} patches exceed the budget of {max_patches:.3g}; "
+            f"{nx * ny:.3g} patches exceed the budget of {_MAX_PATCHES:.3g}; "
             "increase patch_size or use the hybrid far-field mode"
         )
     cx = 0.5 * (ex[:-1] + ex[1:])
@@ -229,14 +230,12 @@ def region_noise_integral(
     scene: PatchScene,
     patch_size: float,
     exact: bool = False,
-    core_halfwidth: float = 1.0e-3,
-    max_patches: int = 250_000_000,
 ) -> float:
     """Kernel-squared sum over the region's patch tiling.
 
     Tiles are squares of side ``patch_size`` anchored at the region's
     (x_min, y_min) corner; edge tiles keep their true partial area.  In the
-    default hybrid mode only the core window (ion +- core_halfwidth) is
+    default hybrid mode only the core window (ion +- _CORE_HALFWIDTH) is
     summed directly and the remainder uses the continuum limit, which is
     accurate because the kernel density varies slowly many heights away
     from the ion.  ``exact=True`` forces full direct summation.
@@ -244,15 +243,15 @@ def region_noise_integral(
     if patch_size <= 0.0:
         raise DomainError(f"patch_size must be > 0, got {patch_size}")
     if exact:
-        return _direct_sum_k2(region.rect, scene, patch_size, max_patches)
+        return _direct_sum_k2(region.rect, scene, patch_size)
     window = (
-        scene.ion_xy[0] - core_halfwidth, scene.ion_xy[0] + core_halfwidth,
-        scene.ion_xy[1] - core_halfwidth, scene.ion_xy[1] + core_halfwidth,
+        scene.ion_xy[0] - _CORE_HALFWIDTH, scene.ion_xy[0] + _CORE_HALFWIDTH,
+        scene.ion_xy[1] - _CORE_HALFWIDTH, scene.ion_xy[1] + _CORE_HALFWIDTH,
     )
     total = 0.0
     core = _clip(region.rect, window)
     if core is not None:
-        total += _direct_sum_k2(core, scene, patch_size, max_patches)
+        total += _direct_sum_k2(core, scene, patch_size)
     for rect in _subtract(region.rect, window):
         total += _continuum_k2(rect, scene, patch_size)
     return total
@@ -283,15 +282,15 @@ class ZetaResult:
         return _share(f_ratio, self.target_integral, self.weighted_rest)
 
 
-def _weighted_integrals(scene, target_name, patch_size, exact, **kwargs):
+def _weighted_integrals(scene, target_name, patch_size, exact):
     target = scene.region(target_name)
-    i_target = region_noise_integral(target, scene, patch_size, exact, **kwargs)
+    i_target = region_noise_integral(target, scene, patch_size, exact)
     integrals = {target_name: i_target}
     rest = 0.0
     for r in scene.regions:
         if r.name == target_name:
             continue
-        val = region_noise_integral(r, scene, patch_size, exact, **kwargs)
+        val = region_noise_integral(r, scene, patch_size, exact)
         integrals[r.name or f"region{id(r)}"] = val
         rest += r.weight * val
     return i_target, rest, integrals
@@ -303,14 +302,13 @@ def zeta(
     patch_size: float,
     target_name: str = "ybco",
     exact: bool = False,
-    **kwargs,
 ) -> ZetaResult:
     """Noise share of the target region when its fluctuation strength is
     ``f_ratio`` times that of the other regions (whose own weights apply).
 
     :meth:`ZetaResult.at` gives the share at further ratios."""
     i_target, rest, integrals = _weighted_integrals(
-        scene, target_name, patch_size, exact, **kwargs
+        scene, target_name, patch_size, exact
     )
     return ZetaResult(
         zeta=_share(f_ratio, i_target, rest),
@@ -327,14 +325,11 @@ def zeta_inverse(
     patch_size: float,
     target_name: str = "ybco",
     exact: bool = False,
-    **kwargs,
 ) -> float:
     """Fluctuation-strength ratio at which the target's share is target_zeta."""
     if not 0.0 < target_zeta < 1.0:
         raise DomainError(f"target zeta must be in (0, 1), got {target_zeta}")
-    i_target, rest, _ = _weighted_integrals(
-        scene, target_name, patch_size, exact, **kwargs
-    )
+    i_target, rest, _ = _weighted_integrals(scene, target_name, patch_size, exact)
     if i_target <= 0.0:
         raise DomainError(f"target region {target_name!r} integral vanishes")
     return target_zeta / (1.0 - target_zeta) * rest / i_target

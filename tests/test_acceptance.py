@@ -157,7 +157,7 @@ def quasi_static_noise(rho, distance):
         ((200.0, rho), (400.0, rho)), label="metal"
     )
     stack = LayerStack((Layer(Conductor(table, name="metal")),), name="half-space")
-    s = fdt_noise(stack, OMEGA, 300.0, distance, abs_tol=1e-7)
+    s = fdt_noise(stack, OMEGA, 300.0, distance)
     return s.s_e
 
 

@@ -450,13 +450,13 @@ def test_manifest_fields_and_determinism():
     a = make_manifest(
         "fdt",
         config_paths=[packaged_config("stacks", "sapphire-ybco")],
-        overrides=[("temps", "10:250:25")],
+        overrides={"temps": "10:250:25"},
         seed=7,
     )
     b = make_manifest(
         "fdt",
         config_paths=[packaged_config("stacks", "sapphire-ybco")],
-        overrides=[("temps", "10:250:25")],
+        overrides={"temps": "10:250:25"},
         seed=7,
     )
     assert a.to_json() == b.to_json()

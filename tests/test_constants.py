@@ -84,8 +84,6 @@ def test_conversion_rejects_bad_inputs():
     with pytest.raises(DomainError):
         heating_rate_from_noise(-1e-15, 1e6)
     with pytest.raises(DomainError):
-        heating_rate_from_noise(1e-15, 1e6, mass=-1.0)
-    with pytest.raises(DomainError):
         noise_from_heating_rate(-1.0, 1e6)
     with pytest.raises(DomainError):
         noise_from_heating_rate(1.0, -1e6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from trapnoise import patches
 from trapnoise.constants import DomainError
 from trapnoise.patches import (
     PatchBudgetError,
@@ -130,12 +131,13 @@ def test_full_plane_sum_scales_as_inverse_fourth_power_of_height():
     assert slope == pytest.approx(-4.0, abs=0.02)
 
 
-def test_hybrid_matches_exact_summation():
+def test_hybrid_matches_exact_summation(monkeypatch):
     scene = simple_scene()
     region = scene.region("inner")
     exact = region_noise_integral(region, scene, 2e-6, exact=True)
     # shrink the direct core so the hybrid path actually mixes both modes
-    hybrid = region_noise_integral(region, scene, 2e-6, core_halfwidth=2e-4)
+    monkeypatch.setattr(patches, "_CORE_HALFWIDTH", 2e-4)
+    hybrid = region_noise_integral(region, scene, 2e-6)
     assert hybrid == pytest.approx(exact, rel=1e-5)
 
 
@@ -151,12 +153,11 @@ def test_patch_size_convergence():
     assert per_area[0] == pytest.approx(per_area[1], rel=5e-3)
 
 
-def test_exact_mode_budget_error():
+def test_exact_mode_budget_error(monkeypatch):
     scene = big_plane_scene()
+    monkeypatch.setattr(patches, "_MAX_PATCHES", 1_000_000)
     with pytest.raises(PatchBudgetError):
-        region_noise_integral(
-            scene.regions[0], scene, 1e-6, exact=True, max_patches=1_000_000
-        )
+        region_noise_integral(scene.regions[0], scene, 1e-6, exact=True)
 
 
 def test_region_integral_rejects_bad_patch_size():
