@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -114,8 +115,20 @@ _NOT_OVERRIDES = {"command", "func", "out", "seed", "config", "data", "alphas", 
 # small helpers
 
 
+def _finite(text: str) -> float:
+    """argparse ``type`` of every float flag: a finite number or exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> list[float]:
-    """Comma-separated values; a ``lo:hi:n`` token expands to a linear grid."""
+    """Comma-separated finite values; a ``lo:hi:n`` token expands to a linear
+    grid."""
     values: list[float] = []
     for token in text.split(","):
         token = token.strip()
@@ -139,6 +152,8 @@ def parse_grid(text: str) -> list[float]:
                 raise ConfigFileError(f"bad grid value {token!r}") from exc
     if not values:
         raise ConfigFileError(f"empty grid {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigFileError(f"non-finite value in grid {text!r}")
     return values
 
 
@@ -201,6 +216,8 @@ def cmd_fdt(args):
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * 1e-6
     lambdas = args.lambda0_nm or []
+    if any(nm <= 0.0 for nm in lambdas):
+        raise ConfigFileError(f"--lambda0-nm must be > 0, got {lambdas}")
 
     if lambdas:
         has_sc = any(isinstance(lay.material, TwoFluidSC) for lay in stack.layers)
@@ -500,16 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fdt", help="field noise above a layer stack")
     _add_common(p)
     p.add_argument("--temps", default="10:250:25", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=float, default=1e6, help="frequency (Hz)")
+    p.add_argument("--omega-hz", type=_finite, default=1e6, help="frequency (Hz)")
     p.add_argument(
-        "--distance-um", type=float, default=225.0, help="ion-surface gap (um)"
+        "--distance-um", type=_finite, default=225.0, help="ion-surface gap (um)"
     )
     p.add_argument(
-        "--tolerance", type=float, default=1e-6, help="quadrature rel. tolerance"
+        "--tolerance", type=_finite, default=1e-6, help="quadrature rel. tolerance"
     )
     p.add_argument(
         "--lambda0-nm",
-        type=float,
+        type=_finite,
         action="append",
         metavar="NM",
         help="override the superconductor London depth; repeat for a band",
@@ -519,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jnn", help="Johnson-noise budget of the electrodes")
     _add_common(p)
     p.add_argument("--temps", default="10:210:21", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=float, default=1e6, help="frequency (Hz)")
+    p.add_argument("--omega-hz", type=_finite, default=1e6, help="frequency (Hz)")
     p.set_defaults(func=cmd_jnn)
 
     p = sub.add_parser("fit", help="fit heating-rate data")
@@ -533,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--plateau-tol",
-        type=float,
+        type=_finite,
         default=0.1,
         help="relative rise defining the plateau width (temp model)",
     )
@@ -543,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_config=False)
     p.add_argument("--data", required=True, help="heating-rate CSV (single f)")
     p.add_argument(
-        "--omega-hz", type=float, default=1e6, help="prediction frequency (Hz)"
+        "--omega-hz", type=_finite, default=1e6, help="prediction frequency (Hz)"
     )
     p.add_argument(
-        "--tau0-s", type=float, default=1e-13, help="fluctuator attempt time (s)"
+        "--tau0-s", type=_finite, default=1e-13, help="fluctuator attempt time (s)"
     )
     p.add_argument(
         "--n-boot", type=int, default=200, help="bootstrap refits for the band"
@@ -566,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fluctuation-strength ratios (grid syntax like --temps)",
     )
     p.add_argument(
-        "--patch-um", type=float, default=1.0, help="patch edge length (um)"
+        "--patch-um", type=_finite, default=1.0, help="patch edge length (um)"
     )
     p.add_argument("--target", default="ybco", help="target region name")
     p.add_argument(
@@ -594,11 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="secular frequencies in Hz (default: all in the params file)",
     )
     p.add_argument(
-        "--noise-frac", type=float, default=0.1, help="relative noise level"
+        "--noise-frac", type=_finite, default=0.1, help="relative noise level"
     )
     p.add_argument(
         "--f-hz",
-        type=float,
+        type=_finite,
         default=1e6,
         help="embedding frequency for surface-model datasets (Hz)",
     )

@@ -265,7 +265,9 @@ def chi2_sf(x: float, dof: int) -> float:
     from its largest term, which is combined with e^-h in log space.
     Against 50-digit values the relative error is below 1e-13 for x <= 1e3
     and below 5e-13 above, for dof <= 300; a true value below 1e-300 comes
-    out as some value in [0, 1e-290).  NaN gives NaN.
+    out as some value in [0, 1e-290).  The result is clamped to 1, which the
+    log-space scale overshoots by up to 5e-11 for dof in the thousands.
+    NaN gives NaN.
     """
     if not (float(dof).is_integer() and dof >= 1):
         raise DomainError(f"dof must be an integer >= 1, got {dof}")
@@ -294,7 +296,7 @@ def chi2_sf(x: float, dof: int) -> float:
     for j in range(top + 1, m):
         term *= h / (j + a)
         total += term
-    return tail + scale * total
+    return min(tail + scale * total, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

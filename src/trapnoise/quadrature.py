@@ -84,7 +84,8 @@ def adaptive_gk(
 
     ``breakpoints`` seeds the initial panel edges (useful when the integrand
     has known scales spanning decades).  Convergence criterion:
-    sum of panel errors <= max(abs_tol, rel_tol * |integral|).
+    sum of panel errors <= max(abs_tol, rel_tol * |integral|).  A NaN or
+    infinite error estimate raises QuadratureFailure at once.
     """
     if b <= a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
@@ -99,6 +100,13 @@ def adaptive_gk(
     while True:
         total = values.sum()
         total_err = float(errors.sum())
+        if not np.isfinite(total_err):
+            # a NaN panel error is never split, so the loop would not end
+            raise QuadratureFailure(
+                f"non-finite error estimate over [{a}, {b}] after {evals} "
+                f"evaluations ({lows.size} panels)",
+                total, total_err, evals,
+            )
         tol = max(abs_tol, rel_tol * abs(total))
         if total_err <= tol:
             return QuadratureResult(total, total_err, evals, lows.size)

@@ -73,6 +73,60 @@ def test_threads_flag_is_rejected(argv, tmp_path):
     assert exc.value.code == 2
 
 
+def _float_and_grid_flags():
+    """(subcommand, flag) for every flag that takes a float or a grid."""
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    floats = [
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type not in (None, int)
+    ]
+    grids = [("fdt", "--temps"), ("jnn", "--temps"), ("zeta", "--f-ratios"),
+             ("synth", "--temps"), ("synth", "--freqs")]
+    return floats + grids
+
+
+_FLAGS = _float_and_grid_flags()
+_FLAG_BASE = {
+    "fit": ["--data", "{data}", "--model", "temp"],
+    "taf": ["--data", "{data}", "--n-boot", "5"],
+    "synth": ["--model", "power"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", _FLAGS, ids=[f"{c}{f}" for c, f in _FLAGS]
+)
+def test_non_finite_flag_exits_config(command, flag, value, tmp_path):
+    data = tmp_path / "rates.csv"
+    flat_rate_csv(data)
+    base = _FLAG_BASE.get(command, [])
+    if flag == "--freqs":
+        base = ["--model", "gamma2"]
+    out = tmp_path / "out"
+    argv = [command, *(a.format(data=data) for a in base), f"{flag}={value}",
+            "--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_london_depth_exits_config(value, tmp_path, capsys):
+    out = tmp_path / "fdt.csv"
+    argv = ["fdt", "--temps", "50", f"--lambda0-nm={value}", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "--lambda0-nm must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolve_configs_duplicate_role(tmp_path):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"

@@ -221,6 +221,10 @@ def test_chi2_sf_edge_cases():
         assert chi2_sf(-3.0, dof) == 1.0
         assert chi2_sf(math.inf, dof) == 0.0
     assert chi2_sf(2.0, 2.0) == chi2_sf(2.0, np.int64(2)) == math.exp(-1.0)
+    # true values just below 1, where the log-space scale rounds above it
+    for x, dof in ((3000.0, 100000), (37705.08474576272, 84000),
+                   (42925.00847457627, 99999)):
+        assert 0.99 < chi2_sf(x, dof) <= 1.0
     for dof in (0, -2, 1.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="dof"):
             chi2_sf(1.0, dof)

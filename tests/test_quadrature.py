@@ -1,5 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature against scipy.integrate references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -84,6 +89,28 @@ def test_budget_exhaustion_raises_with_diagnostics():
     assert err.evaluations >= 600
     assert err.error > 0.0
     assert np.isfinite(err.value)
+
+
+_NON_FINITE_RUN = """
+import sys
+import numpy as np
+from trapnoise.quadrature import QuadratureFailure, adaptive_gk
+bad = float(sys.argv[1])
+try:
+    adaptive_gk(lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
+except QuadratureFailure as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_integrand_fails_at_once(bad):
+    # a child process with a timeout, so a loop that never ends fails the test
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_RUN, bad], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("non-finite error estimate over [0.0, 1.0]")
 
 
 def test_budget_exhaustion_carries_an_honest_best_effort():
