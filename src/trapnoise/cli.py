@@ -116,13 +116,29 @@ _NOT_OVERRIDES = {"command", "func", "out", "seed", "config", "data", "alphas", 
 
 
 def _finite(text: str) -> float:
-    """argparse ``type`` of every float flag: a finite number or exit 2."""
+    """argparse ``type`` of a float flag: a finite number or exit 2."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse ``type`` of a float flag that the library requires > 0."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse ``type`` of a float flag that the library requires >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -517,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fdt", help="field noise above a layer stack")
     _add_common(p)
     p.add_argument("--temps", default="10:250:25", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=_finite, default=1e6, help="frequency (Hz)")
+    p.add_argument("--omega-hz", type=_positive, default=1e6, help="frequency (Hz)")
     p.add_argument(
-        "--distance-um", type=_finite, default=225.0, help="ion-surface gap (um)"
+        "--distance-um", type=_positive, default=225.0, help="ion-surface gap (um)"
     )
     p.add_argument(
-        "--tolerance", type=_finite, default=1e-6, help="quadrature rel. tolerance"
+        "--tolerance", type=_positive, default=1e-6, help="quadrature rel. tolerance"
     )
     p.add_argument(
         "--lambda0-nm",
@@ -536,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jnn", help="Johnson-noise budget of the electrodes")
     _add_common(p)
     p.add_argument("--temps", default="10:210:21", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=_finite, default=1e6, help="frequency (Hz)")
+    p.add_argument("--omega-hz", type=_positive, default=1e6, help="frequency (Hz)")
     p.set_defaults(func=cmd_jnn)
 
     p = sub.add_parser("fit", help="fit heating-rate data")
@@ -550,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--plateau-tol",
-        type=_finite,
+        type=_positive,
         default=0.1,
         help="relative rise defining the plateau width (temp model)",
     )
@@ -560,10 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_config=False)
     p.add_argument("--data", required=True, help="heating-rate CSV (single f)")
     p.add_argument(
-        "--omega-hz", type=_finite, default=1e6, help="prediction frequency (Hz)"
+        "--omega-hz", type=_positive, default=1e6, help="prediction frequency (Hz)"
     )
     p.add_argument(
-        "--tau0-s", type=_finite, default=1e-13, help="fluctuator attempt time (s)"
+        "--tau0-s", type=_positive, default=1e-13, help="fluctuator attempt time (s)"
     )
     p.add_argument(
         "--n-boot", type=int, default=200, help="bootstrap refits for the band"
@@ -583,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fluctuation-strength ratios (grid syntax like --temps)",
     )
     p.add_argument(
-        "--patch-um", type=_finite, default=1.0, help="patch edge length (um)"
+        "--patch-um", type=_positive, default=1.0, help="patch edge length (um)"
     )
     p.add_argument("--target", default="ybco", help="target region name")
     p.add_argument(
@@ -611,11 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="secular frequencies in Hz (default: all in the params file)",
     )
     p.add_argument(
-        "--noise-frac", type=_finite, default=0.1, help="relative noise level"
+        "--noise-frac", type=_non_negative, default=0.1, help="relative noise level"
     )
     p.add_argument(
         "--f-hz",
-        type=_finite,
+        type=_positive,
         default=1e6,
         help="embedding frequency for surface-model datasets (Hz)",
     )

@@ -10,6 +10,16 @@ patch centre from the point below the ion.  Uncorrelated patch fluctuations
 add as K^2, so a region's contribution is the kernel-squared sum over its
 patch tiling.  The noise fraction zeta attributes the total to one target
 region versus the rest as a function of the fluctuation-strength ratio.
+
+A region's tiling is a grid of squares anchored at its (x_min, y_min)
+corner whose last column and row keep their partial width.  Exact mode
+sums every tile.  The default hybrid mode sums directly only those
+partial strips and a core of whole tiles around the ion; it integrates
+the rest of the tiles in the continuum limit, corrected for the midpoint
+rule through fourth order in the patch size, so its cost does not grow
+with the region's area.  Against exact mode it agrees to 1e-10 relative
+on random scenes and to 4e-7 in the worst case found: a strip one tile
+wide along the kernel's nodal line (da = 0) just outside the core.
 """
 
 from __future__ import annotations
@@ -33,15 +43,16 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
-_CORE_HALFWIDTH = 1.0e-3  # m, half-side of the hybrid mode's direct-sum window
+_CORE_TILES = 128  # tiles from the ion to each side of the hybrid mode's direct core
 _MAX_PATCHES = 250_000_000
 
 
 class PatchBudgetError(RuntimeError):
-    """Tiling would exceed the patch budget.
+    """More tiles would be summed directly than the patch budget allows.
 
-    Either coarsen patch_size, shrink the direct-summation core, or drop
-    exact mode so the far field is integrated in the continuum limit.
+    Exact mode sums every tile of a region, so coarsen patch_size or drop
+    exact mode; the hybrid mode sums directly only the core around the ion
+    and the region's partial last column and row.
     """
 
 
@@ -116,36 +127,48 @@ def axial_patch_kernel(centers, areas, scene: PatchScene):
     return k if k.size > 1 else float(k[0])
 
 
-def _tile_edges(lo: float, hi: float, step: float) -> np.ndarray:
-    """Grid anchored at ``lo``; the last cell keeps its true partial width."""
-    n = int(math.ceil((hi - lo) / step - 1e-12))
-    edges = lo + step * np.arange(n + 1)
+def _tile_count(lo: float, hi: float, step: float) -> int:
+    return int(math.ceil((hi - lo) / step - 1e-12))
+
+
+def _tiles(lo: float, hi: float, step: float):
+    """Centres and widths of a grid anchored at ``lo``; the last cell keeps
+    its true partial width."""
+    edges = lo + step * np.arange(_tile_count(lo, hi, step) + 1)
     edges[-1] = hi
-    return edges
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
-def _direct_sum_k2(rect, scene: PatchScene, patch_size: float) -> float:
-    x0, x1, y0, y1 = rect
-    ex = _tile_edges(x0, x1, patch_size)
-    ey = _tile_edges(y0, y1, patch_size)
-    nx, ny = ex.size - 1, ey.size - 1
-    if nx * ny > _MAX_PATCHES:
-        raise PatchBudgetError(
-            f"{nx * ny:.3g} patches exceed the budget of {_MAX_PATCHES:.3g}; "
-            "increase patch_size or use the hybrid far-field mode"
-        )
-    cx = 0.5 * (ex[:-1] + ex[1:])
-    wx = np.diff(ex)
-    cy = 0.5 * (ey[:-1] + ey[1:])
-    wy = np.diff(ey)
+def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
+    """Sum of K^2 over the tiles with centres ``cx`` x ``cy`` and widths
+    ``wx`` x ``wy``.
 
+    Rows go in blocks of about _CHUNK tiles, each evaluated as ``_kernel``
+    does, operation for operation, into three buffers that every block
+    reuses.
+    """
+    h = scene.ion_height
+    dx = cx - scene.ion_xy[0]
+    dy = cy - scene.ion_xy[1]
+    dx_a, dy_a = dx * scene.axial_dir[0], dy * scene.axial_dir[1]
+    dx2, dy2 = dx * dx, dy * dy
+    rows = max(1, _CHUNK // max(cx.size, 1))
+    bufs = np.empty((3, min(rows, cy.size), cx.size))
     partials = []
-    rows_per_chunk = max(1, _CHUNK // max(nx, 1))
-    for j0 in range(0, ny, rows_per_chunk):
-        j1 = min(j0 + rows_per_chunk, ny)
-        area = wy[j0:j1][:, None] * wx[None, :]
-        k = _kernel(cx[None, :], cy[j0:j1][:, None], area, scene)
-        partials.append(float(np.sum(k * k)))
+    for j0 in range(0, cy.size, rows):
+        j1 = min(j0 + rows, cy.size)
+        k, r2, area = bufs[:, : j1 - j0]
+        np.multiply(wy[j0:j1, None], wx, out=area)
+        np.add(dx_a, dy_a[j0:j1, None], out=k)
+        np.multiply(3.0 * h, k, out=k)
+        np.multiply(k, area, out=k)
+        np.add(dx2, dy2[j0:j1, None], out=r2)
+        np.add(r2, h * h, out=r2)
+        np.power(r2, 2.5, out=r2)
+        np.multiply(2.0 * np.pi, r2, out=r2)
+        np.divide(k, r2, out=k)
+        np.multiply(k, k, out=k)
+        partials.append(float(np.sum(k)))
     return math.fsum(partials)
 
 
@@ -171,40 +194,80 @@ def _geom_edges(lo: float, hi: float, center: float, scale: float) -> np.ndarray
     return np.array(sorted(e for e in edges if lo <= e <= hi))
 
 
-def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
-    """Continuum limit of the kernel-squared sum: patch_size^2 * int k^2 dA.
+def _gauss_nodes(lo: float, hi: float, center: float, scale: float):
+    """Nodes and weights of 12-point Gauss-Legendre on each cell of
+    ``_geom_edges``."""
+    edges = _geom_edges(lo, hi, center, scale)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
-    The pointwise kernel density (the kernel at unit area) is smooth away
-    from the ion, so fixed-order Gauss-Legendre cells on a geometrically
-    graded grid integrate it to near machine accuracy.
+
+def _midpoint_density(dx, dy, scene: PatchScene, patch_size: float):
+    """da^2 s^-5 less the Euler-Maclaurin terms of the composite midpoint
+    rule on tiles of side p, through O(p^4).
+
+    Here s = dx^2 + dy^2 + h^2 and da = (dx, dy) . axial_dir.  Summed
+    over whole tiles, p^2 f(centre) of f = da^2 s^-5 equals the integral
+    of f - a lap(f) + a^2 (7/10 (f_xxxx + f_yyyy) + f_xxyy) over them,
+    a = p^2 / 24, up to O(p^6).  The derivatives follow from Leibniz's
+    rule on u = da^2 (u_x = 2 ax da, u_xx = 2 ax^2, u_xy = 2 ax ay) times
+    g = s^-5, whose s-derivatives are g_k below.  The Laplacian term comes
+    to 2 s^-5 - 60 da^2 s^-6 + 120 da^2 rho^2 s^-7, rho^2 = dx^2 + dy^2.
     """
-    x0, x1, y0, y1 = rect
-    ex = _geom_edges(x0, x1, scene.ion_xy[0], scene.ion_height)
-    ey = _geom_edges(y0, y1, scene.ion_xy[1], scene.ion_height)
+    ax, ay = scene.axial_dir
+    da = dx * ax + dy * ay
+    u = da * da
+    s = dx * dx + dy * dy + scene.ion_height**2
+    g0 = s**-5.0
+    g1, g2 = -5.0 * g0 / s, 30.0 * g0 / s**2
+    g3, g4 = -210.0 * g0 / s**3, 1680.0 * g0 / s**4
+    gx, gy = 2.0 * dx * g1, 2.0 * dy * g1
+    gxx, gyy = 4.0 * dx * dx * g2 + 2.0 * g1, 4.0 * dy * dy * g2 + 2.0 * g1
+    gxy = 4.0 * dx * dy * g2
+    gxxx = 8.0 * dx**3 * g3 + 12.0 * dx * g2
+    gyyy = 8.0 * dy**3 * g3 + 12.0 * dy * g2
+    gxxy = 8.0 * dx * dx * dy * g3 + 4.0 * dy * g2
+    gxyy = 8.0 * dx * dy * dy * g3 + 4.0 * dx * g2
+    gxxxx = 16.0 * dx**4 * g4 + 48.0 * dx * dx * g3 + 12.0 * g2
+    gyyyy = 16.0 * dy**4 * g4 + 48.0 * dy * dy * g3 + 12.0 * g2
+    gxxyy = 16.0 * dx * dx * dy * dy * g4 + 8.0 * (dx * dx + dy * dy) * g3 + 4.0 * g2
 
-    total = 0.0
-    for i in range(ex.size - 1):
-        hx = 0.5 * (ex[i + 1] - ex[i])
-        mx = 0.5 * (ex[i + 1] + ex[i])
-        xs = mx + hx * _GL_NODES
-        for j in range(ey.size - 1):
-            hy = 0.5 * (ey[j + 1] - ey[j])
-            my = 0.5 * (ey[j + 1] + ey[j])
-            ys = my + hy * _GL_NODES
-            k_density = _kernel(xs[:, None], ys[None, :], 1.0, scene)
-            w = _GL_WEIGHTS[:, None] * _GL_WEIGHTS[None, :]
-            total += hx * hy * float(np.sum(w * k_density**2))
-    return patch_size**2 * total
+    lap = u * (gxx + gyy) + 4.0 * da * (ax * gx + ay * gy) + 2.0 * g0
+    quartic = (u * (gxxxx + gyyyy) + 8.0 * da * (ax * gxxx + ay * gyyy)
+               + 12.0 * (ax * ax * gxx + ay * ay * gyy))
+    mixed = (u * gxxyy + 4.0 * da * (ax * gxyy + ay * gxxy)
+             + 2.0 * (ax * ax * gyy + ay * ay * gxx) + 8.0 * ax * ay * gxy)
+    a = patch_size**2 / 24.0
+    return u * g0 - a * lap + a * a * (0.7 * quartic + mixed)
 
 
-def _clip(rect, window):
-    x0 = max(rect[0], window[0])
-    x1 = min(rect[1], window[1])
-    y0 = max(rect[2], window[2])
-    y1 = min(rect[3], window[3])
-    if x1 > x0 and y1 > y0:
-        return (x0, x1, y0, y1)
-    return None
+def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
+    """Kernel-squared sum over the whole tiles of side p = patch_size that
+    fill ``rect``, as an integral with the midpoint-rule corrections.
+
+    A tile contributes p^4 k^2 at its centre, k = 3 h da / (2 pi s^(5/2))
+    being the kernel density (the kernel at unit area), so the sum is
+    p^2 (3 h / 2 pi)^2 times the integral of ``_midpoint_density``, up to
+    O(p^6) terms.  The integrand is smooth, so fixed-order Gauss-Legendre
+    cells on a grid graded geometrically away from the ion integrate it to
+    near machine accuracy.
+    """
+    h = scene.ion_height
+    xs, wx = _gauss_nodes(rect[0], rect[1], scene.ion_xy[0], h)
+    ys, wy = _gauss_nodes(rect[2], rect[3], scene.ion_xy[1], h)
+    density = _midpoint_density(
+        xs[None, :] - scene.ion_xy[0], ys[:, None] - scene.ion_xy[1], scene, patch_size
+    )
+    return patch_size**2 * (3.0 * h / (2.0 * np.pi)) ** 2 * float(wy @ density @ wx)
+
+
+def _core_span(lo: float, step: float, center: float, n: int) -> tuple[int, int]:
+    """Tile indices [i0, i1) of the direct core along one axis: the ion
+    +- _CORE_TILES tiles, snapped outward to the grid and clipped to the
+    first ``n`` tiles."""
+    u = (center - lo) / step
+    return max(0, math.floor(u - _CORE_TILES)), min(n, math.ceil(u + _CORE_TILES))
 
 
 def _subtract(rect, window):
@@ -234,25 +297,47 @@ def region_noise_integral(
     """Kernel-squared sum over the region's patch tiling.
 
     Tiles are squares of side ``patch_size`` anchored at the region's
-    (x_min, y_min) corner; edge tiles keep their true partial area.  In the
-    default hybrid mode only the core window (ion +- _CORE_HALFWIDTH) is
-    summed directly and the remainder uses the continuum limit, which is
-    accurate because the kernel density varies slowly many heights away
-    from the ion.  ``exact=True`` forces full direct summation.
+    (x_min, y_min) corner; the last column and row keep their true partial
+    width.  ``exact=True`` sums every tile.  The default hybrid mode sums
+    directly the last column and row, and the whole tiles within
+    _CORE_TILES tiles of the ion (snapped outward to the grid); it hands
+    the rest of the whole tiles to ``_continuum_k2``.  On random scenes
+    (ion heights 5-300 um, patches 0.5-20 um, tilted axes, ions up to
+    0.5 mm off centre) it agrees with exact mode to 1e-10 relative; thin
+    regions along the kernel's nodal line are the worst case, 4e-7.
+
+    Raises PatchBudgetError if more than _MAX_PATCHES tiles would be
+    summed directly.
     """
     if patch_size <= 0.0:
         raise DomainError(f"patch_size must be > 0, got {patch_size}")
+    x0, x1, y0, y1 = region.rect
+    nx, ny = _tile_count(x0, x1, patch_size), _tile_count(y0, y1, patch_size)
+    direct = nx * ny if exact else nx + ny
+    if direct > _MAX_PATCHES:
+        raise PatchBudgetError(
+            f"{direct:.3g} directly summed patches exceed the budget of "
+            f"{_MAX_PATCHES:.3g}; increase patch_size"
+            + (" or use the hybrid mode" if exact else "")
+        )
+    cx, wx = _tiles(x0, x1, patch_size)
+    cy, wy = _tiles(y0, y1, patch_size)
     if exact:
-        return _direct_sum_k2(region.rect, scene, patch_size)
-    window = (
-        scene.ion_xy[0] - _CORE_HALFWIDTH, scene.ion_xy[0] + _CORE_HALFWIDTH,
-        scene.ion_xy[1] - _CORE_HALFWIDTH, scene.ion_xy[1] + _CORE_HALFWIDTH,
-    )
-    total = 0.0
-    core = _clip(region.rect, window)
-    if core is not None:
-        total += _direct_sum_k2(core, scene, patch_size)
-    for rect in _subtract(region.rect, window):
+        return _direct_sum_k2(cx, wx, cy, wy, scene)
+
+    # the whole-tile block is every tile but the last column and row
+    nx, ny = nx - 1, ny - 1
+    total = _direct_sum_k2(cx[nx:], wx[nx:], cy, wy, scene)
+    total += _direct_sum_k2(cx[:nx], wx[:nx], cy[ny:], wy[ny:], scene)
+    i0, i1 = _core_span(x0, patch_size, scene.ion_xy[0], nx)
+    j0, j1 = _core_span(y0, patch_size, scene.ion_xy[1], ny)
+    far = [(0, nx, 0, ny)] if nx > 0 and ny > 0 else []
+    if i0 < i1 and j0 < j1:
+        total += _direct_sum_k2(cx[i0:i1], wx[i0:i1], cy[j0:j1], wy[j0:j1], scene)
+        far = _subtract(far[0], (i0, i1, j0, j1))
+    for a0, a1, b0, b1 in far:
+        rect = (x0 + patch_size * a0, x0 + patch_size * a1,
+                y0 + patch_size * b0, y0 + patch_size * b1)
         total += _continuum_k2(rect, scene, patch_size)
     return total
 

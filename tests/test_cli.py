@@ -118,6 +118,38 @@ def test_non_finite_flag_exits_config(command, flag, value, tmp_path):
     assert not out.exists()
 
 
+_OUT_OF_RANGE = [
+    ("zeta", "--patch-um", "0"),
+    ("zeta", "--patch-um", "-1"),
+    ("fdt", "--distance-um", "0"),
+    ("fdt", "--tolerance", "-1"),
+    ("fdt", "--omega-hz", "-1"),
+    ("jnn", "--omega-hz", "0"),
+    ("taf", "--omega-hz", "0"),
+    ("taf", "--tau0-s", "0"),
+    ("fit", "--plateau-tol", "0"),
+    ("synth", "--f-hz", "-1"),
+    ("synth", "--noise-frac", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", _OUT_OF_RANGE,
+    ids=[f"{c}{f}={v}" for c, f, v in _OUT_OF_RANGE],
+)
+def test_out_of_range_flag_exits_config(command, flag, value, tmp_path, capsys):
+    data = tmp_path / "rates.csv"
+    flat_rate_csv(data)
+    out = tmp_path / "out"
+    argv = [command, *(a.format(data=data) for a in _FLAG_BASE.get(command, [])),
+            f"{flag}={value}", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_non_positive_london_depth_exits_config(value, tmp_path, capsys):
     out = tmp_path / "fdt.csv"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from trapnoise import patches
@@ -136,9 +136,77 @@ def test_hybrid_matches_exact_summation(monkeypatch):
     region = scene.region("inner")
     exact = region_noise_integral(region, scene, 2e-6, exact=True)
     # shrink the direct core so the hybrid path actually mixes both modes
-    monkeypatch.setattr(patches, "_CORE_HALFWIDTH", 2e-4)
+    monkeypatch.setattr(patches, "_CORE_TILES", 10)
     hybrid = region_noise_integral(region, scene, 2e-6)
-    assert hybrid == pytest.approx(exact, rel=1e-5)
+    assert hybrid == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("patch_um", [2.0, 3.0, 7.0])
+def test_hybrid_with_core_covering_region_is_exact(patch_um, monkeypatch):
+    # with no continuum left, the core and the partial last column and row
+    # must tile the region exactly as exact mode does
+    scene = simple_scene(axial=(0.6, 0.8))
+    monkeypatch.setattr(patches, "_CORE_TILES", 10**6)
+    for region in scene.regions:
+        exact = region_noise_integral(region, scene, patch_um * 1e-6, exact=True)
+        hybrid = region_noise_integral(region, scene, patch_um * 1e-6)
+        assert hybrid == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("width_um", [15.0, 20.0, 30.0])
+def test_hybrid_thin_region_on_nodal_line(width_um):
+    # a strip two or three tiles wide straddling da = 0, all of it outside
+    # the core: there the kernel nearly vanishes, so the leading midpoint
+    # correction alone leaves a relative error of 1e-5 to 1e-4
+    half = 0.5 * width_um * 1e-6
+    region = PlaneRegion((0.5e-3 - half, 0.5e-3 + half, -1e-3, -0.8e-3))
+    scene = PatchScene(regions=(region,), ion_height=5e-6, ion_xy=(0.5e-3, 0.5e-3))
+    exact = region_noise_integral(region, scene, 10e-6, exact=True)
+    assert region_noise_integral(region, scene, 10e-6) == pytest.approx(exact, rel=1e-6)
+
+
+@st.composite
+def _tiled_scenes(draw):
+    """One to three disjoint rectangles within +-1 mm, one per vertical band,
+    with an ion pose and a patch size that keep exact mode under 3e6 tiles."""
+    mm = 1e-3
+    n = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.floats(-mm, mm), min_size=n - 1, max_size=n - 1)))
+    frac = st.floats(0.0, 0.99)
+    regions = []
+    for i, (lo, hi) in enumerate(zip([-mm, *cuts], [*cuts, mm])):
+        x0 = lo + (hi - lo) * draw(frac)
+        x1 = hi - (hi - x0) * draw(frac)
+        y0 = -mm + 2.0 * mm * draw(frac)
+        y1 = mm - (mm - y0) * draw(frac)
+        assume(x1 > x0 and y1 > y0)
+        regions.append(PlaneRegion((x0, x1, y0, y1), name=f"r{i}"))
+    # log-uniform from 0.5 to 20 um, so most sizes divide no side
+    patch = 0.5e-6 * 40.0 ** draw(st.floats(0.0, 1.0))
+    tiles = sum(
+        math.ceil((x1 - x0) / patch) * math.ceil((y1 - y0) / patch)
+        for x0, x1, y0, y1 in (r.rect for r in regions)
+    )
+    assume(tiles <= 3_000_000)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    offset = st.floats(-0.5 * mm, 0.5 * mm)
+    scene = PatchScene(
+        regions=tuple(regions),
+        ion_height=draw(st.floats(5e-6, 300e-6)),
+        ion_xy=(draw(offset), draw(offset)),
+        axial_dir=(math.cos(angle), math.sin(angle)),
+    )
+    return scene, patch
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tiled_scenes())
+def test_hybrid_matches_exact_on_random_scenes(case):
+    scene, patch = case
+    for region in scene.regions:
+        exact = region_noise_integral(region, scene, patch, exact=True)
+        hybrid = region_noise_integral(region, scene, patch)
+        assert hybrid == pytest.approx(exact, rel=1e-6)
 
 
 def test_patch_size_convergence():
@@ -158,6 +226,14 @@ def test_exact_mode_budget_error(monkeypatch):
     monkeypatch.setattr(patches, "_MAX_PATCHES", 1_000_000)
     with pytest.raises(PatchBudgetError):
         region_noise_integral(scene.regions[0], scene, 1e-6, exact=True)
+
+
+def test_hybrid_budget_error(monkeypatch):
+    # the hybrid sums the last column and row directly: 2e5 tiles here
+    scene = big_plane_scene()
+    monkeypatch.setattr(patches, "_MAX_PATCHES", 100_000)
+    with pytest.raises(PatchBudgetError):
+        region_noise_integral(scene.regions[0], scene, 1e-6)
 
 
 def test_region_integral_rejects_bad_patch_size():
