@@ -142,6 +142,17 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type`` of a count or seed flag: an int >= 0 or exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> list[float]:
     """Comma-separated finite values; a ``lo:hi:n`` token expands to a linear
     grid."""
@@ -232,8 +243,6 @@ def cmd_fdt(args):
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * 1e-6
     lambdas = args.lambda0_nm or []
-    if any(nm <= 0.0 for nm in lambdas):
-        raise ConfigFileError(f"--lambda0-nm must be > 0, got {lambdas}")
 
     if lambdas:
         has_sc = any(isinstance(lay.material, TwoFluidSC) for lay in stack.layers)
@@ -508,7 +517,8 @@ def _add_common(parser, needs_config: bool = True) -> None:
         "--out", required=True, help="output file path (CSV or JSON)"
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="seed recorded in the manifest"
+        "--seed", type=_non_negative_int, default=None,
+        help="seed recorded in the manifest",
     )
     if needs_config:
         parser.add_argument(
@@ -542,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lambda0-nm",
-        type=_finite,
+        type=_positive,
         action="append",
         metavar="NM",
         help="override the superconductor London depth; repeat for a band",
@@ -582,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau0-s", type=_positive, default=1e-13, help="fluctuator attempt time (s)"
     )
     p.add_argument(
-        "--n-boot", type=int, default=200, help="bootstrap refits for the band"
+        "--n-boot", type=_non_negative_int, default=200,
+        help="bootstrap refits for the band",
     )
     p.add_argument(
         "--alphas",

@@ -9,15 +9,19 @@ summation, and a few dof from 1000 to 5000.  The tests read only the JSON
 file, so they need no mpmath.
 
 Run from the repository root:  python tests/record_chi2_sf_reference.py
+With ``--check`` it writes nothing and exits 1 unless the JSON holds the
+records this script computes.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 from pathlib import Path
 
 import mpmath
 import numpy as np
+
+from oracle_records import check_records, write_records
 
 OUT = Path(__file__).parent / "data" / "chi2_sf.json"
 DIGITS = 50
@@ -36,17 +40,22 @@ def chi2_sf(x: float, dof: int) -> float:
                                  regularized=True))
 
 
-def main() -> None:
+def record(dof: int, x: float) -> list:
+    return [dof, x, chi2_sf(x, dof)]
+
+
+def main(argv: list[str]) -> int:
     mpmath.mp.dps = DIGITS
-    grid = [(dof, x) for dof in DOFS for x in XS] + LARGE
-    rows = [[dof, x, chi2_sf(x, dof)] for dof, x in grid]
+    grid = [[dof, x] for dof in DOFS for x in XS] + [list(p) for p in LARGE]
+    columns = ["dof", "x", "sf"]
+    if "--check" in argv:
+        return check_records(OUT, grid, lambda p: record(*p), lambda r: r[:2],
+                             columns=columns)
     source = (f"mpmath {mpmath.__version__} gammainc(dof/2, x/2, inf, regularized=True) "
               f"at {DIGITS} digits, by tests/record_chi2_sf_reference.py")
-    records = ",\n".join(json.dumps(row) for row in rows)
-    OUT.write_text(f'{{"source": {json.dumps(source)},\n "columns": ["dof", "x", "sf"],\n'
-                   f' "records": [\n{records}\n]}}\n')
-    print(f"wrote {len(rows)} records to {OUT}")
+    write_records(OUT, source, [record(*p) for p in grid], columns=columns)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -74,7 +74,7 @@ def test_threads_flag_is_rejected(argv, tmp_path):
 
 
 def _float_and_grid_flags():
-    """(subcommand, flag) for every flag that takes a float or a grid."""
+    """(subcommand, flag) for every flag that takes a number or a grid."""
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -82,7 +82,7 @@ def _float_and_grid_flags():
         (command, action.option_strings[0])
         for command, parser in sub.choices.items()
         for action in parser._actions
-        if action.type not in (None, int)
+        if action.type is not None
     ]
     grids = [("fdt", "--temps"), ("jnn", "--temps"), ("zeta", "--f-ratios"),
              ("synth", "--temps"), ("synth", "--freqs")]
@@ -124,12 +124,16 @@ _OUT_OF_RANGE = [
     ("fdt", "--distance-um", "0"),
     ("fdt", "--tolerance", "-1"),
     ("fdt", "--omega-hz", "-1"),
+    ("fdt", "--lambda0-nm", "0"),
+    ("fdt", "--lambda0-nm", "-5"),
     ("jnn", "--omega-hz", "0"),
     ("taf", "--omega-hz", "0"),
     ("taf", "--tau0-s", "0"),
+    ("taf", "--n-boot", "-5"),
     ("fit", "--plateau-tol", "0"),
     ("synth", "--f-hz", "-1"),
     ("synth", "--noise-frac", "-1"),
+    ("synth", "--seed", "-1"),
 ]
 
 
@@ -147,15 +151,6 @@ def test_out_of_range_flag_exits_config(command, flag, value, tmp_path, capsys):
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     assert f"argument {flag}: must be" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_london_depth_exits_config(value, tmp_path, capsys):
-    out = tmp_path / "fdt.csv"
-    argv = ["fdt", "--temps", "50", f"--lambda0-nm={value}", "--out", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert "--lambda0-nm must be > 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -373,6 +368,16 @@ def test_taf_flat_data_predicts_slope_zero_alpha(tmp_path):
         assert float(row["alpha_pred"]) == pytest.approx(expected, abs=1e-9)
 
 
+def test_taf_accepts_zero_boot_and_seed(tmp_path):
+    data = tmp_path / "flat.csv"
+    flat_rate_csv(data)
+    out = tmp_path / "taf.csv"
+    argv = ["taf", "--data", str(data), "--n-boot", "0", "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    for row in read_rows(out):
+        assert row["slope_lo16"] == row["dlnS_dlnT"] == row["slope_hi84"]
+
+
 def test_taf_consistency_comment_line(tmp_path):
     data = tmp_path / "flat.csv"
     flat_rate_csv(data)
@@ -461,6 +466,18 @@ def test_data_a_fit_cannot_use_exits_data(
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("row", ["60,1e6,nan,0.1\n", "60,1e6,3,inf\n"],
+                         ids=["nan-rate", "inf-sigma"])
+def test_taf_non_finite_data_exits_numeric(row, tmp_path, capsys):
+    data = tmp_path / "rates.csv"
+    data.write_text(_HEATING_HEADER + _rates_at_1mhz(2, 2.5) + row + "80,1e6,4,0.1\n")
+    out = tmp_path / "taf.csv"
+    argv = ["taf", "--data", str(data), "--n-boot", "5", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_temp_fit_running_off_to_overflow_exits_numeric(tmp_path, capsys):

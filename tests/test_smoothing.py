@@ -1,11 +1,19 @@
 """Natural cubic smoothing splines and GCV smoothing selection."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from trapnoise.constants import DomainError
-from trapnoise.smoothing import fit_smoothing_spline
+from trapnoise.smoothing import _bands, fit_smoothing_spline
+
+# records from tests/record_smoothing_reference.py (mpmath, 60 digits)
+ORACLE = json.loads(
+    (Path(__file__).parent / "data" / "smoothing_gcv.json").read_text())["records"]
 
 
 def test_zero_smoothing_interpolates_knots():
@@ -97,3 +105,57 @@ def test_validation():
         )
     with pytest.raises(DomainError):
         fit_smoothing_spline([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], lam=-1.0)
+    x, y, sigma = [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [1.0] * 4
+    for bad in (np.nan, np.inf, -np.inf):
+        for args in (([bad, *x[1:]], y, sigma), (x[:3] + [bad], y, sigma),
+                     (x, [1.0, bad, 3.0, 4.0], sigma), (x, y, [1.0, 1.0, bad, 1.0])):
+            with pytest.raises(DomainError, match="finite"):
+                fit_smoothing_spline(*args)
+        with pytest.raises(DomainError, match="finite"):
+            fit_smoothing_spline(x, y, sigma, lam=bad)
+
+
+@pytest.mark.parametrize("rec", ORACLE, ids=[r["name"] for r in ORACLE])
+def test_gcv_matches_mpmath_oracle(rec):
+    x, y, sigma = (np.array(rec[k]) for k in ("x", "y", "sigma"))
+    best = rec["argmin"]
+    if rec["gap"] > 1e-10:
+        chosen = fit_smoothing_spline(x, y, sigma).lam
+        assert chosen == pytest.approx(rec["lam"][best], rel=1e-12)
+    got = [fit_smoothing_spline(x, y, sigma, lam=lam).gcv for lam in rec["lam"]]
+    np.testing.assert_allclose(got, rec["gcv"], rtol=1e-9, atol=0.0)
+    sp = fit_smoothing_spline(x, y, sigma, lam=rec["lam"][best])
+    assert sp.influence_trace == pytest.approx(rec["trace"], rel=1e-9)
+    # the knot values come from a dense solve of W + lam K; at the top of
+    # the grid its condition costs up to 4e-9 of the largest value, 3e-8 in f''
+    values, second = np.array(rec["values"]), np.array(rec["second_derivs"])
+    np.testing.assert_allclose(sp.values, values, rtol=0.0,
+                               atol=1e-7 * np.max(np.abs(values)))
+    np.testing.assert_allclose(sp.second_derivs, second, rtol=0.0,
+                               atol=1e-6 * np.max(np.abs(second)))
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(4, 30))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    sigma = 10.0 ** np.array(
+        draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return x, y, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets())
+def test_influence_trace_in_range_and_falls_along_gcv_grid(data):
+    x, y, sigma = data
+    n = x.size
+    # the grid fit_smoothing_spline searches
+    r_mat, q = _bands(x)
+    lam_ref = np.sum(sigma**-2.0) / np.trace(q @ np.linalg.solve(r_mat, q.T))
+    traces = np.array([fit_smoothing_spline(x, y, sigma, lam=lam).influence_trace
+                       for lam in lam_ref * np.logspace(-8.0, 8.0, 49)])
+    assert np.all(traces >= 2.0)
+    assert np.all(traces < n)
+    assert np.all(np.diff(traces) <= 0.0)
