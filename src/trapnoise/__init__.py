@@ -82,7 +82,6 @@ from .patches import (
     PatchScene,
     PlaneRegion,
     ZetaResult,
-    axial_patch_kernel,
     region_noise_integral,
     zeta,
     zeta_inverse,

@@ -1,0 +1,64 @@
+"""Reference forms of the patch kernel and of the midpoint-corrected
+continuum density, written the direct way, for checking the fused sums in
+:mod:`trapnoise.patches`."""
+
+import numpy as np
+
+from trapnoise.patches import PatchScene
+
+
+def _kernel(x, y, area, scene: PatchScene):
+    """3 h da A / (2 pi R^5) for patches of area A centred at (x, y)."""
+    dx = x - scene.ion_xy[0]
+    dy = y - scene.ion_xy[1]
+    da = dx * scene.axial_dir[0] + dy * scene.axial_dir[1]
+    h = scene.ion_height
+    r2 = dx * dx + dy * dy + h * h
+    return 3.0 * h * da * area / (2.0 * np.pi * r2**2.5)
+
+
+def axial_patch_kernel(centers, areas, scene: PatchScene):
+    """Axial field per volt for patches at ``centers`` with ``areas``.
+
+    ``centers`` is an (N, 2) array of patch centres; scalar input is fine.
+    """
+    c = np.atleast_2d(np.asarray(centers, dtype=float))
+    k = _kernel(c[:, 0], c[:, 1], np.asarray(areas, dtype=float), scene)
+    return k if k.size > 1 else float(k[0])
+
+
+def midpoint_density_leibniz(dx, dy, scene: PatchScene, patch_size: float):
+    """da^2 s^-5 less the Euler-Maclaurin terms of the composite midpoint
+    rule on tiles of side p, through O(p^4), term by term.
+
+    Here s = dx^2 + dy^2 + h^2 and da = (dx, dy) . axial_dir.  The
+    corrected integrand is f - a lap(f) + a^2 (7/10 (f_xxxx + f_yyyy) +
+    f_xxyy), f = da^2 s^-5, a = p^2 / 24.  The derivatives follow from
+    Leibniz's rule on u = da^2 (u_x = 2 ax da, u_xx = 2 ax^2, u_xy =
+    2 ax ay) times g = s^-5, whose s-derivatives are g_k below.
+    """
+    ax, ay = scene.axial_dir
+    da = dx * ax + dy * ay
+    u = da * da
+    s = dx * dx + dy * dy + scene.ion_height**2
+    g0 = s**-5.0
+    g1, g2 = -5.0 * g0 / s, 30.0 * g0 / s**2
+    g3, g4 = -210.0 * g0 / s**3, 1680.0 * g0 / s**4
+    gx, gy = 2.0 * dx * g1, 2.0 * dy * g1
+    gxx, gyy = 4.0 * dx * dx * g2 + 2.0 * g1, 4.0 * dy * dy * g2 + 2.0 * g1
+    gxy = 4.0 * dx * dy * g2
+    gxxx = 8.0 * dx**3 * g3 + 12.0 * dx * g2
+    gyyy = 8.0 * dy**3 * g3 + 12.0 * dy * g2
+    gxxy = 8.0 * dx * dx * dy * g3 + 4.0 * dy * g2
+    gxyy = 8.0 * dx * dy * dy * g3 + 4.0 * dx * g2
+    gxxxx = 16.0 * dx**4 * g4 + 48.0 * dx * dx * g3 + 12.0 * g2
+    gyyyy = 16.0 * dy**4 * g4 + 48.0 * dy * dy * g3 + 12.0 * g2
+    gxxyy = 16.0 * dx * dx * dy * dy * g4 + 8.0 * (dx * dx + dy * dy) * g3 + 4.0 * g2
+
+    lap = u * (gxx + gyy) + 4.0 * da * (ax * gx + ay * gy) + 2.0 * g0
+    quartic = (u * (gxxxx + gyyyy) + 8.0 * da * (ax * gxxx + ay * gyyy)
+               + 12.0 * (ax * ax * gxx + ay * ay * gyy))
+    mixed = (u * gxxyy + 4.0 * da * (ax * gxyy + ay * gxxy)
+             + 2.0 * (ax * ax * gyy + ay * ay * gxx) + 8.0 * ax * ay * gxy)
+    a = patch_size**2 / 24.0
+    return u * g0 - a * lap + a * a * (0.7 * quartic + mixed)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
@@ -13,11 +15,12 @@ from trapnoise.patches import (
     PatchBudgetError,
     PatchScene,
     PlaneRegion,
-    axial_patch_kernel,
     region_noise_integral,
     zeta,
     zeta_inverse,
 )
+
+from patch_oracles import _kernel, axial_patch_kernel, midpoint_density_leibniz
 
 H = 225e-6
 
@@ -99,6 +102,77 @@ def test_kernel_against_grounded_plane_potential_derivative():
     field = -(potential(step) - potential(-step)) / (2.0 * step)
     kernel = axial_patch_kernel([(cx, cy)], [side**2], scene)
     assert abs(kernel) == pytest.approx(abs(field), rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels against their reference forms
+
+
+@st.composite
+def _poses(draw):
+    """An ion at 5-300 um height, up to 0.5 mm off centre, with a tilted
+    axial direction."""
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    offset = st.floats(-0.5e-3, 0.5e-3)
+    return PatchScene(
+        regions=(),
+        ion_height=draw(st.floats(5e-6, 300e-6)),
+        ion_xy=(draw(offset), draw(offset)),
+        axial_dir=(math.cos(angle), math.sin(angle)),
+    )
+
+
+@st.composite
+def _small_grids(draw):
+    """Tile centres and widths along x and y of a rectangle within +-1 mm,
+    up to 40 x 40 tiles, whose last column and row are partial."""
+    axes = []
+    for _ in range(2):
+        lo = draw(st.floats(-1e-3, 1e-3))
+        step = draw(st.floats(0.5e-6, 50e-6))
+        whole = draw(st.integers(0, 39))
+        axes += patches._tiles(lo, lo + step * (whole + draw(st.floats(0.01, 0.99))), step)
+    return axes
+
+
+def _fsum_of_oracle(cx, wx, cy, wy, scene):
+    x, y = np.meshgrid(cx, cy)
+    k = _kernel(x, y, np.outer(wy, wx), scene)
+    return math.fsum((k * k).ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_small_grids(), scene=_poses())
+def test_direct_sum_matches_per_tile_kernel(grid, scene):
+    got = patches._direct_sum_k2(*grid, scene)
+    assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_small_grids(), scene=_poses(), data=st.data())
+def test_direct_sum_matches_per_tile_kernel_in_small_blocks(grid, scene, data):
+    # blocks below one row's width hold a single row; larger ones split the
+    # rows unevenly whenever the block's row count does not divide them
+    cx, _, cy, _ = grid
+    chunk = data.draw(st.integers(1, cx.size * cy.size))
+    with mock.patch.object(patches, "_CHUNK", chunk):
+        got = patches._direct_sum_k2(*grid, scene)
+    assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_poses(), patch=st.floats(0.5e-6, 20e-6),
+       span=st.floats(1e-6, 1e-3), nodal=st.floats(-1e-3, 1e-3))
+def test_midpoint_density_matches_leibniz_form(scene, patch, span, nodal):
+    # a 41 x 41 grid about the ion, plus points on the nodal line da = 0
+    ax, ay = scene.axial_dir
+    u = span * np.linspace(-1.0, 1.0, 41)
+    t = np.append(nodal * np.linspace(-1.0, 1.0, 41), 0.0)
+    dx = np.concatenate([np.repeat(u, u.size), -ay * t])
+    dy = np.concatenate([np.tile(u, u.size), ax * t])
+    got = patches._midpoint_density(dx, dy, scene, patch)
+    want = midpoint_density_leibniz(dx, dy, scene, patch)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
