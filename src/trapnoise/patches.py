@@ -314,15 +314,22 @@ def region_noise_integral(
 
 
 def _share(f_ratio: float, i_target: float, rest: float) -> float:
-    """f I_t / (f I_t + rest); zero at f = 0 even when every integral vanishes."""
+    """f I_t / (f I_t + rest), as 1 / (1 + rest / (f I_t)), which rounds
+    monotonically in f; zero at f = 0 even when every integral vanishes.
+
+    Where rest / (f I_t) overflows, the share is below 1 / DBL_MAX, and
+    f I_t / rest takes over, still monotone and still above zero."""
     if f_ratio < 0.0:
         raise DomainError(f"f_ratio must be >= 0, got {f_ratio}")
     if f_ratio == 0.0:
         return 0.0
-    denom = f_ratio * i_target + rest
-    if denom <= 0.0:
+    weighted = f_ratio * i_target
+    if weighted + rest <= 0.0:
         raise DomainError("all weighted region integrals vanish")
-    return f_ratio * i_target / denom
+    if weighted == 0.0:
+        return 0.0
+    ratio = rest / weighted
+    return weighted / rest if math.isinf(ratio) else 1.0 / (1.0 + ratio)
 
 
 @dataclass(frozen=True)
