@@ -681,8 +681,9 @@ def _read_numeric_csv(path, columns: tuple[str, ...], build) -> list:
     """``build(*values)`` for each data row of a CSV with header ``columns``.
 
     The header row is mandatory; ``#`` comment lines and blank lines are
-    skipped.  Malformed content, including a :class:`DomainError` from
-    ``build``, raises :class:`DataFileError` with the offending line number.
+    skipped.  Malformed content, including a non-finite number and a
+    :class:`DomainError` from ``build``, raises :class:`DataFileError` with
+    the offending line number.
     """
     rows = []
     header_seen = False
@@ -710,7 +711,10 @@ def _read_numeric_csv(path, columns: tuple[str, ...], build) -> list:
                     f"got {len(fields)}"
                 )
             try:
-                rows.append(build(*(float(f) for f in fields)))
+                values = [float(f) for f in fields]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"values must be finite, got {text!r}")
+                rows.append(build(*values))
             except ValueError as exc:  # a bad number or a DomainError
                 raise DataFileError(f"{path}:{lineno}: {exc}") from exc
     if not header_seen:

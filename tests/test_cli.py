@@ -468,16 +468,37 @@ def test_data_a_fit_cannot_use_exits_data(
     assert err.startswith("data error:") and message in err
 
 
-@pytest.mark.parametrize("row", ["60,1e6,nan,0.1\n", "60,1e6,3,inf\n"],
-                         ids=["nan-rate", "inf-sigma"])
-def test_taf_non_finite_data_exits_numeric(row, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, row",
+    [
+        (["taf", "--n-boot", "5"], "60,1e6,nan,0.1\n"),
+        (["taf", "--n-boot", "5"], "60,1e6,3,inf\n"),
+        (["taf", "--n-boot", "5"], "-inf,1e6,3,0.1\n"),
+        (["fit", "--model", "freq"], "60,1e6,nan,0.1\n"),
+        (["fit", "--model", "freq"], "60,-inf,3,0.1\n"),
+    ],
+    ids=["taf-nan-rate", "taf-inf-sigma", "taf-minus-inf-t",
+         "freq-nan-rate", "freq-minus-inf-f"],
+)
+def test_non_finite_data_exits_data(command, row, tmp_path, capsys):
+    # the reader names the file and line; no fit runs and no output is left
     data = tmp_path / "rates.csv"
     data.write_text(_HEATING_HEADER + _rates_at_1mhz(2, 2.5) + row + "80,1e6,4,0.1\n")
-    out = tmp_path / "taf.csv"
-    argv = ["taf", "--data", str(data), "--n-boot", "5", "--out", str(out)]
-    assert main(argv) == EXIT_NUMERIC
-    assert "must be finite" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([*command, "--data", str(data), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{data}:4: values must be finite" in err
     assert not out.exists()
+
+
+def test_non_finite_alpha_exits_data(tmp_path, capsys):
+    data, alphas = tmp_path / "rates.csv", tmp_path / "alphas.csv"
+    data.write_text(_HEATING_HEADER + _TAF_ROWS)
+    alphas.write_text("T_K,alpha,sigma_alpha\n40,-1.0,0.1\n80,nan,0.1\n")
+    argv = ["taf", "--data", str(data), "--alphas", str(alphas), "--n-boot", "5",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_DATA
+    assert f"{alphas}:3: values must be finite" in capsys.readouterr().err
 
 
 def test_temp_fit_running_off_to_overflow_exits_numeric(tmp_path, capsys):
