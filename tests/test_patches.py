@@ -1,11 +1,10 @@
 """Patch-potential kernel, region tilings, and the noise-share ratio."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from unittest import mock
-
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
@@ -142,20 +141,14 @@ def _fsum_of_oracle(cx, wx, cy, wy, scene):
     return math.fsum((k * k).ravel())
 
 
-@settings(max_examples=200, deadline=None)
-@given(grid=_small_grids(), scene=_poses())
-def test_direct_sum_matches_per_tile_kernel(grid, scene):
-    got = patches._direct_sum_k2(*grid, scene)
-    assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
-
-
+@pytest.mark.parametrize("small_blocks", [False, True])
 @settings(max_examples=200, deadline=None)
 @given(grid=_small_grids(), scene=_poses(), data=st.data())
-def test_direct_sum_matches_per_tile_kernel_in_small_blocks(grid, scene, data):
-    # blocks below one row's width hold a single row; larger ones split the
-    # rows unevenly whenever the block's row count does not divide them
+def test_direct_sum_matches_per_tile_kernel(small_blocks, grid, scene, data):
+    # small blocks below one row's width hold a single row; larger ones
+    # split the rows unevenly whenever their row count does not divide them
     cx, _, cy, _ = grid
-    chunk = data.draw(st.integers(1, cx.size * cy.size))
+    chunk = data.draw(st.integers(1, cx.size * cy.size)) if small_blocks else patches._CHUNK
     with mock.patch.object(patches, "_CHUNK", chunk):
         got = patches._direct_sum_k2(*grid, scene)
     assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
