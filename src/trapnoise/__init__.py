@@ -107,7 +107,6 @@ from .inference import (
     fit_surface_models,
     fit_temperature_models,
     information_criteria,
-    jnn_corrected_alpha,
     loglog_spline_slope,
     model_gamma1,
     model_gamma2,

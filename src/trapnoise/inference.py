@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import DomainError, heating_rate_from_noise, noise_from_heating_rate
+from .constants import DomainError
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
 
@@ -52,7 +52,6 @@ __all__ = [
     "loglog_spline_slope",
     "taf_alpha",
     "taf_consistency_chi2",
-    "jnn_corrected_alpha",
     "synth_dataset",
     "synth_surface",
 ]
@@ -130,7 +129,6 @@ class FreqPowerLawFit:
     gamma_coeff: float
     alpha: float
     covariance: np.ndarray
-    points: tuple[tuple[float, float, float], ...]  # (omega, gamma, sigma)
     fit: FitResult = field(repr=False, compare=False, default=None)
 
     def __call__(self, omega):
@@ -172,7 +170,6 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
         gamma_coeff=float(math.exp(ln_g)),
         alpha=float(alpha),
         covariance=cov,
-        points=tuple(pts),
         fit=res,
     )
 
@@ -571,22 +568,25 @@ def fit_surface_models(curve) -> SurfaceFitParams:
 
 @dataclass(frozen=True, eq=False)
 class SlopeCurve:
-    """d ln S_E / d ln T with a residual-bootstrap confidence band."""
+    """d ln S_E / d ln T with a residual-bootstrap confidence band.
+
+    ``spline`` is the GCV fit.  ``boot`` is one spline whose knot values and
+    f'' stack every bootstrap refit: the refits share x, sigma and the GCV
+    lam, so one fit at that lam, from one SVD, gives them all.
+    """
 
     spline: SmoothingSpline
-    boot_splines: tuple[SmoothingSpline, ...]
+    boot: SmoothingSpline
 
     def __call__(self, t):
         return self.spline.derivative(np.log(t))
 
     def band(self, t):
         """The 16th and 84th percentile slopes of the bootstrap refits."""
-        if not self.boot_splines:
+        if not len(self.boot.values):
             val = self(t)
             return val, val
-        samples = np.array(
-            [sp.derivative(np.log(t)) for sp in self.boot_splines]
-        )
+        samples = self.boot.derivative(np.log(t))
         return (
             np.percentile(samples, 16.0, axis=0),
             np.percentile(samples, 84.0, axis=0),
@@ -597,7 +597,7 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     """Smoothing-spline slope of ln S_E versus ln T.
 
     The smoothing parameter comes from GCV; the band is a residual bootstrap
-    refit at the selected smoothing.
+    of ``n_boot`` resamples, refit together at the selected smoothing.
     """
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
     t = np.array([p[0] for p in pts])
@@ -620,12 +620,10 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     fitted = spline(x)
     resid = y - fitted
 
-    rng = np.random.default_rng(seed)
-    boots = []
-    for _ in range(n_boot):
-        y_star = fitted + rng.choice(resid, size=resid.size, replace=True)
-        boots.append(fit_smoothing_spline(x, y_star, sig_y, lam=spline.lam))
-    return SlopeCurve(spline=spline, boot_splines=tuple(boots))
+    # row b draws the same indices as the b-th of n_boot draws of size n
+    y_star = fitted + np.random.default_rng(seed).choice(resid, size=(n_boot, resid.size))
+    return SlopeCurve(spline=spline,
+                      boot=fit_smoothing_spline(x, y_star, sig_y, lam=spline.lam))
 
 
 def taf_alpha(slope: float, omega: float, tau0: float = 1e-13) -> float:
@@ -662,25 +660,6 @@ def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
             raise UnusableDataError("sigma_alpha must be > 0")
         chi2 += ((alpha - float(predicted(temp))) / sigma_alpha) ** 2
     return chi2, chi2_sf(chi2, len(pts))
-
-
-def jnn_corrected_alpha(fit: FreqPowerLawFit, jnn_level) -> FreqPowerLawFit:
-    """Refit the frequency power law after subtracting a Johnson-noise floor.
-
-    ``jnn_level`` is the JNN field-noise density: a callable of omega or a
-    constant.  The subtraction happens in S_E units; sigma values carry over.
-    """
-    level = jnn_level if callable(jnn_level) else (lambda _w: float(jnn_level))
-    corrected = []
-    for omega, gamma, sigma in fit.points:
-        s_tot = noise_from_heating_rate(gamma, omega)
-        s_corr = s_tot - float(level(omega))
-        if s_corr <= 0.0:
-            raise DomainError(
-                f"JNN level exceeds total noise at omega = {omega:.4g} rad/s"
-            )
-        corrected.append((omega, heating_rate_from_noise(s_corr, omega), sigma))
-    return fit_freq_power_law(corrected)
 
 
 # ---------------------------------------------------------------------------

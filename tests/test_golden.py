@@ -7,13 +7,16 @@ JSON reports are compared as parsed values, without their ``manifest``.
 ``fdt`` is left out on purpose: its quadrature is due to change.
 """
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trapnoise.cli import EXIT_OK, main
 from trapnoise.configio import packaged_config
+from trapnoise.smoothing import SmoothingSpline
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -67,3 +70,19 @@ def test_fit_report_matches_golden(name, tmp_path):
     got = json.loads(out.read_text(encoding="utf-8"))
     got.pop("manifest")
     assert got == json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_taf_golden_slope_matches_mpmath_oracle():
+    # tests/record_smoothing_reference.py holds the 60-digit knot values and
+    # f'' of the spline that taf fits to synth-power-seed3.csv
+    records = json.loads((GOLDEN.parent / "smoothing_gcv.json").read_text())["records"]
+    rec = next(r for r in records if r["name"] == "golden-synth-power-seed3")
+    best = rec["argmin"]
+    oracle = SmoothingSpline(np.array(rec["x"]), np.array(rec["values"]),
+                             np.array(rec["second_derivs"]), rec["lam"][best],
+                             rec["gcv"][best], rec["trace"])
+    with (GOLDEN / "taf-alphas.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    temps = np.array([float(r["T_K"]) for r in rows])
+    slopes = np.array([float(r["dlnS_dlnT"]) for r in rows])
+    np.testing.assert_allclose(slopes, oracle.derivative(np.log(temps)), rtol=1e-12, atol=0.0)

@@ -29,7 +29,6 @@ from trapnoise.inference import (
     fit_surface_models,
     fit_temperature_models,
     information_criteria,
-    jnn_corrected_alpha,
     loglog_spline_slope,
     model_gamma1,
     model_gamma2,
@@ -40,6 +39,7 @@ from trapnoise.inference import (
     taf_consistency_chi2,
 )
 from trapnoise.leastsq import FitFailure, levenberg_marquardt
+from trapnoise.smoothing import fit_smoothing_spline
 
 FREQS_HZ = (0.4e6, 0.6e6, 0.8e6, 1.0e6, 1.4e6, 1.8e6)
 TEMPS = (15.0, 40.0, 60.0, 80.0, 90.0, 100.0, 120.0, 160.0, 200.0)
@@ -445,6 +445,28 @@ def test_spline_slope_tracks_model_curvature():
     assert float(slope(80.0)) == pytest.approx(expected, abs=0.1)
 
 
+def test_slope_band_is_percentiles_of_one_draw_per_refit():
+    # the stacked refits see the resamples a loop of one draw of size n each sees
+    temps = np.geomspace(12.0, 220.0, 11)
+    s_e = 3e-15 * temps**1.4 * np.exp(np.random.default_rng(8).normal(0.0, 0.05, 11))
+    curve = [(t, s, 0.05 * s) for t, s in zip(temps, s_e)]
+    slope = loglog_spline_slope(curve, n_boot=60, seed=17)
+    x, y, sig_y = np.log(temps), np.log(s_e), np.array([sg / s for _, s, sg in curve])
+    fitted = slope.spline(x)
+    resid = y - fitted
+    rng = np.random.default_rng(17)
+    t_q = np.array([12.0, 30.0, 75.0, 150.0, 220.0])
+    loop = np.array([
+        fit_smoothing_spline(x, fitted + rng.choice(resid, size=x.size), sig_y,
+                             lam=slope.spline.lam).derivative(np.log(t_q))
+        for _ in range(60)
+    ])
+    lo, hi = slope.band(t_q)
+    np.testing.assert_allclose(lo, np.percentile(loop, 16.0, axis=0), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(hi, np.percentile(loop, 84.0, axis=0), rtol=1e-12, atol=0.0)
+    assert np.all(hi - lo > 1e-3)   # a real band, not the interpolating edge
+
+
 def test_taf_alpha_reference_values():
     # slope 1 cancels the frequency correction exactly, for any omega
     assert taf_alpha(1.0, OMEGA0) == -1.0
@@ -473,32 +495,6 @@ def test_taf_consistency_hand_value():
     assert p == pytest.approx(math.exp(-0.25), rel=1e-10)
     with pytest.raises(DomainError):
         taf_consistency_chi2(measured[:1], lambda t: -1.05)
-
-
-def test_jnn_corrected_alpha_zero_floor_is_identity():
-    omegas = 2 * math.pi * np.array(FREQS_HZ)
-    points = [(w, 0.8 * (w / OMEGA0) ** (-2.1), 0.02) for w in omegas]
-    fit = fit_freq_power_law(points)
-    corrected = jnn_corrected_alpha(fit, 0.0)
-    assert abs(corrected.alpha - fit.alpha) < 1e-9
-
-
-def test_jnn_corrected_alpha_removes_white_floor():
-    # total noise = surface 1/f part + frequency-independent Johnson floor
-    omegas = 2 * math.pi * np.array(FREQS_HZ)
-    s_floor = 2e-15
-    s_surface = 6e-15 * (omegas / OMEGA0) ** (-1.0)
-    points = [
-        (w, heating_rate_from_noise(s + s_floor, w), 0.01)
-        for w, s in zip(omegas, s_surface)
-    ]
-    raw = fit_freq_power_law(points)
-    corrected = jnn_corrected_alpha(raw, s_floor)
-    assert corrected.alpha == pytest.approx(-1.0, abs=1e-6)
-    assert raw.alpha > corrected.alpha  # the floor flattens the raw slope
-    # a floor exceeding the total noise is rejected
-    with pytest.raises(DomainError):
-        jnn_corrected_alpha(raw, 1.0)
 
 
 # ---------------------------------------------------------------------------

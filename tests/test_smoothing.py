@@ -113,6 +113,12 @@ def test_validation():
                 fit_smoothing_spline(*args)
         with pytest.raises(DomainError, match="finite"):
             fit_smoothing_spline(x, y, sigma, lam=bad)
+    for args in ((x, y[:3], sigma), (x, [*y, 5.0], sigma), (x, y, sigma[:3]),
+                 (x, np.ones((2, 5)), sigma, 1.0)):
+        with pytest.raises(DomainError, match="x has 4 points"):
+            fit_smoothing_spline(*args)
+    with pytest.raises(DomainError, match="given lam"):
+        fit_smoothing_spline(x, [y, y], sigma)
 
 
 @pytest.mark.parametrize("rec", ORACLE, ids=[r["name"] for r in ORACLE])
@@ -126,13 +132,11 @@ def test_gcv_matches_mpmath_oracle(rec):
     np.testing.assert_allclose(got, rec["gcv"], rtol=1e-9, atol=0.0)
     sp = fit_smoothing_spline(x, y, sigma, lam=rec["lam"][best])
     assert sp.influence_trace == pytest.approx(rec["trace"], rel=1e-9)
-    # the knot values come from a dense solve of W + lam K; at the top of
-    # the grid its condition costs up to 4e-9 of the largest value, 3e-8 in f''
     values, second = np.array(rec["values"]), np.array(rec["second_derivs"])
     np.testing.assert_allclose(sp.values, values, rtol=0.0,
-                               atol=1e-7 * np.max(np.abs(values)))
+                               atol=1e-12 * np.max(np.abs(values)))
     np.testing.assert_allclose(sp.second_derivs, second, rtol=0.0,
-                               atol=1e-6 * np.max(np.abs(second)))
+                               atol=1e-11 * np.max(np.abs(second)))
 
 
 @st.composite
@@ -159,3 +163,21 @@ def test_influence_trace_in_range_and_falls_along_gcv_grid(data):
     assert np.all(traces >= 2.0)
     assert np.all(traces < n)
     assert np.all(np.diff(traces) <= 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets(), st.floats(-8.0, 8.0), st.integers(1, 5))
+def test_stacked_fit_equals_row_by_row_fits(data, log_lam, rows):
+    x, y, sigma = data
+    stack = np.stack([np.roll(y, k) * (k + 1) for k in range(rows)])
+    lam = 10.0**log_lam
+    both = fit_smoothing_spline(x, stack, sigma, lam=lam)
+    assert both.values.shape == both.second_derivs.shape == stack.shape
+    assert np.shape(both.gcv) == (rows,)
+    for row, values, second in zip(stack, both.values, both.second_derivs):
+        one = fit_smoothing_spline(x, row, sigma, lam=lam)
+        # data of size |y| on the smallest gap bound f'' by about |y| / h^2
+        scale = np.max(np.abs(row))
+        np.testing.assert_allclose(values, one.values, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(second, one.second_derivs, rtol=0.0,
+                                   atol=1e-12 * scale / np.min(np.diff(x)) ** 2)
