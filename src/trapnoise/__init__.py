@@ -26,7 +26,6 @@ from .constants import (
     DomainError,
     PhysicalConstants,
     heating_rate_from_noise,
-    hz_from_omega,
     noise_from_heating_rate,
     omega_from_hz,
 )
@@ -53,8 +52,6 @@ from .layers import (
     Layer,
     LayerStack,
     branch_sqrt,
-    fresnel_interface,
-    fresnel_stack,
     greens_parallel,
     stack_reflection,
 )
@@ -84,7 +81,6 @@ from .patches import (
     ZetaResult,
     region_noise_integral,
     zeta,
-    zeta_inverse,
 )
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
@@ -119,7 +115,6 @@ from .inference import (
 from .configio import (
     ConfigFileError,
     DataFileError,
-    RunManifest,
     load_circuit,
     load_materials,
     load_scene,

@@ -12,11 +12,13 @@ synth  Synthetic heating-rate datasets from model parameters (CSV).
 Each ``cmd_*`` function returns ``(inputs, output)``: the config and data
 paths it read, and a report dict, a ``HeatingDataset`` or ``(header, rows[,
 comments])``.  :func:`main` alone builds the run manifest and writes the file.
-The manifest records the seed, the inputs as ``config_paths``, every other
-flag but ``--out`` as an override, the tool version and the constants
-fingerprint; it has no timestamps, so repeated runs with identical inputs
-produce byte-identical files.  Exit codes: 0 success, 2 config error, 3 data
-error, 4 numerical failure.
+The manifest records the seed (``null`` but for ``synth`` and ``taf``, the
+two commands that draw random numbers and so the only ones with ``--seed``),
+the inputs as ``config_paths``, every other flag but ``--out`` as an
+override, the tool version and the constants fingerprint; it has no
+timestamps, so repeated runs with identical inputs produce byte-identical
+files.  Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -184,6 +186,15 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
+def _bounded_grid(text: str, name: str, positive: bool) -> list[float]:
+    """:func:`parse_grid` of the flag ``--name``, whose values must all be
+    > 0 if ``positive`` and >= 0 otherwise."""
+    values = parse_grid(text)
+    if any(v <= 0.0 if positive else v < 0.0 for v in values):
+        raise ConfigFileError(f"{name} must be {'> 0' if positive else '>= 0'}")
+    return values
+
+
 def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
     """Map config roles to file paths, filling gaps with packaged defaults.
 
@@ -236,13 +247,16 @@ def _surface_curve(dataset: HeatingDataset, omega: float):
 
 
 def cmd_fdt(args):
+    lambdas = args.lambda0_nm or []
+    s_cols = [f"S_E_V2m2Hz_lam0_{nm:g}nm" for nm in lambdas] or ["S_E_V2m2Hz"]
+    if len(set(s_cols)) < len(s_cols):
+        raise ConfigFileError("--lambda0-nm repeats a value")
     configs = resolve_configs(args.config, ("materials", "stack"))
     materials = load_materials(configs["materials"])
     stack = load_stack(configs["stack"], materials)
-    temps = parse_grid(args.temps)
+    temps = _bounded_grid(args.temps, "temps", positive=True)
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * 1e-6
-    lambdas = args.lambda0_nm or []
 
     if lambdas:
         has_sc = any(isinstance(lay.material, TwoFluidSC) for lay in stack.layers)
@@ -259,10 +273,8 @@ def cmd_fdt(args):
                 for lay in stack.layers
             )
             stacks.append(replace(stack, layers=layers))
-        s_cols = [f"S_E_V2m2Hz_lam0_{nm:g}nm" for nm in lambdas]
     else:
         stacks = [stack]
-        s_cols = ["S_E_V2m2Hz"]
 
     def one(temperature: float):
         row = [temperature]
@@ -282,7 +294,7 @@ def cmd_jnn(args):
     configs = resolve_configs(args.config, ("materials", "circuit"))
     materials = load_materials(configs["materials"])
     electrodes = load_circuit(configs["circuit"], materials)
-    temps = parse_grid(args.temps)
+    temps = _bounded_grid(args.temps, "temps", positive=False)
     omega = omega_from_hz(args.omega_hz)
 
     rows = []
@@ -457,9 +469,7 @@ def cmd_zeta(args):
         raise ConfigFileError(
             f"target region '{args.target}' not in scene (regions: {names})"
         )
-    ratios = parse_grid(args.f_ratios)
-    if any(r < 0.0 for r in ratios):
-        raise ConfigFileError("f-ratios must be >= 0")
+    ratios = _bounded_grid(args.f_ratios, "f-ratios", positive=False)
     patch_size = args.patch_um * 1e-6
 
     ref = zeta_share(scene, 1.0, patch_size, target_name=args.target,
@@ -469,14 +479,19 @@ def cmd_zeta(args):
 
 
 def cmd_synth(args):
+    temp_model = args.model in ("gamma1", "gamma2")
+    if args.freqs is not None and not temp_model:
+        raise ConfigFileError(
+            f"--freqs is for gamma1 and gamma2; {args.model} takes --f-hz"
+        )
+    temps = _bounded_grid(args.temps, "temps", positive=True)
     if args.params is not None:
         params_path = str(args.params)
     else:
         category, name = _SYNTH_DEFAULT_PARAMS[args.model]
         params_path = str(packaged_config(category, name))
-    temps = parse_grid(args.temps)
 
-    if args.model in ("gamma1", "gamma2"):
+    if temp_model:
         params = load_temp_params(params_path)
         if args.model == "gamma2" and not params.piecewise:
             raise ConfigFileError(
@@ -515,10 +530,6 @@ def cmd_synth(args):
 def _add_common(parser, needs_config: bool = True) -> None:
     parser.add_argument(
         "--out", required=True, help="output file path (CSV or JSON)"
-    )
-    parser.add_argument(
-        "--seed", type=_non_negative_int, default=None,
-        help="seed recorded in the manifest",
     )
     if needs_config:
         parser.add_argument(
@@ -596,11 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="bootstrap refits for the band",
     )
     p.add_argument(
+        "--seed", type=_non_negative_int, default=7041, help="bootstrap seed"
+    )
+    p.add_argument(
         "--alphas",
         default=None,
         help="optional T_K,alpha,sigma_alpha CSV for the consistency test",
     )
-    p.set_defaults(func=cmd_taf, seed=7041)
+    p.set_defaults(func=cmd_taf)
 
     p = sub.add_parser("zeta", help="patch-noise share of a surface region")
     _add_common(p)
@@ -646,7 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e6,
         help="embedding frequency for surface-model datasets (Hz)",
     )
-    p.set_defaults(func=cmd_synth, seed=0)
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="noise seed"
+    )
+    p.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -671,7 +688,7 @@ def main(argv=None) -> int:
                 for key, value in vars(args).items()
                 if key not in _NOT_OVERRIDES
             },
-            seed=args.seed,
+            seed=vars(args).get("seed"),
         )
         if isinstance(output, dict):
             write_json_report(args.out, manifest, output)

@@ -16,9 +16,9 @@ Dimensioned keys carry their unit as a suffix (``_m``, ``_K``, ``_ohm``,
 Dataset CSVs use the fixed schema ``T_K,f_Hz,gamma_phps,sigma_phps``, and
 measured-exponent CSVs ``T_K,alpha,sigma_alpha``; both have a mandatory
 header row, and lines starting with ``#`` are comments.  Every file
-this package writes embeds a :class:`RunManifest` -- as a ``# manifest:``
-comment line in CSVs and as a top-level ``"manifest"`` field in JSON
-reports -- so outputs are traceable and reruns byte-identical.
+this package writes embeds the dict of :func:`make_manifest` -- as a
+``# manifest:`` comment line in CSVs and as a top-level ``"manifest"`` field
+in JSON reports -- so outputs are traceable and reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -59,7 +59,6 @@ from .patches import PatchScene, PlaneRegion
 __all__ = [
     "ConfigFileError",
     "DataFileError",
-    "RunManifest",
     "make_manifest",
     "packaged_config",
     "config_roles",
@@ -94,52 +93,25 @@ class DataFileError(ValueError):
 # run manifest and serialization
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every output file.
-
-    Deliberately excludes timestamps and host details so that reruns with
-    identical inputs produce byte-identical files.
-    """
-
-    command: str
-    config_paths: tuple[str, ...] = ()
-    overrides: tuple[tuple[str, str], ...] = ()
-    seed: int | None = None
-    tool_version: str = "unknown"
-    constants_fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_paths": list(self.config_paths),
-            "overrides": {k: v for k, v in self.overrides},
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "constants_fingerprint": self.constants_fingerprint,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-
 def make_manifest(
     command: str,
     config_paths=(),
     overrides: dict | None = None,
     seed: int | None = None,
-) -> RunManifest:
-    """Manifest stamped with the package version and constants fingerprint."""
+) -> dict:
+    """Provenance block embedded in every output file, stamped with the
+    package version and constants fingerprint.  It holds no timestamps or
+    host details, so reruns with identical inputs give byte-identical files."""
     from . import __version__
 
-    return RunManifest(
-        command=str(command),
-        config_paths=tuple(str(p) for p in config_paths),
-        overrides=tuple((str(k), str(v)) for k, v in (overrides or {}).items()),
-        seed=None if seed is None else int(seed),
-        tool_version=__version__,
-        constants_fingerprint=CONSTANTS.fingerprint(),
-    )
+    return {
+        "command": str(command),
+        "config_paths": [str(p) for p in config_paths],
+        "overrides": {str(k): str(v) for k, v in (overrides or {}).items()},
+        "seed": None if seed is None else int(seed),
+        "tool_version": __version__,
+        "constants_fingerprint": CONSTANTS.fingerprint(),
+    }
 
 
 def format_value(value) -> str:
@@ -158,12 +130,12 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, manifest: RunManifest, header, rows, comments=()) -> None:
+def write_csv(path, manifest: dict, header, rows, comments=()) -> None:
     """CSV with the manifest as a leading ``# manifest:`` comment line,
     followed by one ``# ...`` line per extra comment.  Every value is
     formatted before the file is opened, so a refused one leaves no file."""
     lines = [
-        f"# manifest: {manifest.to_json()}",
+        "# manifest: " + json.dumps(manifest, sort_keys=True, separators=(",", ":")),
         *(f"# {comment}" for comment in comments),
         ",".join(header),
         *(",".join(format_value(v) for v in row) for row in rows),
@@ -180,10 +152,10 @@ def _json_default(value):
     raise TypeError(f"{value!r} is not JSON serializable")
 
 
-def write_json_report(path, manifest: RunManifest, payload: dict) -> None:
+def write_json_report(path, manifest: dict, payload: dict) -> None:
     """JSON report with a schema tag and the manifest as a top-level field;
     a non-finite value raises :class:`DomainError` before the file is opened."""
-    doc = {"schema": "trapnoise-report/1", "manifest": manifest.as_dict()}
+    doc = {"schema": "trapnoise-report/1", "manifest": manifest}
     doc.update(payload)
     try:
         text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
@@ -740,7 +712,7 @@ def read_alpha_csv(path) -> list[tuple[float, float, float]]:
     )
 
 
-def write_heating_csv(path, dataset: HeatingDataset, manifest: RunManifest) -> None:
+def write_heating_csv(path, dataset: HeatingDataset, manifest: dict) -> None:
     """Dataset CSV in the canonical column order, manifest included."""
     rows = (
         (r.temperature, r.f_secular, r.gamma, r.sigma_gamma)

@@ -71,8 +71,3 @@ def noise_from_heating_rate(gamma: float, omega: float) -> float:
 def omega_from_hz(f_hz: float) -> float:
     """Ordinary frequency (Hz) to angular frequency (rad/s)."""
     return 2.0 * math.pi * f_hz
-
-
-def hz_from_omega(omega: float) -> float:
-    """Angular frequency (rad/s) to ordinary frequency (Hz)."""
-    return omega / (2.0 * math.pi)

@@ -40,15 +40,6 @@ class FitResult:
     n_iter: int
     gradient_norm: float
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
-    @property
-    def chi2_red(self) -> float:
-        dof = self.n_points - self.n_params
-        return self.rss / dof if dof > 0 else float("nan")
-
     def errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 

@@ -54,14 +54,6 @@ class ResistivityTable:
             label=label,
         )
 
-    @property
-    def t_min(self) -> float:
-        return self.temperatures[0]
-
-    @property
-    def t_max(self) -> float:
-        return self.temperatures[-1]
-
     def lookup(self, temperature: float) -> float:
         """Interpolated rho(T) in Ohm*m.
 

@@ -77,10 +77,6 @@ class FdtResult:
     s_blackbody: float
     greens: GreensResult
 
-    @property
-    def g_parallel(self) -> float:
-        return self.greens.g_parallel
-
 
 def fdt_noise(
     stack: LayerStack,
@@ -270,17 +266,8 @@ class NoiseBudget:
     electrodes: dict[str, ElectrodeNoise]
 
     @property
-    def per_source(self) -> dict[str, float]:
-        return {name: n.s_e for name, n in self.electrodes.items()}
-
-    @property
     def total(self) -> float:
         return sum(n.s_e for n in self.electrodes.values())
-
-    def fractions(self) -> dict[str, float]:
-        if self.total <= 0.0:
-            return {k: 0.0 for k in self.per_source}
-        return {k: v / self.total for k, v in self.per_source.items()}
 
 
 def _electrode_noise(

@@ -137,7 +137,12 @@ def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
     dx2h2, dy2 = dx * dx + h * h, dy * dy
     wx2 = wx * wx
     rows = max(1, _CHUNK // max(cx.size, 1))
-    bufs = np.empty((3, min(rows, cy.size), cx.size))
+    shape = (3, min(rows, cy.size), cx.size)
+    # start the buffers on a 64-byte (cache-line) boundary: malloc only
+    # promises 16 bytes, and a misaligned block runs up to 20 % slower
+    raw = np.empty(math.prod(shape) + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    bufs = raw[start : start + math.prod(shape)].reshape(shape)
     row_sums = np.empty(cy.size)
     for j0 in range(0, cy.size, rows):
         j1 = min(j0 + rows, cy.size)
@@ -162,7 +167,6 @@ def _geom_edges(lo: float, hi: float, center: float, scale: float) -> np.ndarray
     step = scale
     x = max(center, lo)
     while x < hi:
-        x = min(center, hi) if x < center else x
         edges.add(x)
         x += step
         step *= 2.0

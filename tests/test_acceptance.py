@@ -76,7 +76,7 @@ def test_criterion_02_aluminium_lead_benchmark(materials):
     assert len(electrodes) == 2
     r = lead_resistance(electrodes[0].lead, OMEGA, 20.0)
     budget = jnn_budget(electrodes, OMEGA, 20.0)
-    per_lead = list(budget.per_source.values())
+    per_lead = [n.s_e for n in budget.electrodes.values()]
     gamma = heating_rate_from_noise(budget.total, OMEGA)
     print(
         f"[2] R = {r:.4f} Ohm (target 17.3 +- 1%); "

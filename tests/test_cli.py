@@ -86,7 +86,10 @@ def _float_and_grid_flags():
     ]
     grids = [("fdt", "--temps"), ("jnn", "--temps"), ("zeta", "--f-ratios"),
              ("synth", "--temps"), ("synth", "--freqs")]
-    return floats + grids
+    # --seed is gone from the commands that draw nothing; a non-finite
+    # value there must still exit with the config code and write nothing.
+    retired = [(c, "--seed") for c in ("fdt", "fit", "jnn", "zeta")]
+    return floats + grids + retired
 
 
 _FLAGS = _float_and_grid_flags()
@@ -152,6 +155,66 @@ def test_out_of_range_flag_exits_config(command, flag, value, tmp_path, capsys):
     assert exc.value.code == EXIT_CONFIG
     assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+_LATE_FLAG_FAULTS = [
+    (["synth", "--model", "power", "--freqs", "2e6"], "--freqs"),
+    (["synth", "--model", "arrhenius", "--freqs", "1e6"], "--freqs"),
+    (["fdt", "--lambda0-nm", "150", "--lambda0-nm", "150"], "--lambda0-nm"),
+    (["fdt", "--temps", "0"], "temps"),
+    (["fdt", "--temps", "20,-5"], "temps"),
+    (["synth", "--model", "gamma2", "--temps", "0,20"], "temps"),
+    (["jnn", "--temps=-1"], "temps"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", _LATE_FLAG_FAULTS,
+    ids=[" ".join(argv) for argv, _ in _LATE_FLAG_FAULTS],
+)
+def test_flag_fault_exits_config_before_computing(
+    argv, flag, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("computed despite a bad flag")
+
+    for name in ("fdt_noise", "jnn_budget", "synth_dataset", "synth_surface"):
+        monkeypatch.setattr(f"trapnoise.cli.{name}", never)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fdt", "jnn", "zeta", "fit"])
+def test_seed_is_rejected_where_nothing_is_drawn(command, tmp_path):
+    data = tmp_path / "rates.csv"
+    flat_rate_csv(data)
+    out = tmp_path / "out"
+    argv = [command, *(a.format(data=data) for a in _FLAG_BASE.get(command, [])),
+            "--seed", "3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["synth", "--model", "power"], 0),
+        (["taf", "--data", "{data}", "--n-boot", "5"], 7041),
+        (["taf", "--data", "{data}", "--n-boot", "5", "--seed", "5"], 5),
+        (["jnn", "--temps", "50"], None),
+    ],
+)
+def test_manifest_records_the_seed_of_drawing_commands(argv, seed, tmp_path):
+    data = tmp_path / "rates.csv"
+    flat_rate_csv(data)
+    out = tmp_path / "out.csv"
+    rc = main([a.format(data=data) for a in argv] + ["--out", str(out)])
+    assert rc == EXIT_OK
+    assert read_csv_manifest(out)["seed"] == seed
 
 
 def test_resolve_configs_duplicate_role(tmp_path):
@@ -259,8 +322,6 @@ def test_fit_temp_prefers_piecewise_on_piecewise_data(tmp_path):
             str(data),
             "--model",
             "temp",
-            "--seed",
-            "42",
             "--out",
             str(report_path),
         ]
@@ -268,7 +329,7 @@ def test_fit_temp_prefers_piecewise_on_piecewise_data(tmp_path):
     assert rc == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["schema"] == "trapnoise-report/1"
-    assert report["manifest"]["seed"] == 42
+    assert report["manifest"]["seed"] is None
     assert report["aic_prefers_piecewise"] is True
     assert report["delta_aic"] < 0.0
     assert report["n_records"] == 54

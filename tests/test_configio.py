@@ -459,8 +459,8 @@ def test_manifest_fields_and_determinism():
         overrides={"temps": "10:250:25"},
         seed=7,
     )
-    assert a.to_json() == b.to_json()
-    data = json.loads(a.to_json())
+    assert a == b
+    data = json.loads(json.dumps(a))
     assert data["command"] == "fdt"
     assert data["seed"] == 7
     assert data["tool_version"] == "0.1.0"

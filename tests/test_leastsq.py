@@ -65,8 +65,11 @@ def test_chi2_red_definition():
     _, _, _, _, residual = exponential_problem()
     res = levenberg_marquardt(residual, np.array([1.0, 1.0, 0.0]))
     assert res.n_points == 40
-    assert res.n_params == 3
-    assert res.chi2_red == pytest.approx(res.rss / 37.0, rel=1e-12)
+    # the covariance is inv(J^T J) scaled by chi2_red = rss / (40 - 3)
+    jac = fd_jacobian(residual, res.params, residual(res.params))
+    np.testing.assert_allclose(
+        res.covariance, np.linalg.inv(jac.T @ jac) * (res.rss / 37.0), rtol=1e-12
+    )
 
 
 def test_analytic_jacobian_agrees_with_finite_differences():

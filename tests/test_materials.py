@@ -242,8 +242,8 @@ def test_ybco_normal_default_anchors_at_tc():
     # linear through the origin: rho(2 Tc) = 2 rho(Tc), up to the small
     # log-linear interpolation error between knots
     assert tab.lookup(178.0) == pytest.approx(2.0 / 1.81e6, rel=1e-3)
-    assert tab.t_min == 89.0
-    assert tab.t_max == 320.0
+    assert tab.temperatures[0] == 89.0
+    assert tab.temperatures[-1] == 320.0
 
 
 def test_film_sheet_requires_positive_thickness():

@@ -96,7 +96,7 @@ def test_fdt_above_vacuum_equals_blackbody():
     stack = LayerStack((Layer(Vacuum()),), name="empty")
     res = fdt_noise(stack, OMEGA_1MHZ, 300.0, 225e-6)
     assert res.s_e == res.s_blackbody
-    assert res.g_parallel == 0.0
+    assert res.greens.g_parallel == 0.0
 
 
 def test_fdt_combines_blackbody_and_surface_response():
@@ -285,7 +285,7 @@ def test_jnn_budget_single_resistor_hand_value():
     r_eff = filter_effective_resistance(e.filter, OMEGA_1MHZ)
     expected = 4.0 * CONSTANTS.kB * 40.0 * r_eff / 5.10e-3**2
     assert budget.total == pytest.approx(expected, rel=1e-12)
-    assert budget.per_source == {"E": pytest.approx(expected, rel=1e-12)}
+    assert budget.electrodes["E"].s_e == pytest.approx(expected, rel=1e-12)
 
 
 def test_jnn_budget_linear_in_temperature_for_fixed_resistance():
@@ -305,11 +305,10 @@ def test_jnn_budget_sums_electrodes_and_reports_fractions():
         filter=FilterNetwork(series_r=50.0),
     )
     budget = jnn_budget([e1, e2], OMEGA_1MHZ, 40.0)
-    assert budget.total == pytest.approx(sum(budget.per_source.values()))
-    fr = budget.fractions()
-    assert sum(fr.values()) == pytest.approx(1.0, rel=1e-12)
-    assert fr["A"] == pytest.approx(0.8, rel=1e-12)
-    assert fr["B"] == pytest.approx(0.2, rel=1e-12)
+    s_a, s_b = budget.electrodes["A"].s_e, budget.electrodes["B"].s_e
+    assert budget.total == pytest.approx(s_a + s_b, rel=1e-15)
+    assert s_a / budget.total == pytest.approx(0.8, rel=1e-12)
+    assert s_b / budget.total == pytest.approx(0.2, rel=1e-12)
 
 
 def test_jnn_budget_validation():
@@ -367,7 +366,7 @@ def test_aluminium_lead_benchmark():
     r = lead_resistance(lead, OMEGA_1MHZ, 20.0)
     assert r == pytest.approx(17.3, rel=0.01)
     budget = jnn_budget(electrodes, OMEGA_1MHZ, 20.0)
-    per_lead = budget.per_source["C1"]
+    per_lead = budget.electrodes["C1"].s_e
     assert per_lead == pytest.approx(7.33e-16, rel=0.01)
     gamma = heating_rate_from_noise(budget.total, OMEGA_1MHZ)
     assert gamma == pytest.approx(0.21, rel=0.05)

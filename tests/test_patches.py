@@ -154,6 +154,24 @@ def test_direct_sum_matches_per_tile_kernel(small_blocks, grid, scene, data):
     assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
 
 
+def test_direct_sum_is_bit_identical_at_every_heap_offset():
+    # the block buffers start on a 64-byte boundary whatever address the
+    # allocator hands out, so the offset mod 64 cannot change a bit
+    grid = (*patches._tiles(-300e-6, 310e-6, 1e-6),
+            *patches._tiles(-200e-6, 205e-6, 1e-6))
+    real_empty = np.empty
+    sums = set()
+    for shift in range(8):
+        def shifted_empty(n):
+            raw = real_empty(n + 16)
+            start = (-raw.ctypes.data % 64) // 8 + shift
+            return raw[start : start + n]
+
+        with mock.patch.object(patches.np, "empty", shifted_empty):
+            sums.add(patches._direct_sum_k2(*grid, simple_scene()))
+    assert len(sums) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(scene=_poses(), patch=st.floats(0.5e-6, 20e-6),
        span=st.floats(1e-6, 1e-3), nodal=st.floats(-1e-3, 1e-3))
