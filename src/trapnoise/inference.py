@@ -570,9 +570,8 @@ def fit_surface_models(curve) -> SurfaceFitParams:
 class SlopeCurve:
     """d ln S_E / d ln T with a residual-bootstrap confidence band.
 
-    ``spline`` is the GCV fit.  ``boot`` is one spline whose knot values and
-    f'' stack every bootstrap refit: the refits share x, sigma and the GCV
-    lam, so one fit at that lam, from one SVD, gives them all.
+    ``spline`` is the GCV fit.  ``boot`` is its refit to every bootstrap
+    resample at once, a spline whose knot values and f'' stack the refits.
     """
 
     spline: SmoothingSpline
@@ -597,7 +596,8 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     """Smoothing-spline slope of ln S_E versus ln T.
 
     The smoothing parameter comes from GCV; the band is a residual bootstrap
-    of ``n_boot`` resamples, refit together at the selected smoothing.
+    of ``n_boot`` resamples, refit together at the selected smoothing with
+    the factorisation and SVD of the GCV fit.
     """
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
     t = np.array([p[0] for p in pts])
@@ -622,8 +622,7 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
 
     # row b draws the same indices as the b-th of n_boot draws of size n
     y_star = fitted + np.random.default_rng(seed).choice(resid, size=(n_boot, resid.size))
-    return SlopeCurve(spline=spline,
-                      boot=fit_smoothing_spline(x, y_star, sig_y, lam=spline.lam))
+    return SlopeCurve(spline=spline, boot=spline.refit(y_star))
 
 
 def taf_alpha(slope: float, omega: float, tau0: float = 1e-13) -> float:

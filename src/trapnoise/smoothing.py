@@ -4,14 +4,15 @@ Minimises sum_i ((y_i - f(x_i))/sigma_i)^2 + lam * int f''(x)^2 dx over
 natural cubic splines with knots at the data.  With R = L L^T and
 C = L^-1 Q^T (Reinsch), one SVD G = sigma C^T = U S V^T gives everything:
 the generalised cross-validation score (Craven & Wahba 1979) of every grid
-lam in closed form, the fitted knot values, f'' at the knots, and, at a given
-lam, the fits of a whole stack of data vectors at once, all without a solve
-of W + lam K.
+lam in closed form, the fitted knot values and f'' at the knots, all without
+a solve of W + lam K.  The fit is linear in y, and the spline keeps those
+linear maps, so ``SmoothingSpline.refit`` fits new data vectors, or a whole
+stack of them, at the same x, sigma and lam with no new factorisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +34,43 @@ def _bands(x: np.ndarray):
     return r, q
 
 
+def _gcv(n: int, rho, z):
+    """GCV score n |U diag(rho) z|^2 / trace(I - A)^2, broadcast over rho and z."""
+    return (n * ((rho * z) ** 2).sum(axis=-1)
+            / np.maximum(rho.sum(axis=-1), 1e-12 * n) ** 2)
+
+
 @dataclass
 class SmoothingSpline:
     x: np.ndarray
-    values: np.ndarray          # fitted knot values, [..., knot] for stacked y
+    values: np.ndarray          # fitted knot values, [..., knot] after a stacked refit
     second_derivs: np.ndarray   # same shape, zero at both ends (natural)
     lam: float
-    gcv: float | np.ndarray     # a float, or one per stacked data vector
+    gcv: float | np.ndarray     # a float, or one per refit data vector
     influence_trace: float
+    # the fit at lam as maps of z = U^T (y / sigma), which refit applies to
+    # new data; None on a spline built from given knot values
+    sigma: np.ndarray | None = None
+    u: np.ndarray | None = None
+    rho: np.ndarray | None = None        # residual gains lam s^2 / (1 + lam s^2)
+    curv_gain: np.ndarray | None = None  # s / (1 + lam s^2)
+    curv_map: np.ndarray | None = None   # L^-T V
+
+    def refit(self, y) -> SmoothingSpline:
+        """Fit ``y``, one data vector or a stack along leading axes, at this
+        spline's x, sigma and lam with no new factorisation or SVD."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1:] != self.x.shape or not np.isfinite(y).all():
+            raise DomainError(f"y must be finite with {self.x.size} points on its "
+                              f"last axis, got shape {y.shape}")
+        # on y / sigma the residual map is U diag(rho) U^T, and f'' inside is
+        # R^-1 Q^T f = L^-T G^T (f / sigma) = L^-T V diag(s / (1 + lam s^2)) z
+        z = (y / self.sigma) @ self.u
+        values = y - self.sigma * ((self.rho * z) @ self.u.T)
+        second = np.zeros_like(values)
+        second[..., 1:-1] = (self.curv_gain * z) @ self.curv_map.T
+        return replace(self, values=values, second_derivs=second,
+                       gcv=_gcv(self.x.size, self.rho, z)[()])
 
     def _segments(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -73,11 +103,7 @@ class SmoothingSpline:
 
 
 def fit_smoothing_spline(x, y, sigma=None, lam: float | None = None) -> SmoothingSpline:
-    """Fit; ``lam=None`` selects smoothing by generalised cross-validation.
-
-    At a given ``lam``, ``y`` may stack data vectors along leading axes; the
-    knot values, f'' and GCV score then carry those axes.
-    """
+    """Fit one data vector; ``lam=None`` selects smoothing by generalised cross-validation."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 4:
@@ -85,13 +111,11 @@ def fit_smoothing_spline(x, y, sigma=None, lam: float | None = None) -> Smoothin
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.all(np.diff(x) > 0.0)):
         raise DomainError("x must be finite and strictly increasing, y finite")
     sigma = np.ones_like(x) if sigma is None else np.asarray(sigma, dtype=float)
-    if y.shape[-1:] != x.shape or sigma.shape != x.shape:
+    if y.shape != x.shape or sigma.shape != x.shape:
         raise DomainError(f"x has {x.size} points, but y has shape {y.shape} "
                           f"and sigma {sigma.shape}")
     if not np.all((sigma > 0.0) & np.isfinite(sigma)):
         raise DomainError("sigma must be finite and > 0")
-    if lam is None and y.ndim != 1:
-        raise DomainError("GCV takes one data vector; stack y only at a given lam")
     if lam is not None and not 0.0 <= lam < np.inf:
         raise DomainError(f"lam must be finite and >= 0, got {lam}")
 
@@ -108,15 +132,9 @@ def fit_smoothing_spline(x, y, sigma=None, lam: float | None = None) -> Smoothin
     z = (y / sigma) @ u
     ls2 = grid[:, None] * s**2
     rho = ls2 / (1.0 + ls2)
-    n_minus_trace = rho.sum(axis=1)
-    gcv = (n * ((rho * z[..., None, :]) ** 2).sum(axis=-1)
-           / np.maximum(n_minus_trace, 1e-12 * n) ** 2)
-    best = int(np.argmin(gcv)) if lam is None else 0
-
-    # on y / sigma the residual map is U diag(rho) U^T, and f'' inside is
-    # R^-1 Q^T f = L^-T G^T (f / sigma) = L^-T V diag(s / (1 + lam s^2)) z
-    f = y - sigma * ((rho[best] * z) @ u.T)
-    m = np.zeros_like(f)
-    m[..., 1:-1] = (s / (1.0 + ls2[best]) * z) @ np.linalg.solve(low.T, vt.T).T
-    return SmoothingSpline(x, f, m, float(grid[best]), gcv[..., best][()],
-                           float(n - n_minus_trace[best]))
+    best = int(np.argmin(_gcv(n, rho, z))) if lam is None else 0
+    # refit fills in the knot values, f'' and the GCV score at lam
+    maps = SmoothingSpline(x, None, None, float(grid[best]), None,
+                           float(n - rho[best].sum()), sigma, u, rho[best],
+                           s / (1.0 + ls2[best]), np.linalg.solve(low.T, vt.T))
+    return maps.refit(y)

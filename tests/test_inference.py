@@ -467,6 +467,26 @@ def test_slope_band_is_percentiles_of_one_draw_per_refit():
     assert np.all(hi - lo > 1e-3)   # a real band, not the interpolating edge
 
 
+def test_slope_factorizes_and_decomposes_once(monkeypatch):
+    # the bootstrap refits reuse the GCV fit's Cholesky factor and SVD
+    calls = {"cholesky": 0, "svd": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    temps = np.geomspace(12.0, 220.0, 11)
+    curve = [(t, 3e-15 * t**1.4, 1.5e-16 * t**1.4) for t in temps]
+    loglog_spline_slope(curve, n_boot=40, seed=2)
+    assert calls == {"cholesky": 1, "svd": 1}
+
+
 def test_taf_alpha_reference_values():
     # slope 1 cancels the frequency correction exactly, for any omega
     assert taf_alpha(1.0, OMEGA0) == -1.0

@@ -114,11 +114,13 @@ def test_validation():
         with pytest.raises(DomainError, match="finite"):
             fit_smoothing_spline(x, y, sigma, lam=bad)
     for args in ((x, y[:3], sigma), (x, [*y, 5.0], sigma), (x, y, sigma[:3]),
-                 (x, np.ones((2, 5)), sigma, 1.0)):
+                 (x, [y, y], sigma), (x, np.ones((2, 5)), sigma, 1.0)):
         with pytest.raises(DomainError, match="x has 4 points"):
             fit_smoothing_spline(*args)
-    with pytest.raises(DomainError, match="given lam"):
-        fit_smoothing_spline(x, [y, y], sigma)
+    sp = fit_smoothing_spline(x, y, sigma, lam=1.0)
+    for bad in ([y[:3]], np.ones((2, 5)), [y, [1.0, np.nan, 3.0, 4.0]]):
+        with pytest.raises(DomainError, match="finite with 4 points"):
+            sp.refit(bad)
 
 
 @pytest.mark.parametrize("rec", ORACLE, ids=[r["name"] for r in ORACLE])
@@ -171,12 +173,19 @@ def test_stacked_fit_equals_row_by_row_fits(data, log_lam, rows):
     x, y, sigma = data
     stack = np.stack([np.roll(y, k) * (k + 1) for k in range(rows)])
     lam = 10.0**log_lam
-    both = fit_smoothing_spline(x, stack, sigma, lam=lam)
+    first = fit_smoothing_spline(x, stack[0], sigma, lam=lam)
+    again = first.refit(stack[0])
+    for got, want in ((again.values, first.values), (again.second_derivs, first.second_derivs),
+                      (again.gcv, first.gcv)):
+        assert np.array_equal(got, want)
+    both = first.refit(stack)
     assert both.values.shape == both.second_derivs.shape == stack.shape
     assert np.shape(both.gcv) == (rows,)
     for row, values, second in zip(stack, both.values, both.second_derivs):
         one = fit_smoothing_spline(x, row, sigma, lam=lam)
-        # data of size |y| on the smallest gap bound f'' by about |y| / h^2
+        # a stack takes matrix-matrix products where one vector takes
+        # matrix-vector ones, and BLAS rounds those two differently; data of
+        # size |y| on the smallest gap bound f'' by about |y| / h^2
         scale = np.max(np.abs(row))
         np.testing.assert_allclose(values, one.values, rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(second, one.second_derivs, rtol=0.0,
