@@ -12,6 +12,9 @@ synth  Synthetic heating-rate datasets from model parameters (CSV).
 Each ``cmd_*`` function returns ``(inputs, output)``: the config and data
 paths it read, and a report dict, a ``HeatingDataset`` or ``(header, rows[,
 comments])``.  :func:`main` alone builds the run manifest and writes the file.
+The commands convert no data themselves: ``HeatingDataset.noise_curve`` and
+``HeatingDataset.from_noise_curve`` turn heating rates into field noise S_E
+at a dataset's one secular frequency and back.
 The manifest records the seed (``null`` but for ``synth`` and ``taf``, the
 two commands that draw random numbers and so the only ones with ``--seed``),
 the inputs as ``config_paths``, every other flag but ``--out`` as an
@@ -50,16 +53,10 @@ from .configio import (
     write_heating_csv,
     write_json_report,
 )
-from .constants import (
-    DomainError,
-    heating_rate_from_noise,
-    noise_from_heating_rate,
-    omega_from_hz,
-)
+from .constants import DomainError, heating_rate_from_noise, omega_from_hz
 from .inference import (
     OMEGA0,
     HeatingDataset,
-    HeatingRecord,
     UnusableDataError,
     fit_freq_power_law,
     fit_surface_models,
@@ -219,27 +216,6 @@ def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
         role: resolved.get(role) or str(packaged_config(*_DEFAULT_CONFIGS[role]))
         for role in needed
     }
-
-
-def _require_single_frequency(dataset: HeatingDataset, what: str) -> float:
-    freqs = sorted({r.f_secular for r in dataset.records})
-    if len(freqs) != 1:
-        raise DataFileError(
-            f"{what} needs a single-frequency dataset, got frequencies {freqs}"
-        )
-    return freqs[0]
-
-
-def _surface_curve(dataset: HeatingDataset, omega: float):
-    """(T, S_E, sigma_S) tuples converted from heating-rate records."""
-    return [
-        (
-            r.temperature,
-            noise_from_heating_rate(r.gamma, omega),
-            noise_from_heating_rate(r.sigma_gamma, omega),
-        )
-        for r in dataset.records
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +381,8 @@ def _surface_fit_dict(fit) -> dict:
 
 
 def _fit_surface_report(dataset: HeatingDataset) -> dict:
-    f_hz = _require_single_frequency(dataset, "surface-model fit")
-    fits = fit_surface_models(_surface_curve(dataset, omega_from_hz(f_hz)))
+    f_hz, curve = dataset.noise_curve("surface-model fit")
+    fits = fit_surface_models(curve)
     return {
         "mode": "surface",
         "n_records": len(dataset.records),
@@ -429,9 +405,8 @@ def cmd_fit(args):
 
 def cmd_taf(args):
     dataset = read_heating_csv(args.data)
-    f_hz = _require_single_frequency(dataset, "TAF analysis")
+    _, curve_pts = dataset.noise_curve("TAF analysis")
     temps = sorted({r.temperature for r in dataset.records})
-    curve_pts = _surface_curve(dataset, omega_from_hz(f_hz))
     omega = omega_from_hz(args.omega_hz)
     curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=args.seed)
 
@@ -509,17 +484,7 @@ def cmd_synth(args):
     else:
         params = load_surface_params(params_path, args.model)
         pts = synth_surface(args.model, params, temps, args.noise_frac, args.seed)
-        omega = omega_from_hz(args.f_hz)
-        records = tuple(
-            HeatingRecord(
-                temperature=t,
-                f_secular=args.f_hz,
-                gamma=heating_rate_from_noise(s, omega),
-                sigma_gamma=heating_rate_from_noise(sigma, omega),
-            )
-            for t, s, sigma in pts
-        )
-        dataset = HeatingDataset(records)
+        dataset = HeatingDataset.from_noise_curve(pts, args.f_hz)
     return [params_path], dataset
 
 

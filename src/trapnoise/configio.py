@@ -475,6 +475,16 @@ def _build_lead(sec: _Section, materials) -> LeadModel:
     return LeadModel(pcb_trace=trace, wire_bond=bond, contact_r_per_bond=contact)
 
 
+def _named(sec: _Section, key: str, known: dict, default):
+    """The object of ``known`` that ``key`` names, or ``default`` if absent."""
+    name = sec.raw(key)
+    if name is None:
+        return default
+    if name not in known:
+        raise sec.error(f"unknown {key} {name!r}")
+    return known[name]
+
+
 def _build_electrodes(
     name: str, sec: _Section, materials, filters, leads
 ) -> list[ElectrodeModel]:
@@ -489,20 +499,8 @@ def _build_electrodes(
         )
         for mat, thickness in sec.records("films", "material thickness_m", ",") or ()
     )
-    lead_name = sec.raw("lead")
-    if lead_name is None:
-        lead = LeadModel()
-    elif lead_name in leads:
-        lead = leads[lead_name]
-    else:
-        raise sec.error(f"unknown lead {lead_name!r}")
-    filter_name = sec.raw("filter")
-    if filter_name is None:
-        filt = None
-    elif filter_name in filters:
-        filt = filters[filter_name]
-    else:
-        raise sec.error(f"unknown filter {filter_name!r}")
+    lead = _named(sec, "lead", leads, LeadModel())
+    filt = _named(sec, "filter", filters, None)
     bonds = sec.intval("bonds", 1)
     if bonds < 1:
         raise sec.error(f"bonds must be >= 1, got {bonds}")
@@ -565,34 +563,32 @@ def load_scene(path) -> PatchScene:
     """Patch scene from a ``[scene]`` section plus ``[region:NAME]`` rectangles."""
     parser = _read_ini(path)
     sec = _single_section(parser, path, "scene")
-    height = sec.floatval("ion_height_m", required=True)
-    ion_xy = (sec.floatval("ion_x_m", 0.0), sec.floatval("ion_y_m", 0.0))
-    ax = sec.floatval("axial_x", 1.0)
-    ay = sec.floatval("axial_y", 0.0)
-    norm = math.hypot(ax, ay)
-    if norm == 0.0:
-        raise sec.error("axial direction must be non-zero")
-    sec.finish()
+    with sec:
+        height = sec.floatval("ion_height_m", required=True)
+        ion_xy = (sec.floatval("ion_x_m", 0.0), sec.floatval("ion_y_m", 0.0))
+        ax = sec.floatval("axial_x", 1.0)
+        ay = sec.floatval("axial_y", 0.0)
+        norm = math.hypot(ax, ay)
+        if norm == 0.0:
+            raise sec.error("axial direction must be non-zero")
+        sec.finish()
 
-    regions = []
-    for name, rsec in _sections(parser, path, "region:"):
-        with rsec:
-            rect = rsec.fields("rect_m", "x0 x1 y0 y1", required=True)
-            rect = tuple(rsec.number("rect_m", v) for v in rect)
-            weight = rsec.floatval("weight", 1.0)
-            rsec.finish()
-            regions.append(PlaneRegion(rect=rect, weight=weight, name=name))
-    if not regions:
-        raise ConfigFileError(f"{path}: no [region:NAME] sections found")
-    try:
+        regions = []
+        for name, rsec in _sections(parser, path, "region:"):
+            with rsec:
+                rect = rsec.fields("rect_m", "x0 x1 y0 y1", required=True)
+                rect = tuple(rsec.number("rect_m", v) for v in rect)
+                weight = rsec.floatval("weight", 1.0)
+                rsec.finish()
+                regions.append(PlaneRegion(rect=rect, weight=weight, name=name))
+        if not regions:
+            raise ConfigFileError(f"{path}: no [region:NAME] sections found")
         return PatchScene(
             regions=tuple(regions),
             ion_height=height,
             ion_xy=ion_xy,
             axial_dir=(ax / norm, ay / norm),
         )
-    except DomainError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

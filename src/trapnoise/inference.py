@@ -20,7 +20,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import DomainError
+from .constants import (
+    DomainError,
+    heating_rate_from_noise,
+    noise_from_heating_rate,
+    omega_from_hz,
+)
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
 
@@ -103,15 +108,31 @@ class HeatingDataset:
         if not self.records:
             raise DomainError("dataset must be non-empty")
 
-    def by_frequency(self) -> dict[float, list[HeatingRecord]]:
-        """Records grouped by secular frequency, each group sorted by T."""
-        groups: dict[float, list[HeatingRecord]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.f_secular, []).append(rec)
-        return {
-            f: sorted(g, key=lambda r: r.temperature)
-            for f, g in sorted(groups.items())
-        }
+    @classmethod
+    def from_noise_curve(cls, curve, f_hz: float) -> HeatingDataset:
+        """Records at secular frequency ``f_hz`` from (T, S_E, sigma_S) tuples."""
+        omega = omega_from_hz(f_hz)
+        return cls(tuple(
+            HeatingRecord(t, f_hz, heating_rate_from_noise(s, omega),
+                          heating_rate_from_noise(sigma, omega))
+            for t, s, sigma in curve
+        ))
+
+    def noise_curve(self, what: str) -> tuple[float, list[tuple[float, float, float]]]:
+        """The secular frequency (Hz) and the (T, S_E, sigma_S) tuples of a
+        single-frequency dataset, in record order; ``what`` names the analysis
+        in the :class:`UnusableDataError` raised for several frequencies."""
+        freqs = sorted({r.f_secular for r in self.records})
+        if len(freqs) != 1:
+            raise UnusableDataError(
+                f"{what} needs a single-frequency dataset, got frequencies {freqs}"
+            )
+        omega = omega_from_hz(freqs[0])
+        return freqs[0], [
+            (r.temperature, noise_from_heating_rate(r.gamma, omega),
+             noise_from_heating_rate(r.sigma_gamma, omega))
+            for r in self.records
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +335,6 @@ class TempModelComparison:
         return self.piecewise.score.aic - self.simple.score.aic
 
 
-def _flatten(groups):
-    freqs = list(groups)
-    temps = np.array([r.temperature for f in freqs for r in groups[f]])
-    gammas = np.array([r.gamma for f in freqs for r in groups[f]])
-    sigmas = np.array([r.sigma_gamma for f in freqs for r in groups[f]])
-    owner = np.concatenate(
-        [np.full(len(groups[f]), i) for i, f in enumerate(freqs)]
-    )
-    return freqs, temps, gammas, sigmas, owner
-
-
 _SHAPE_NAMES = ("t1", "beta1", "t2", "beta2", "t_star")
 
 
@@ -400,18 +410,22 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
     parameters leave the float range, or whose errors are not finite,
     raises FitFailure.
     """
-    groups = dataset.by_frequency()
-    temps_all = [r.temperature for recs in groups.values() for r in recs]
-    if len(set(temps_all)) < 4:
+    # stable, so records tied in (f, T) keep their file order
+    records = sorted(dataset.records, key=lambda r: (r.f_secular, r.temperature))
+    if len({r.temperature for r in records}) < 4:
         raise UnusableDataError("need at least 4 distinct temperatures")
-    n_params = len(groups) + len(_SHAPE_NAMES)
-    if len(temps_all) <= n_params:
+    freqs = sorted({r.f_secular for r in records})
+    n_params = len(freqs) + len(_SHAPE_NAMES)
+    if len(records) <= n_params:
         raise UnusableDataError(
             f"need more than {n_params} records for the piecewise model, "
-            f"got {len(temps_all)}"
+            f"got {len(records)}"
         )
-    data = _flatten(groups)
-    freqs, temps, gammas, _, owner = data
+    temps = np.array([r.temperature for r in records])
+    gammas = np.array([r.gamma for r in records])
+    sigmas = np.array([r.sigma_gamma for r in records])
+    owner = np.array([freqs.index(r.f_secular) for r in records])
+    data = freqs, temps, gammas, sigmas, owner
 
     g0 = []
     for i, f in enumerate(freqs):
@@ -665,6 +679,13 @@ def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
 # synthetic data
 
 
+def _noisy(value: float, noise_frac: float, rng) -> tuple[float, float]:
+    """value (1 + noise_frac z) for one standard-normal draw z, and its sigma,
+    noise_frac * value floored so that it stays > 0 at noise_frac = 0."""
+    noisy = value * (1.0 + noise_frac * rng.standard_normal())
+    return noisy, max(noise_frac, 1e-12) * value
+
+
 def synth_dataset(
     model: str,
     params: TempFitParams,
@@ -676,8 +697,7 @@ def synth_dataset(
     """Heating-rate records from a temperature model plus relative noise.
 
     ``model`` is "gamma1" or "gamma2"; sigma is noise_frac times the model
-    value (floored at a tiny relative value so records stay valid when
-    noise_frac = 0).  Deterministic for fixed seed.
+    value.  Deterministic for fixed seed.
     """
     if model not in ("gamma1", "gamma2"):
         raise DomainError(f"unknown model {model!r}")
@@ -691,16 +711,8 @@ def synth_dataset(
     records = []
     for f in freqs:
         for t in temps:
-            value = float(params(t, f))
-            noisy = value * (1.0 + noise_frac * rng.standard_normal())
-            records.append(
-                HeatingRecord(
-                    temperature=float(t),
-                    f_secular=float(f),
-                    gamma=max(noisy, 0.0),
-                    sigma_gamma=max(noise_frac, 1e-12) * value,
-                )
-            )
+            noisy, sigma = _noisy(float(params(t, f)), noise_frac, rng)
+            records.append(HeatingRecord(float(t), float(f), max(noisy, 0.0), sigma))
     return HeatingDataset(tuple(records))
 
 
@@ -715,7 +727,6 @@ def synth_surface(
     rng = np.random.default_rng(seed)
     out = []
     for t in temps:
-        value = float(SURFACE_MODELS[kind](t, params))
-        noisy = value * (1.0 + noise_frac * rng.standard_normal())
-        out.append((float(t), max(noisy, 1e-300), max(noise_frac, 1e-12) * value))
+        noisy, sigma = _noisy(float(SURFACE_MODELS[kind](t, params)), noise_frac, rng)
+        out.append((float(t), max(noisy, 1e-300), sigma))
     return out

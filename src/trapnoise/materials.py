@@ -197,11 +197,7 @@ def permittivity(model: MaterialModel, omega: float, temperature: float) -> comp
     return model.permittivity(omega, temperature)
 
 
-def sheet_resistance(
-    film: FilmSheet,
-    temperature: float,
-    omega: float = 2.0 * math.pi * 1.0e6,
-) -> float:
+def sheet_resistance(film: FilmSheet, temperature: float, omega: float) -> float:
     """Sheet resistance (Ohm/sq) of a film at temperature T.
 
     Conductors and normal-state superconductors: rho(T)/thickness.

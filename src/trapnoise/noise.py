@@ -237,9 +237,7 @@ class ElectrodeModel:
             raise DomainError("strip dimensions must be > 0")
 
 
-def electrode_resistance(
-    e: ElectrodeModel, temperature: float, omega: float = 2.0 * np.pi * 1.0e6
-) -> float:
+def electrode_resistance(e: ElectrodeModel, temperature: float, omega: float) -> float:
     """Strip resistance R_sq * l/w of the parallel film sheets (0 if bare)."""
     if not e.films:
         return 0.0

@@ -97,6 +97,8 @@ class PatchScene:
             raise DomainError(f"axial_dir must be a unit vector, |v| = {norm}")
         for i, a in enumerate(self.regions):
             for b in self.regions[i + 1:]:
+                if a.name == b.name:
+                    raise DomainError(f"region name {a.name!r} is used twice")
                 if _overlaps(a, b):
                     raise DomainError(
                         f"regions {a.name or i!r} and {b.name!r} overlap"
@@ -358,7 +360,7 @@ def _weighted_integrals(scene, target_name, patch_size, exact):
         if r.name == target_name:
             continue
         val = region_noise_integral(r, scene, patch_size, exact)
-        integrals[r.name or f"region{id(r)}"] = val
+        integrals[r.name] = val
         rest += r.weight * val
     return i_target, rest, integrals
 

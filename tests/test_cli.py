@@ -530,6 +530,23 @@ def test_data_a_fit_cannot_use_exits_data(
 
 
 @pytest.mark.parametrize(
+    "command, what",
+    [(["fit", "--model", "surface"], "surface-model fit"), (["taf"], "TAF analysis")],
+    ids=["fit-surface", "taf"],
+)
+def test_multi_frequency_data_exits_data(command, what, tmp_path, capsys):
+    data = tmp_path / "rates.csv"
+    data.write_text(_HEATING_HEADER + _TAF_ROWS + "20,2e6,1.5,0.1\n")
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(data), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {what} needs a single-frequency dataset, "
+        "got frequencies [1000000.0, 2000000.0]\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, row",
     [
         (["taf", "--n-boot", "5"], "60,1e6,nan,0.1\n"),

@@ -298,6 +298,25 @@ def test_scene_inline_comments_and_case(tmp_path):
     assert scene.region("Target").name == "Target"
 
 
+@pytest.mark.parametrize(
+    "scene, regions, message",
+    [
+        ("ion_height_m = -1e-6\n", "[region:a]\nrect_m = 0 1e-4 0 1e-4\n",
+         "[scene] ion height must be > 0"),
+        ("ion_height_m = 1e-4\n",
+         "[region:a]\nrect_m = 0 1e-4 0 1e-4\n\n[region:b]\nrect_m = 5e-5 2e-4 0 1e-4\n",
+         "[scene] regions 'a' and 'b' overlap"),
+    ],
+    ids=["negative-height", "overlap"],
+)
+def test_scene_faults_name_the_scene_section(scene, regions, message, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[scene]\n{scene}\n{regions}")
+    with pytest.raises(ConfigFileError) as err:
+        load_scene(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
 # A number in a config value: not part of a key or section name like 'C1'.
 _NUMBER = re.compile(r"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 

@@ -70,19 +70,53 @@ def test_record_validation():
         HeatingRecord(40.0, 1e6, -1.0, 0.1)
     with pytest.raises(DomainError):
         HeatingRecord(40.0, 1e6, 1.0, 0.0)
-
-
-def test_dataset_groups_by_frequency_sorted():
-    recs = (
-        HeatingRecord(80.0, 1e6, 1.0, 0.1),
-        HeatingRecord(40.0, 1e6, 0.5, 0.1),
-        HeatingRecord(60.0, 0.4e6, 2.0, 0.1),
-    )
-    groups = HeatingDataset(recs).by_frequency()
-    assert list(groups) == [0.4e6, 1e6]
-    assert [r.temperature for r in groups[1e6]] == [40.0, 80.0]
     with pytest.raises(DomainError):
         HeatingDataset(())
+
+
+def _fit_numbers(fit) -> np.ndarray:
+    """Every parameter, error and score of a temperature-model fit."""
+    p, score = fit.params, fit.score
+    shape = [v for v in (p.t1, p.beta1, p.t2, p.beta2, p.t_star) if v is not None]
+    freqs = sorted(p.gamma0)
+    return np.array([
+        *freqs, *(p.gamma0[f] for f in freqs), *shape, *fit.fit.params,
+        *(fit.global_errors[n] for n in sorted(fit.global_errors)),
+        score.rss, score.aic, score.bic,
+    ])
+
+
+def test_temperature_fit_ignores_record_order():
+    dataset = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ[:3], 0.1, seed=5)
+    shuffled = np.random.default_rng(3).permutation(len(dataset.records))
+    reordered = HeatingDataset(tuple(dataset.records[i] for i in shuffled))
+    a = fit_temperature_models(dataset)
+    b = fit_temperature_models(reordered)
+    for fa, fb in ((a.simple, b.simple), (a.piecewise, b.piecewise)):
+        assert np.array_equal(_fit_numbers(fa), _fit_numbers(fb))
+
+
+_rates = st.floats(1e-6, 1e8)  # phonons/s
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f_hz=st.floats(1e3, 1e9),
+    rows=st.lists(
+        st.tuples(st.floats(0.1, 1e3), st.just(0.0) | _rates, _rates),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_noise_curve_round_trip(f_hz, rows):
+    dataset = HeatingDataset(tuple(HeatingRecord(t, f_hz, g, s) for t, g, s in rows))
+    f, curve = dataset.noise_curve("x")
+    back = HeatingDataset.from_noise_curve(curve, f)
+    assert f == f_hz
+    for r, b in zip(dataset.records, back.records, strict=True):
+        assert (b.temperature, b.f_secular) == (r.temperature, r.f_secular)
+        assert abs(b.gamma - r.gamma) <= 8 * np.spacing(r.gamma)
+        assert abs(b.sigma_gamma - r.sigma_gamma) <= 8 * np.spacing(r.sigma_gamma)
 
 
 # ---------------------------------------------------------------------------

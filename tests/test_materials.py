@@ -195,7 +195,7 @@ def test_permittivity_rejects_bad_domain():
 
 def test_conductor_sheet_resistance_is_rho_over_t():
     film = FilmSheet(Conductor(gold_table()), 200e-9)
-    assert sheet_resistance(film, 300.0) == pytest.approx(
+    assert sheet_resistance(film, 300.0, 2 * math.pi * 1e6) == pytest.approx(
         2.271e-8 / 200e-9, rel=1e-12
     )
 
@@ -218,14 +218,14 @@ def test_superconducting_sheet_uses_residual_model():
 def test_superconducting_sheet_above_tc_is_normal():
     film = FilmSheet(ybco(), 300e-9)
     rho_tc = 1.0 / 1.81e6
-    assert sheet_resistance(film, 89.0) == pytest.approx(
+    assert sheet_resistance(film, 89.0, 2 * math.pi * 1e6) == pytest.approx(
         rho_tc / 300e-9, rel=1e-9
     )
 
 
 def test_sheet_resistance_rejects_dielectric():
     with pytest.raises(DomainError):
-        sheet_resistance(FilmSheet(LossyDielectric(10.0, 1e-6), 1e-6), 40.0)
+        sheet_resistance(FilmSheet(LossyDielectric(10.0, 1e-6), 1e-6), 40.0, 1e6)
 
 
 def test_parallel_sheet():

@@ -257,7 +257,7 @@ def strip_electrode(films=(), filter_net=None, name="E") -> ElectrodeModel:
 
 
 def test_electrode_resistance_bare_strip_is_zero():
-    assert electrode_resistance(strip_electrode(), 40.0) == 0.0
+    assert electrode_resistance(strip_electrode(), 40.0, OMEGA_1MHZ) == 0.0
 
 
 def test_electrode_resistance_parallel_films():

@@ -343,6 +343,18 @@ def test_scene_rejects_overlapping_regions():
         )
 
 
+def test_scene_rejects_a_repeated_region_name():
+    # disjoint regions, so only the name is at fault
+    with pytest.raises(DomainError, match="'a' is used twice"):
+        PatchScene(
+            regions=(
+                PlaneRegion((-1e-3, 0.0, -1e-3, 1e-3), name="a"),
+                PlaneRegion((0.0, 1e-3, -1e-3, 1e-3), name="a"),
+            ),
+            ion_height=H,
+        )
+
+
 def test_scene_rejects_non_unit_axial_direction():
     with pytest.raises(DomainError):
         PatchScene(
