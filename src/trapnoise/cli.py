@@ -128,7 +128,7 @@ def _finite(text: str) -> float:
 def _positive(text: str) -> float:
     """argparse ``type`` of a float flag that the library requires > 0."""
     value = _finite(text)
-    if value <= 0.0:
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
@@ -136,7 +136,7 @@ def _positive(text: str) -> float:
 def _non_negative(text: str) -> float:
     """argparse ``type`` of a float flag that the library requires >= 0."""
     value = _finite(text)
-    if value < 0.0:
+    if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
@@ -187,7 +187,7 @@ def _bounded_grid(text: str, name: str, positive: bool) -> list[float]:
     """:func:`parse_grid` of the flag ``--name``, whose values must all be
     > 0 if ``positive`` and >= 0 otherwise."""
     values = parse_grid(text)
-    if any(v <= 0.0 if positive else v < 0.0 for v in values):
+    if not all(v > 0.0 if positive else v >= 0.0 for v in values):
         raise ConfigFileError(f"{name} must be {'> 0' if positive else '>= 0'}")
     return values
 

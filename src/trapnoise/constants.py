@@ -5,6 +5,10 @@ CLI accept ordinary frequencies in Hz and convert at the boundary.
 
 Electric-field noise spectral densities are single-sided throughout,
 in V^2 m^-2 Hz^-1.
+
+:func:`require_above` is the one domain check of a physical argument: it
+raises :class:`DomainError`, naming the argument, on NaN, on +-inf and on a
+value at or below its bound.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ class DomainError(ValueError):
     """Input outside the physical domain of an operation."""
 
 
+def require_above(value: float, what: str, lo: float = 0.0, *, or_equal: bool = False):
+    """Raise :class:`DomainError` unless ``value`` is finite and > ``lo``
+    (>= ``lo`` if ``or_equal``); ``what`` names the argument."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    if not (value >= lo if or_equal else value > lo):
+        raise DomainError(f"{what} must be {'>=' if or_equal else '>'} {lo:g}, got {value}")
+
+
 def heating_rate_from_noise(s_e: float, omega: float) -> float:
     """Motional heating rate (phonons/s) of a trapped 40Ca+ ion, from the
     single-sided electric-field noise density ``s_e`` (V^2 m^-2 Hz^-1) at the
@@ -49,10 +62,8 @@ def heating_rate_from_noise(s_e: float, omega: float) -> float:
 
     Gamma = q^2 * S_E / (4 m hbar omega).
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if s_e < 0.0:
-        raise DomainError(f"noise density must be >= 0, got {s_e}")
+    require_above(omega, "omega")
+    require_above(s_e, "noise density", or_equal=True)
     return CONSTANTS.q_e**2 * s_e / (4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega)
 
 
@@ -61,10 +72,8 @@ def noise_from_heating_rate(gamma: float, omega: float) -> float:
     heating rate ``gamma`` (phonons/s); exact algebraic inverse of
     :func:`heating_rate_from_noise`.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if gamma < 0.0:
-        raise DomainError(f"heating rate must be >= 0, got {gamma}")
+    require_above(omega, "omega")
+    require_above(gamma, "heating rate", or_equal=True)
     return gamma * 4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega / CONSTANTS.q_e**2
 
 

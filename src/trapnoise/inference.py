@@ -25,6 +25,7 @@ from .constants import (
     heating_rate_from_noise,
     noise_from_heating_rate,
     omega_from_hz,
+    require_above,
 )
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
 from .smoothing import SmoothingSpline, fit_smoothing_spline
@@ -92,12 +93,10 @@ class HeatingRecord:
     sigma_gamma: float
 
     def __post_init__(self):
-        if self.temperature <= 0.0 or self.f_secular <= 0.0:
-            raise DomainError("temperature and frequency must be > 0")
-        if self.gamma < 0.0:
-            raise DomainError(f"heating rate must be >= 0, got {self.gamma}")
-        if self.sigma_gamma <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma_gamma}")
+        require_above(self.temperature, "temperature")
+        require_above(self.f_secular, "frequency")
+        require_above(self.gamma, "heating rate", or_equal=True)
+        require_above(self.sigma_gamma, "sigma")
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
         raise UnusableDataError("frequencies must be distinct")
     gammas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
-    if np.any(gammas <= 0.0) or np.any(sigmas <= 0.0):
+    if not (np.all(gammas > 0.0) and np.all(sigmas > 0.0)):
         raise UnusableDataError("gamma and sigma must be > 0 for the power-law fit")
 
     # log-log regression seeds the nonlinear fit
@@ -258,8 +257,7 @@ def information_criteria(rss: float, n_data: int, n_params: int) -> ModelScore:
     """AIC = N ln(RSS/N) + 2M and BIC = N ln(RSS/N) + M ln N."""
     if n_data <= n_params:
         raise DomainError(f"need n_data > n_params, got {n_data} <= {n_params}")
-    if rss < 0.0:
-        raise DomainError(f"rss must be >= 0, got {rss}")
+    require_above(rss, "rss", or_equal=True)
     if rss == 0.0:
         return ModelScore(0.0, n_data, n_params, float("-inf"), float("-inf"), True)
     base = n_data * math.log(rss / n_data)
@@ -466,8 +464,7 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
     """Width over which the upper branch rises by at most tolerance_frac."""
     if not params.piecewise:
         raise DomainError("plateau width requires the piecewise model")
-    if tolerance_frac <= 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tolerance_frac}")
+    require_above(tolerance_frac, "tolerance")
     return params.t2 * tolerance_frac ** (1.0 / params.beta2)
 
 
@@ -568,7 +565,7 @@ def fit_surface_models(curve) -> SurfaceFitParams:
     temps = np.array([p[0] for p in pts])
     s_e = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
-    if np.any(s_e <= 0.0) or np.any(sigmas <= 0.0):
+    if not (np.all(s_e > 0.0) and np.all(sigmas > 0.0)):
         raise UnusableDataError("S_E and sigma must be > 0")
     return SurfaceFitParams(
         power=_surface_fit("power", temps, s_e, sigmas),
@@ -624,7 +621,7 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
         raise UnusableDataError("temperatures must be distinct")
     s = np.array([p[1] for p in pts])
     sg = np.array([p[2] for p in pts])
-    if np.any(t <= 0.0) or np.any(s <= 0.0):
+    if not (np.all(t > 0.0) and np.all(s > 0.0)):
         raise UnusableDataError("T and S_E must be > 0 for log-log analysis")
     x = np.log(t)
     y = np.log(s)
@@ -648,8 +645,8 @@ def taf_alpha(slope: float, omega: float, tau0: float = 1e-13) -> float:
     Gamma propto omega^(alpha-1), i.e. S_E propto omega^alpha, where
     roughly-1/f field noise appears as alpha near -1.
     """
-    if omega <= 0.0 or tau0 <= 0.0:
-        raise DomainError("omega and tau0 must be > 0")
+    require_above(omega, "omega")
+    require_above(tau0, "tau0")
     ln_wt = math.log(omega * tau0)
     if abs(ln_wt) < 1.0:
         warnings.warn(
@@ -669,7 +666,7 @@ def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
         raise UnusableDataError(f"need at least 2 points, got {len(pts)}")
     chi2 = 0.0
     for alpha, sigma_alpha, temp in pts:
-        if sigma_alpha <= 0.0:
+        if not sigma_alpha > 0.0:
             raise UnusableDataError("sigma_alpha must be > 0")
         chi2 += ((alpha - float(predicted(temp))) / sigma_alpha) ** 2
     return chi2, chi2_sf(chi2, len(pts))
@@ -703,8 +700,7 @@ def synth_dataset(
         raise DomainError(f"unknown model {model!r}")
     if model == "gamma2" and not params.piecewise:
         raise DomainError("gamma2 requires piecewise parameters")
-    if noise_frac < 0.0:
-        raise DomainError(f"noise_frac must be >= 0, got {noise_frac}")
+    require_above(noise_frac, "noise_frac", or_equal=True)
     if model == "gamma1":
         params = replace(params, t2=None, beta2=None, t_star=None)
     rng = np.random.default_rng(seed)
@@ -722,8 +718,7 @@ def synth_surface(
     """(T, S_E, sigma) tuples from a surface-noise model plus relative noise."""
     if kind not in SURFACE_MODELS:
         raise DomainError(f"unknown surface model {kind!r}")
-    if noise_frac < 0.0:
-        raise DomainError(f"noise_frac must be >= 0, got {noise_frac}")
+    require_above(noise_frac, "noise_frac", or_equal=True)
     rng = np.random.default_rng(seed)
     out = []
     for t in temps:

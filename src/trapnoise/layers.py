@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError
+from .constants import CONSTANTS, DomainError, require_above
 from .materials import MaterialModel, permittivity
 from .quadrature import adaptive_gk
 
@@ -51,8 +51,8 @@ class Layer:
     thickness: float | None = None
 
     def __post_init__(self):
-        if self.thickness is not None and not self.thickness > 0.0:
-            raise DomainError(f"layer thickness must be > 0, got {self.thickness}")
+        if self.thickness is not None:
+            require_above(self.thickness, "layer thickness")
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def greens_parallel(
     which removes the 1/v endpoint singularity.  The evanescent part uses
     t = sqrt(u^2 - 1), giving int_0^inf e^{-2 k d t} Im[Rs + t^2 Rp] dt.
     """
-    if distance <= 0.0:
-        raise DomainError(f"ion height must be > 0, got {distance}")
+    require_above(distance, "ion height")
     eps_media, thicknesses = _media(stack, omega, temperature)
     k = omega / CONSTANTS.c
     kd = k * distance

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .constants import CONSTANTS, DomainError
+from .constants import CONSTANTS, DomainError, require_above
 
 
 class TemperatureRangeError(ValueError):
@@ -39,11 +39,11 @@ class ResistivityTable:
     def __post_init__(self):
         t, r = self.temperatures, self.resistivities
         if len(t) != len(r) or len(t) < 2:
-            raise ValueError("table needs >= 2 (T, rho) pairs of equal length")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"temperatures must be strictly increasing: {self.label}")
-        if any(x <= 0.0 for x in r):
-            raise ValueError(f"resistivities must be positive: {self.label}")
+            raise DomainError("table needs >= 2 (T, rho) pairs of equal length")
+        if not all(b > a for a, b in zip(t, t[1:])):
+            raise DomainError(f"temperatures must be strictly increasing: {self.label}")
+        for x in r:
+            require_above(x, f"resistivity in table {self.label!r}")
 
     @classmethod
     def from_pairs(cls, pairs, label: str = "") -> "ResistivityTable":
@@ -90,10 +90,8 @@ class LossyDielectric:
     name: str = "dielectric"
 
     def __post_init__(self):
-        if self.eps_r < 1.0:
-            raise ValueError(f"eps_r must be >= 1, got {self.eps_r}")
-        if self.tan_delta < 0.0:
-            raise ValueError(f"tan_delta must be >= 0, got {self.tan_delta}")
+        require_above(self.eps_r, "eps_r", 1.0, or_equal=True)
+        require_above(self.tan_delta, "tan_delta", or_equal=True)
 
     def permittivity(self, omega: float, temperature: float) -> complex:
         return self.eps_r * complex(1.0, self.tan_delta)
@@ -108,8 +106,7 @@ class Conductor:
         return 1.0 / self.rho.lookup(temperature)
 
     def permittivity(self, omega: float, temperature: float) -> complex:
-        if omega <= 0.0:
-            raise DomainError(f"omega must be > 0, got {omega}")
+        require_above(omega, "omega")
         return complex(0.0, self.conductivity(temperature) / (omega * CONSTANTS.eps0))
 
 
@@ -142,16 +139,12 @@ class TwoFluidSC:
     name: str = "superconductor"
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0}")
-        if self.Tc <= 0.0:
-            raise ValueError(f"Tc must be > 0, got {self.Tc}")
-        if self.sigma_n <= 0.0:
-            raise ValueError(f"sigma_n must be > 0, got {self.sigma_n}")
+        require_above(self.lambda0, "lambda0")
+        require_above(self.Tc, "Tc")
+        require_above(self.sigma_n, "sigma_n")
 
     def permittivity(self, omega: float, temperature: float) -> complex:
-        if omega <= 0.0:
-            raise DomainError(f"omega must be > 0, got {omega}")
+        require_above(omega, "omega")
         if temperature >= self.Tc:
             sigma = 1.0 / self.rho_normal.lookup(temperature)
             return complex(0.0, sigma / (omega * CONSTANTS.eps0))
@@ -175,8 +168,7 @@ class FilmSheet:
     thickness: float  # m
 
     def __post_init__(self):
-        if self.thickness <= 0.0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
+        require_above(self.thickness, "thickness")
 
 
 def london_depth(lambda0: float, Tc: float, temperature: float) -> float:
@@ -190,10 +182,8 @@ def london_depth(lambda0: float, Tc: float, temperature: float) -> float:
 
 def permittivity(model: MaterialModel, omega: float, temperature: float) -> complex:
     """Complex relative permittivity of ``model`` at (omega, T)."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if temperature <= 0.0:
-        raise DomainError(f"temperature must be > 0, got {temperature}")
+    require_above(omega, "omega")
+    require_above(temperature, "temperature")
     return model.permittivity(omega, temperature)
 
 
@@ -216,7 +206,7 @@ def sheet_resistance(film: FilmSheet, temperature: float, omega: float) -> float
 
 def parallel_sheet(a: float, b: float) -> float:
     """Parallel combination a*b/(a+b) of two sheet resistances."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):  # +inf, an open circuit, is allowed
         raise DomainError(f"sheet resistances must be > 0, got {a}, {b}")
     if math.isinf(a):
         return b

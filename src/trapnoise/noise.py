@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError
+from .constants import CONSTANTS, DomainError, require_above
 from .layers import GreensResult, LayerStack, greens_parallel
 from .materials import Conductor, FilmSheet, parallel_sheet, sheet_resistance
 
@@ -50,10 +50,8 @@ def blackbody_noise(omega: float, temperature: float) -> float:
 
     Valid for hbar*omega << kB*T; warns above a 1% ratio.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if temperature < 0.0:
-        raise DomainError(f"temperature must be >= 0, got {temperature}")
+    require_above(omega, "omega")
+    require_above(temperature, "temperature", or_equal=True)
     if temperature > 0.0:
         ratio = CONSTANTS.hbar * omega / (CONSTANTS.kB * temperature)
         if ratio > 0.01:
@@ -112,10 +110,8 @@ class FilterCapacitor:
     esr: float = 0.0
 
     def __post_init__(self):
-        if self.capacitance <= 0.0:
-            raise DomainError(f"capacitance must be > 0, got {self.capacitance}")
-        if self.esr < 0.0:
-            raise DomainError(f"ESR must be >= 0, got {self.esr}")
+        require_above(self.capacitance, "capacitance")
+        require_above(self.esr, "ESR", or_equal=True)
 
 
 @dataclass(frozen=True)
@@ -126,14 +122,12 @@ class FilterNetwork:
     capacitors: tuple[FilterCapacitor, ...] = ()
 
     def __post_init__(self):
-        if self.series_r <= 0.0:
-            raise DomainError(f"series R must be > 0, got {self.series_r}")
+        require_above(self.series_r, "series R")
 
 
 def filter_effective_resistance(net: FilterNetwork, omega: float) -> float:
     """Re Z of the filter as seen from the electrode."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
+    require_above(omega, "omega")
     admittance = 1.0 / complex(net.series_r)
     for cap in net.capacitors:
         admittance += 1.0 / (cap.esr + 1.0 / (1j * omega * cap.capacitance))
@@ -141,8 +135,8 @@ def filter_effective_resistance(net: FilterNetwork, omega: float) -> float:
 
 
 def skin_depth(rho: float, omega: float) -> float:
-    if rho <= 0.0 or omega <= 0.0:
-        raise DomainError(f"need rho, omega > 0, got {rho}, {omega}")
+    require_above(rho, "rho")
+    require_above(omega, "omega")
     return float(np.sqrt(2.0 * rho / (omega * CONSTANTS.mu0)))
 
 
@@ -156,8 +150,9 @@ class RectTrace:
     material: Conductor
 
     def __post_init__(self):
-        if min(self.width, self.thickness, self.length) <= 0.0:
-            raise DomainError("trace dimensions must be > 0")
+        require_above(self.width, "trace width")
+        require_above(self.thickness, "trace thickness")
+        require_above(self.length, "trace length")
 
     def resistance(self, omega: float, temperature: float) -> float:
         rho = self.material.rho.lookup(temperature)
@@ -178,10 +173,9 @@ class WireBond:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if min(self.diameter, self.length) <= 0.0:
-            raise DomainError("bond dimensions must be > 0")
-        if self.multiplicity < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        require_above(self.diameter, "bond diameter")
+        require_above(self.length, "bond length")
+        require_above(self.multiplicity, "multiplicity", 1, or_equal=True)
 
     def resistance_single(self, omega: float, temperature: float) -> float:
         rho = self.material.rho.lookup(temperature)
@@ -203,8 +197,7 @@ class LeadModel:
     contact_r_per_bond: float = 0.0
 
     def __post_init__(self):
-        if self.contact_r_per_bond < 0.0:
-            raise DomainError("contact resistance must be >= 0")
+        require_above(self.contact_r_per_bond, "contact resistance", or_equal=True)
 
 
 def lead_resistance(lead: LeadModel, omega: float, temperature: float) -> float:
@@ -231,10 +224,9 @@ class ElectrodeModel:
     filter: FilterNetwork | None = None
 
     def __post_init__(self):
-        if self.characteristic_distance <= 0.0:
-            raise DomainError("characteristic distance must be > 0")
-        if min(self.strip_length, self.strip_width) <= 0.0:
-            raise DomainError("strip dimensions must be > 0")
+        require_above(self.characteristic_distance, "characteristic distance")
+        require_above(self.strip_length, "strip length")
+        require_above(self.strip_width, "strip width")
 
 
 def electrode_resistance(e: ElectrodeModel, temperature: float, omega: float) -> float:
@@ -294,8 +286,7 @@ def jnn_budget(
     """
     if not electrodes:
         raise DomainError("electrode list must be non-empty")
-    if temperature < 0.0:
-        raise DomainError(f"temperature must be >= 0, got {temperature}")
+    require_above(temperature, "temperature", or_equal=True)
     per: dict[str, ElectrodeNoise] = {}
     for e in electrodes:
         if e.name in per:

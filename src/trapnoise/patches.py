@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DomainError
+from .constants import DomainError, require_above
 
 __all__ = [
     "PlaneRegion",
@@ -70,8 +70,7 @@ class PlaneRegion:
         x0, x1, y0, y1 = self.rect
         if not (x1 > x0 and y1 > y0):
             raise DomainError(f"degenerate region rect {self.rect}")
-        if self.weight < 0.0:
-            raise DomainError(f"region weight must be >= 0, got {self.weight}")
+        require_above(self.weight, "region weight", or_equal=True)
 
 
 def _overlaps(a: PlaneRegion, b: PlaneRegion) -> bool:
@@ -90,8 +89,7 @@ class PatchScene:
     axial_dir: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.ion_height <= 0.0:
-            raise DomainError(f"ion height must be > 0, got {self.ion_height}")
+        require_above(self.ion_height, "ion height")
         norm = math.hypot(*self.axial_dir)
         if abs(norm - 1.0) > 1e-9:
             raise DomainError(f"axial_dir must be a unit vector, |v| = {norm}")
@@ -286,8 +284,7 @@ def region_noise_integral(
     Raises PatchBudgetError if more than _MAX_PATCHES tiles would be
     summed directly.
     """
-    if patch_size <= 0.0:
-        raise DomainError(f"patch_size must be > 0, got {patch_size}")
+    require_above(patch_size, "patch_size")
     x0, x1, y0, y1 = region.rect
     nx, ny = _tile_count(x0, x1, patch_size), _tile_count(y0, y1, patch_size)
     direct = nx * ny if exact else nx + ny
@@ -325,12 +322,11 @@ def _share(f_ratio: float, i_target: float, rest: float) -> float:
 
     Where rest / (f I_t) overflows, the share is below 1 / DBL_MAX, and
     f I_t / rest takes over, still monotone and still above zero."""
-    if f_ratio < 0.0:
-        raise DomainError(f"f_ratio must be >= 0, got {f_ratio}")
+    require_above(f_ratio, "f_ratio", or_equal=True)
     if f_ratio == 0.0:
         return 0.0
     weighted = f_ratio * i_target
-    if weighted + rest <= 0.0:
+    if not weighted + rest > 0.0:
         raise DomainError("all weighted region integrals vanish")
     if weighted == 0.0:
         return 0.0
@@ -399,6 +395,6 @@ def zeta_inverse(
     if not 0.0 < target_zeta < 1.0:
         raise DomainError(f"target zeta must be in (0, 1), got {target_zeta}")
     i_target, rest, _ = _weighted_integrals(scene, target_name, patch_size, exact)
-    if i_target <= 0.0:
+    if not i_target > 0.0:
         raise DomainError(f"target region {target_name!r} integral vanishes")
     return target_zeta / (1.0 - target_zeta) * rest / i_target

@@ -164,6 +164,14 @@ def test_freq_power_law_validation():
         fit_freq_power_law(good[:2] + [(4 * OMEGA0, -1.0, 0.1)])
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["gamma", "sigma"])
+def test_freq_power_law_rejects_a_nan_point(column):
+    points = [[w, 0.9 * (w / OMEGA0) ** -2.2, 0.01] for w in 2 * math.pi * np.array(FREQS_HZ)]
+    points[3][column] = math.nan
+    with pytest.raises(UnusableDataError, match="gamma and sigma must be > 0"):
+        fit_freq_power_law(points)
+
+
 # ---------------------------------------------------------------------------
 # temperature models
 
@@ -453,6 +461,21 @@ def test_surface_fit_validation():
         fit_surface_models(short)
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["s_e", "sigma"])
+def test_surface_fit_rejects_a_nan_point(column):
+    curve = [list(p) for p in synth_surface("power", POWER_PARAMS, SURF_TEMPS, 0.05, seed=1)]
+    curve[7][column] = math.nan
+    with pytest.raises(UnusableDataError, match="S_E and sigma must be > 0"):
+        fit_surface_models(curve)
+
+
+def test_spline_slope_rejects_a_nan_point():
+    curve = [[t, 2e-15 * t**2.5, 1e-17 * t**2.5] for t in np.geomspace(10.0, 250.0, 15)]
+    curve[5][1] = math.nan
+    with pytest.raises(UnusableDataError, match="T and S_E must be > 0"):
+        loglog_spline_slope(curve, n_boot=10)
+
+
 # ---------------------------------------------------------------------------
 # spline slope and TAF
 
@@ -549,6 +572,12 @@ def test_taf_consistency_hand_value():
     assert p == pytest.approx(math.exp(-0.25), rel=1e-10)
     with pytest.raises(DomainError):
         taf_consistency_chi2(measured[:1], lambda t: -1.05)
+
+
+def test_taf_consistency_rejects_a_nan_sigma():
+    measured = [(-1.0, 0.1, 50.0), (-1.1, math.nan, 80.0)]
+    with pytest.raises(UnusableDataError, match="sigma_alpha must be > 0"):
+        taf_consistency_chi2(measured, lambda t: -1.05)
 
 
 # ---------------------------------------------------------------------------
