@@ -668,6 +668,8 @@ def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
     for alpha, sigma_alpha, temp in pts:
         if not sigma_alpha > 0.0:
             raise UnusableDataError("sigma_alpha must be > 0")
+        if not (math.isfinite(alpha) and math.isfinite(temp)):
+            raise UnusableDataError(f"alpha and T must be finite, got {alpha}, {temp}")
         chi2 += ((alpha - float(predicted(temp))) / sigma_alpha) ** 2
     return chi2, chi2_sf(chi2, len(pts))
 

@@ -11,10 +11,24 @@ vertical wavenumber k*W (rad/m) times the layer thickness in metres.
 The surface response g_parallel multiplies the blackbody field noise density
 as S = S_bb * (1 + g_parallel) for the field component parallel to the
 surface at height d above a laterally infinite stack.
+
+Evaluation
+----------
+A quadrature round hands the g_parallel integrands up to a few hundred
+thousand nodes at once.  They are evaluated in blocks of ``_BLOCK`` nodes,
+each written into one complex array for the round, so the complex
+temporaries of the reflection recursion stay cache-sized instead of
+megabytes each.  Blocking is an evaluation detail, not an approximation:
+every node's value is the same bit for bit as in one unblocked call, except
+that the W = 0 fallback of :func:`stack_reflection` is chosen per block.
+A medium whose Im eps is > 0 or +0.0 takes the principal root of
+eps - u^2, which already lies on the Im W >= 0 branch, so it skips the
+branch flip and gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +51,7 @@ __all__ = [
 
 _ABS_TOL = 1e-5  # g units; errors far below 1 do not matter to 1 + g_parallel
 _MAX_EVALS = 2_000_000  # per g_parallel call, split over its two integrals
+_BLOCK = 4096  # integrand nodes per block: 64 kB per complex temporary
 
 
 class DegenerateInterfaceError(ZeroDivisionError):
@@ -88,8 +103,16 @@ def branch_sqrt(z):
     return np.where(flip, -w, w)
 
 
+def _vertical(eps, u2):
+    """W = sqrt(eps - u2) on the branch Im W >= 0, from a scalar eps."""
+    if math.copysign(1.0, eps.imag) > 0.0:
+        # Im(eps - u2) >= +0, where the principal root already has Im >= 0
+        return np.sqrt(np.asarray(eps - u2, dtype=complex))
+    return branch_sqrt(eps - u2)
+
+
 def _check_denominator(den, eps_a, eps_b, pol: str):
-    if np.any(den == 0.0):
+    if not den.all():
         raise DegenerateInterfaceError(
             f"{pol}-polarised Fresnel denominator vanished for "
             f"eps_a={eps_a!r}, eps_b={eps_b!r}"
@@ -125,12 +148,12 @@ def stack_reflection(eps_media, thicknesses, u, k):
     if lossless and np.isin(u2, lossless).any():
         # W = 0 in a lossless finite layer, where the recursion gives 0/0
         return _admittance_reflection(eps_media, thicknesses, u2, k)
-    w_below = branch_sqrt(eps_media[-1] - u2)
-    w = branch_sqrt(eps_media[-2] - u2)
+    w_below = _vertical(eps_media[-1], u2)
+    w = _vertical(eps_media[-2], u2)
     rs, rp = _interface(eps_media[-2], eps_media[-1], w, w_below)
     for i in range(len(eps_media) - 3, -1, -1):
         ph = np.exp(2j * k * thicknesses[i] * w)
-        w_below, w = w, branch_sqrt(eps_media[i] - u2)
+        w_below, w = w, _vertical(eps_media[i], u2)
         r_s, r_p = _interface(eps_media[i], eps_media[i + 1], w, w_below)
         rs = (r_s + rs * ph) / (1.0 + r_s * rs * ph)
         rp = (r_p + rp * ph) / (1.0 + r_p * rp * ph)
@@ -142,15 +165,15 @@ def _admittance_reflection(eps_media, thicknesses, u2, k):
     through each finite layer: q <- (q - i W^2 g / e) / (1 - i q e g) with
     g = tan(k d W) / W, which is k d at W = 0, and e = 1 (s) or eps (p).
     Unlike the reflection recursion it stays finite where a layer's W = 0."""
-    w = branch_sqrt(eps_media[-1] - u2)
+    w = _vertical(eps_media[-1], u2)
     qs, qp = w, w / eps_media[-1]
     for eps, d in zip(eps_media[-2:0:-1], thicknesses[::-1]):
-        w = branch_sqrt(eps - u2)
+        w = _vertical(eps, u2)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.where(w == 0.0, k * d, np.tan(k * d * w) / w)
         qs = (qs - 1j * w * w * g) / (1.0 - 1j * qs * g)
         qp = (qp - 1j * w * w * g / eps) / (1.0 - 1j * qp * eps * g)
-    w = branch_sqrt(eps_media[0] - u2)
+    w = _vertical(eps_media[0], u2)
     q0p = w / eps_media[0]
     return (w - qs) / (w + qs), (q0p - qp) / (q0p + qp)
 
@@ -165,6 +188,14 @@ def fresnel_stack(stack: LayerStack, u, omega: float, temperature: float):
     """(Rs, Rp) of a vacuum-terminated stack at normalised wavevector u."""
     eps_media, thicknesses = _media(stack, omega, temperature)
     return stack_reflection(eps_media, thicknesses, u, omega / CONSTANTS.c)
+
+
+def _blocked(f, x):
+    """Complex f(x) for a 1-D node array x, evaluated _BLOCK nodes at a time."""
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(0, x.size, _BLOCK):
+        out[i:i + _BLOCK] = f(x[i:i + _BLOCK])
+    return out
 
 
 def greens_parallel(
@@ -197,12 +228,12 @@ def greens_parallel(
     def integrand_evan(t):
         u = np.sqrt(1.0 + t * t)
         rs, rp = stack_reflection(eps_media, thicknesses, u, k)
-        return (np.exp(-2.0 * kd * t) * (rs + t * t * rp)).imag
+        return np.exp(-2.0 * kd * t) * (rs + t * t * rp)
 
     budget = _MAX_EVALS // 2
     res_p = adaptive_gk(
-        integrand_prop, 0.0, np.pi / 2, rel_tol=rel_tol,
-        abs_tol=_ABS_TOL / 2.0, max_evals=budget,
+        lambda x: _blocked(integrand_prop, x), 0.0, np.pi / 2,
+        rel_tol=rel_tol, abs_tol=_ABS_TOL / 2.0, max_evals=budget,
     )
 
     t_cap = max(37.0 / (2.0 * kd), 10.0)
@@ -212,8 +243,11 @@ def greens_parallel(
     breaks = set(np.geomspace(lo, t_cap, n_dec))
     breaks.update(s for s in scales if lo < s < t_cap)
     res_e = adaptive_gk(
-        integrand_evan, 0.0, t_cap, rel_tol=rel_tol,
-        abs_tol=_ABS_TOL / 2.0, max_evals=budget, breakpoints=sorted(breaks),
+        # .imag is a strided view, as before blocking; a contiguous copy
+        # sends the quadrature's matmul down a path with other last bits
+        lambda x: _blocked(integrand_evan, x).imag, 0.0, t_cap,
+        rel_tol=rel_tol, abs_tol=_ABS_TOL / 2.0, max_evals=budget,
+        breakpoints=sorted(breaks),
     )
 
     prop = 0.75 * float(np.real(res_p.value))

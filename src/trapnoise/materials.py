@@ -123,6 +123,11 @@ class SCSheetSpec:
     omega_ref: float = 2.0 * math.pi * 10.9e9  # rad/s
     rs_residual: float = 1.0e-7    # Ohm/sq, measured floor at tens of MHz
 
+    def __post_init__(self):
+        require_above(self.rs_ref, "reference sheet resistance", or_equal=True)
+        require_above(self.omega_ref, "reference omega")
+        require_above(self.rs_residual, "residual sheet resistance", or_equal=True)
+
     def sheet_resistance(self, omega: float) -> float:
         return self.rs_ref * (omega / self.omega_ref) ** 2 + self.rs_residual
 

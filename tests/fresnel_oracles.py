@@ -1,10 +1,11 @@
 """Explicit three- and four-layer Fresnel reflections, written out in closed
 form as reference values for the general recursion in
-:func:`trapnoise.layers.stack_reflection`."""
+:func:`trapnoise.layers.stack_reflection`, and a verbatim copy of that
+recursion as it was before its evaluation was optimised."""
 
 import numpy as np
 
-from trapnoise.layers import branch_sqrt, fresnel_interface
+from trapnoise.layers import DegenerateInterfaceError, branch_sqrt, fresnel_interface
 
 
 def _phase(eps, u2, k, thickness):
@@ -36,3 +37,71 @@ def fresnel_four_layer(eps_a, eps_b, eps_c, eps_d, t_b, t_c, u, k):
         den = 1.0 + r_ab * r_bc * ph_b + (r_bc + r_ab * ph_b) * r_cd * ph_c
         out.append(num / den)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The reflection recursion as it was before its integrands were blocked and
+# before media with Im eps >= +0 skipped the branch flip, kept verbatim so
+# that tests can require trapnoise.layers.stack_reflection to match it bit
+# for bit.
+
+
+def _check_denominator(den, eps_a, eps_b, pol: str):
+    if np.any(den == 0.0):
+        raise DegenerateInterfaceError(
+            f"{pol}-polarised Fresnel denominator vanished for "
+            f"eps_a={eps_a!r}, eps_b={eps_b!r}"
+        )
+
+
+def _interface(eps_a, eps_b, wa, wb):
+    """(Rs, Rp) of the a|b interface from its vertical wavevector factors."""
+    den_s = wa + wb
+    den_p = eps_b * wa + eps_a * wb
+    _check_denominator(den_s, eps_a, eps_b, "s")
+    _check_denominator(den_p, eps_a, eps_b, "p")
+    rs = (wa - wb) / den_s
+    rp = (eps_b * wa - eps_a * wb) / den_p
+    return rs, rp
+
+
+def reference_stack_reflection(eps_media, thicknesses, u, k):
+    """Recursion over interfaces from the bulk up; media listed top to bulk.
+
+    eps_media has N+1 entries (index 0 is the upper half-space) and
+    thicknesses has N-1 entries for the interior finite media.  Each
+    medium's W is computed once; only two are held at a time.
+    """
+    u2 = np.asarray(u, dtype=float) ** 2
+    lossless = [e.real for e in eps_media[1:-1] if e.imag == 0.0]
+    if lossless and np.isin(u2, lossless).any():
+        # W = 0 in a lossless finite layer, where the recursion gives 0/0
+        return reference_admittance_reflection(eps_media, thicknesses, u2, k)
+    w_below = branch_sqrt(eps_media[-1] - u2)
+    w = branch_sqrt(eps_media[-2] - u2)
+    rs, rp = _interface(eps_media[-2], eps_media[-1], w, w_below)
+    for i in range(len(eps_media) - 3, -1, -1):
+        ph = np.exp(2j * k * thicknesses[i] * w)
+        w_below, w = w, branch_sqrt(eps_media[i] - u2)
+        r_s, r_p = _interface(eps_media[i], eps_media[i + 1], w, w_below)
+        rs = (r_s + rs * ph) / (1.0 + r_s * rs * ph)
+        rp = (r_p + rp * ph) / (1.0 + r_p * rp * ph)
+    return rs, rp
+
+
+def reference_admittance_reflection(eps_media, thicknesses, u2, k):
+    """(Rs, Rp) from the input admittance q = W (s) or W/eps (p) carried up
+    through each finite layer: q <- (q - i W^2 g / e) / (1 - i q e g) with
+    g = tan(k d W) / W, which is k d at W = 0, and e = 1 (s) or eps (p).
+    Unlike the reflection recursion it stays finite where a layer's W = 0."""
+    w = branch_sqrt(eps_media[-1] - u2)
+    qs, qp = w, w / eps_media[-1]
+    for eps, d in zip(eps_media[-2:0:-1], thicknesses[::-1]):
+        w = branch_sqrt(eps - u2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(w == 0.0, k * d, np.tan(k * d * w) / w)
+        qs = (qs - 1j * w * w * g) / (1.0 - 1j * qs * g)
+        qp = (qp - 1j * w * w * g / eps) / (1.0 - 1j * qp * eps * g)
+    w = branch_sqrt(eps_media[0] - u2)
+    q0p = w / eps_media[0]
+    return (w - qs) / (w + qs), (q0p - qp) / (q0p + qp)

@@ -678,8 +678,13 @@ def test_missing_data_file_exits_data(tmp_path):
         ("fdt", ("stacks", "sapphire-ybco"), "ybco 300e-9", "ybco 0", "[stack]"),
         ("jnn", ("circuits", "ybco-trap"), "distance_m = 5.10e-3",
          "distance_m = nan", "[electrode:C1]"),
+        ("jnn", ("materials", "default"), "rho_normal_t_max_K = 320.0",
+         "rho_normal_t_max_K = 320.0\nsc_f_ref_hz = 0", "[material:ybco]"),
+        ("jnn", ("materials", "default"), "rho_normal_t_max_K = 320.0",
+         "rho_normal_t_max_K = 320.0\nsc_rs_residual_ohm = -1e-7", "[material:ybco]"),
     ],
-    ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan"],
+    ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan",
+         "sc-zero-reference-frequency", "sc-negative-residual"],
 )
 def test_config_value_faults_exit_config(
     command, config, old, new, section, tmp_path, capsys
@@ -692,7 +697,8 @@ def test_config_value_faults_exit_config(
         [command, "--config", str(cfg), "--temps", "50", "--out", str(tmp_path / "o")]
     )
     assert rc == EXIT_CONFIG
-    assert section in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfg}: {section}" in err
 
 
 def test_electrode_named_total_exits_config(tmp_path, capsys):

@@ -27,6 +27,7 @@ from trapnoise.materials import (
     FilmSheet,
     LossyDielectric,
     ResistivityTable,
+    SCSheetSpec,
     TwoFluidSC,
     Vacuum,
     permittivity,
@@ -72,6 +73,12 @@ SITES = {
     "TwoFluidSC.lambda0": ("lambda0", lambda v: _ybco(lambda0=v)),
     "TwoFluidSC.Tc": ("Tc", lambda v: _ybco(tc=v)),
     "TwoFluidSC.sigma_n": ("sigma_n", lambda v: _ybco(sigma_n=v)),
+    "SCSheetSpec.rs_ref": ("reference sheet resistance", lambda v: SCSheetSpec(rs_ref=v)),
+    "SCSheetSpec.omega_ref": ("reference omega", lambda v: SCSheetSpec(omega_ref=v)),
+    "SCSheetSpec.rs_residual": (
+        "residual sheet resistance",
+        lambda v: SCSheetSpec(rs_residual=v),
+    ),
     "TwoFluidSC.permittivity.omega": ("omega", lambda v: _ybco().permittivity(v, 20.0)),
     "FilmSheet.thickness": ("thickness", lambda v: FilmSheet(GOLD, v)),
     "permittivity.omega": ("omega", lambda v: permittivity(Vacuum(), v, 10.0)),

@@ -580,6 +580,16 @@ def test_taf_consistency_rejects_a_nan_sigma():
         taf_consistency_chi2(measured, lambda t: -1.05)
 
 
+@pytest.mark.parametrize(
+    "column, value", [(0, math.nan), (2, math.inf)], ids=["alpha-nan", "temperature-inf"]
+)
+def test_taf_consistency_rejects_a_non_finite_point(column, value):
+    measured = [[-1.0, 0.1, 50.0], [-1.1, 0.1, 80.0]]
+    measured[0][column] = value
+    with pytest.raises(UnusableDataError, match="alpha and T must be finite"):
+        taf_consistency_chi2(measured, lambda t: -1.05)
+
+
 # ---------------------------------------------------------------------------
 # synthetic data generation
 

@@ -1,16 +1,20 @@
 """Fresnel coefficients, N-layer recursion, and the surface response integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapnoise.configio import load_materials, load_stack, packaged_config
 from trapnoise.constants import CONSTANTS, DomainError
 from trapnoise.layers import (
+    _BLOCK,
     DegenerateInterfaceError,
     Layer,
     LayerStack,
+    _blocked,
     branch_sqrt,
     fresnel_interface,
     fresnel_stack,
@@ -18,8 +22,14 @@ from trapnoise.layers import (
     stack_reflection,
 )
 from trapnoise.materials import Conductor, ResistivityTable, Vacuum
+from trapnoise.quadrature import QuadratureFailure
 
-from fresnel_oracles import fresnel_four_layer, fresnel_three_layer
+from fresnel_oracles import (
+    fresnel_four_layer,
+    fresnel_three_layer,
+    reference_admittance_reflection,
+    reference_stack_reflection,
+)
 
 OMEGA_1MHZ = 2.0 * math.pi * 1.0e6
 K_1MHZ = OMEGA_1MHZ / CONSTANTS.c
@@ -238,6 +248,117 @@ def test_passive_stack_reflection_is_bounded(media, log_f, u_prop, log_excess):
     u_evan = 1.0 + 10.0 ** np.array(log_excess)
     for r in stack_reflection(eps_media, thicknesses, u_evan, k):
         assert np.all(r.imag >= -1e-12 * np.maximum(1.0, np.abs(r)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Im R < 0 where W of a nearly lossless layer and of the bulk vanish "
+    "together; ROADMAP item 1 (the admittance kernel) is the fix",
+)
+def test_evanescent_reflection_stays_passive_where_two_media_have_w_zero():
+    # u^2 = 4 is eps of the top layer, whose 9.5e-34 loss keeps it off the
+    # lossless W = 0 fallback, and of the bulk; Im Rs is -2.4e-6 today
+    k = 2.0 * math.pi * 1e5 / CONSTANTS.c
+    eps_media = (1.0 + 0.0j, 4.0 + 9.5e-34j, 5.0 + 0.0j, 4.0 + 0.0j)
+    for r in stack_reflection(eps_media, (1e-3, 1e-3), np.array([2.0]), k):
+        assert np.all(r.imag >= -1e-12 * np.maximum(1.0, np.abs(r)))
+
+
+# ---------------------------------------------------------------------------
+# evaluation: the root shortcut and the blocked integrands change no bit
+
+
+def _bits(r):
+    return np.ascontiguousarray(r, dtype=complex).view(np.int64)
+
+
+# media with Im eps = -0.0 or < 0 keep the branch flip, so they join the draw
+_ANY_SIGN_EPS = _MEDIUM_EPS | st.builds(
+    lambda re, im: complex(re, -im), st.floats(-100.0, 100.0), st.sampled_from([0.0, 1.0])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    media=st.lists(
+        st.tuples(_ANY_SIGN_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
+    ),
+    log_f=st.floats(5.0, 9.0),
+    n_nodes=st.integers(1, 3 * _BLOCK + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_reflection_matches_the_reference_bit_for_bit(media, log_f, n_nodes, seed):
+    eps_media = (1.0 + 0.0j, *(eps for eps, _ in media))
+    thicknesses = tuple(10.0**log_t for _, log_t in media[:-1])
+    k = 2.0 * math.pi * 10.0**log_f / CONSTANTS.c
+    # propagating and evanescent nodes, drawn as greens_parallel maps them
+    rng = np.random.default_rng(seed)
+    t = 10.0 ** rng.uniform(-6.0, 7.0, n_nodes)
+    u = np.where(rng.random(n_nodes) < 0.5,
+                 np.sin(rng.uniform(0.0, math.pi / 2, n_nodes)), np.sqrt(1.0 + t * t))
+    try:
+        expected = reference_stack_reflection(eps_media, thicknesses, u, k)
+    except (DegenerateInterfaceError, RuntimeWarning) as exc:
+        with pytest.raises(type(exc)):
+            stack_reflection(eps_media, thicknesses, u, k)
+        return
+    got = stack_reflection(eps_media, thicknesses, u, k)
+    for pol in (0, 1):
+        assert np.array_equal(_bits(got[pol]), _bits(expected[pol]))
+        # blocked, each block is its own call, W = 0 fallback included
+        blocked = _blocked(lambda x: stack_reflection(eps_media, thicknesses, x, k)[pol], u)
+        per_block = [
+            reference_stack_reflection(eps_media, thicknesses, u[i:i + _BLOCK], k)[pol]
+            for i in range(0, n_nodes, _BLOCK)
+        ]
+        assert np.array_equal(_bits(blocked), _bits(np.concatenate(per_block)))
+
+
+def test_w_zero_fallback_is_chosen_per_block():
+    # one node of the second block sits at u^2 = eps of the lossless layer:
+    # only that block takes the admittance form, the others keep the recursion
+    k = 2.0 * math.pi * 1e5 / CONSTANTS.c
+    eps_media = (1.0 + 0.0j, 4.0 + 0.0j, 9.0 + 2.0j, -30.0 + 5.0j)
+    thicknesses = (1e-4, 1e-6)
+    u = np.linspace(1.5, 2.5, 3 * _BLOCK)
+    u[_BLOCK + 5] = 2.0
+    rs = _blocked(lambda x: stack_reflection(eps_media, thicknesses, x, k)[0], u)
+    for lo, hi in ((0, _BLOCK), (2 * _BLOCK, 3 * _BLOCK)):
+        recursion = reference_stack_reflection(eps_media, thicknesses, u[lo:hi], k)[0]
+        assert np.array_equal(_bits(rs[lo:hi]), _bits(recursion))
+    middle = u[_BLOCK:2 * _BLOCK]
+    admittance = reference_admittance_reflection(eps_media, thicknesses, middle**2, k)[0]
+    assert np.array_equal(_bits(rs[_BLOCK:2 * _BLOCK]), _bits(admittance))
+
+
+def _packaged_stack(name):
+    materials = load_materials(packaged_config("materials", "default"))
+    return load_stack(packaged_config("stacks", name), materials)
+
+
+def test_greens_parallel_bits_across_many_blocks():
+    # converges after 378,480 evaluations, rounds of many blocks each; the
+    # values were recorded before the integrands were blocked
+    stack = _packaged_stack("sapphire-ybco-au")
+    res = greens_parallel(stack, OMEGA_1MHZ, 200.0, 30e-6)
+    assert res.g_parallel.hex() == "0x1.58ffa3ab239e5p+27"
+    assert res.error.hex() == "0x1.6865b6a5ffbf2p+7"
+    assert res.evaluations == 378_480
+
+
+def test_greens_parallel_temporaries_stay_block_sized():
+    # the README point fails after about 1M evaluations, in rounds of up to
+    # a few hundred thousand nodes; what is left at that size is the round's
+    # nodes and its one output array (unblocked, the peak was 48.5 MB)
+    stack = _packaged_stack("sapphire-ybco-au")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureFailure):
+            greens_parallel(stack, OMEGA_1MHZ, 70.0, 225e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 # ---------------------------------------------------------------------------
