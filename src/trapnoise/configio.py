@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError
+from .constants import CONSTANTS, DomainError, require_above
 from .inference import SURFACE_MODELS, HeatingDataset, HeatingRecord, TempFitParams
 from .layers import Layer, LayerStack
 from .materials import (
@@ -599,7 +599,8 @@ def load_temp_params(path) -> TempFitParams:
     """Temperature-model parameters from a ``[temp-model]`` section.
 
     ``gamma0_phps`` lists one ``f_Hz gamma0`` pair per line; the piecewise
-    keys (``t2_K``, ``beta2``, ``t_star_K``) are all-or-none.
+    keys (``t2_K``, ``beta2``, ``t_star_K``) are all-or-none.  Every
+    temperature, frequency and gamma0 must be > 0.
     """
     parser = _read_ini(path)
     sec = _single_section(parser, path, "temp-model")
@@ -612,10 +613,16 @@ def load_temp_params(path) -> TempFitParams:
     pairs = sec.floats("gamma0_phps", "f_Hz gamma0", required=True)
     sec.finish()
     gamma0 = {}
-    for f_hz, g0 in pairs:
-        if f_hz in gamma0:
-            raise sec.error(f"gamma0_phps: duplicate frequency {f_hz} Hz")
-        gamma0[f_hz] = g0
+    with sec:
+        for key, value in (("t1_K", t1), ("t2_K", piece[0]), ("t_star_K", piece[2])):
+            if value is not None:
+                require_above(value, key)
+        for f_hz, g0 in pairs:
+            if f_hz in gamma0:
+                raise sec.error(f"gamma0_phps: duplicate frequency {f_hz} Hz")
+            require_above(f_hz, "gamma0_phps frequency")
+            require_above(g0, f"gamma0_phps at {f_hz:g} Hz")
+            gamma0[f_hz] = g0
     return TempFitParams(
         gamma0=gamma0,
         t1=t1,
@@ -628,7 +635,8 @@ def load_temp_params(path) -> TempFitParams:
 
 def load_surface_params(path, kind: str) -> dict[str, float]:
     """Surface-noise model parameters from a ``[surface-model]`` section;
-    the key of the temperature ``t0`` is ``t0_K``."""
+    the key of the temperature ``t0`` is ``t0_K``.  ``t0``, ``s_et`` and the
+    power-law ``s_e0`` must be > 0, the Arrhenius ``s_e0`` >= 0."""
     if kind not in SURFACE_MODELS:
         raise ConfigFileError(f"unknown surface model kind {kind!r}")
     parser = _read_ini(path)
@@ -638,6 +646,12 @@ def load_surface_params(path, kind: str) -> dict[str, float]:
         for name in SURFACE_MODELS[kind].names
     }
     sec.finish()
+    with sec:
+        require_above(out["t0"], "t0_K")
+        # a constant Arrhenius offset may vanish; a power-law amplitude may not
+        require_above(out["s_e0"], "s_e0", or_equal=kind == "arrhenius")
+        if kind == "arrhenius":
+            require_above(out["s_et"], "s_et")
     return out
 
 

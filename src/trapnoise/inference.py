@@ -8,7 +8,10 @@ thermally-activated-fluctuator (TAF) prediction linking the temperature
 slope to the frequency exponent.
 
 All fits minimise sigma-weighted residuals; quoted RSS and information
-criteria use the same weighted residual definition.
+criteria use the same weighted residual definition.  ``_natural_fit`` is
+the one place where fit coordinates, some of them logarithms, become
+reported values and errors; a value or error out of float range raises
+FitFailure.
 """
 
 from __future__ import annotations
@@ -85,6 +88,32 @@ def _exp(x) -> float:
         return math.nan
 
 
+def _natural(theta, logged) -> tuple:
+    """Fit coordinates as natural values: ``_exp`` of those flagged in
+    ``logged``, the rest as given."""
+    # numpy iterators are slow to run out, so the tuple leads the zip
+    return tuple(_exp(v) if log else v for log, v in zip(logged, theta))
+
+
+def _natural_fit(res: FitResult, logged) -> tuple[tuple, tuple]:
+    """The natural values of a fit's parameters and their errors.
+
+    By the delta method the error of exp(theta) is exp(theta) times the
+    error of theta.  A logarithm that overflows or underflows, or an error
+    that is not finite, raises :class:`FitFailure`.
+    """
+    values = tuple(map(float, _natural(res.params, logged)))
+    raw = res.errors().tolist()  # floats: an overflowing error is inf, not a warning
+    errors = tuple(e * v if log else e for e, v, log in zip(raw, values, logged))
+    state = res.params, res.rss, res.n_iter
+    # a logged value of 0 is an exp() underflow
+    if not all(math.isfinite(v) and (v or not log) for v, log in zip(values, logged)):
+        raise FitFailure("a parameter overflowed or underflowed", *state)
+    if not all(map(math.isfinite, errors)):
+        raise FitFailure("a parameter has no finite error", *state)
+    return values, errors
+
+
 @dataclass(frozen=True)
 class HeatingRecord:
     temperature: float
@@ -138,6 +167,9 @@ class HeatingDataset:
 # frequency power law
 
 
+_FREQ_LOGGED = (True, False)  # ln gamma_coeff, alpha
+
+
 def _power_law(omega, gamma_coeff, alpha):
     return gamma_coeff * (np.asarray(omega) / OMEGA0) ** (alpha - 1.0)
 
@@ -148,15 +180,13 @@ class FreqPowerLawFit:
 
     gamma_coeff: float
     alpha: float
-    covariance: np.ndarray
-    fit: FitResult = field(repr=False, compare=False, default=None)
+    fit: FitResult = field(repr=False, compare=False)
 
     def __call__(self, omega):
         return _power_law(omega, self.gamma_coeff, self.alpha)
 
     def errors(self) -> tuple[float, float]:
-        d = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-        return float(d[0]), float(d[1])
+        return _natural_fit(self.fit, _FREQ_LOGGED)[1]
 
 
 def fit_freq_power_law(points) -> FreqPowerLawFit:
@@ -182,16 +212,8 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
         return (gammas - model) / sigmas
 
     res = levenberg_marquardt(residual, theta0)
-    ln_g, alpha = res.params
-    # delta method: var(gamma) = gamma^2 var(ln gamma)
-    jac_t = np.array([[math.exp(ln_g), 0.0], [0.0, 1.0]])
-    cov = jac_t @ res.covariance @ jac_t.T
-    return FreqPowerLawFit(
-        gamma_coeff=float(math.exp(ln_g)),
-        alpha=float(alpha),
-        covariance=cov,
-        fit=res,
-    )
+    (gamma_coeff, alpha), _ = _natural_fit(res, _FREQ_LOGGED)
+    return FreqPowerLawFit(gamma_coeff=gamma_coeff, alpha=alpha, fit=res)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +356,7 @@ class TempModelComparison:
 
 
 _SHAPE_NAMES = ("t1", "beta1", "t2", "beta2", "t_star")
-
-
-def _shape(theta) -> tuple:
-    """Shape parameters from fit coordinates: logarithms for all but T*."""
-    return tuple(v if n == "t_star" else _exp(v) for n, v in zip(_SHAPE_NAMES, theta))
+_SHAPE_LOGGED = (True, True, True, True, False)  # all but T*
 
 
 def _temp_model_fit(starts, freqs, temps, gammas, sigmas, owner) -> TempModelFit:
@@ -350,7 +368,7 @@ def _temp_model_fit(starts, freqs, temps, gammas, sigmas, owner) -> TempModelFit
         # trial steps may overflow; NaN/inf residuals just lose the step
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             g0 = np.exp(theta[:k])[owner]
-            shape = _shape(theta[k:])
+            shape = _natural(theta[k:], _SHAPE_LOGGED)
             model = model_gamma2 if len(shape) == 5 else model_gamma1
             return (gammas - model(temps, g0, *shape)) / sigmas
 
@@ -358,43 +376,24 @@ def _temp_model_fit(starts, freqs, temps, gammas, sigmas, owner) -> TempModelFit
     for theta0 in starts:
         try:
             res = levenberg_marquardt(residual, theta0)
-            shape = _shape(res.params[k:])
-            # all but T* are fitted as logarithms: 0 is exp() underflow
-            if not all(
-                math.isfinite(v) and (v != 0.0 or n == "t_star")
-                for n, v in zip(_SHAPE_NAMES, shape)
-            ):
-                raise FitFailure(
-                    "a shape parameter overflowed or underflowed",
-                    res.params, res.rss, res.n_iter,
-                )
-            errors = {
-                n: err if n == "t_star" else v * err
-                for n, v, err in zip(_SHAPE_NAMES, shape, res.errors()[k:])
-            }
-            if not np.all(np.isfinite(list(errors.values()))):
-                raise FitFailure(
-                    "a shape parameter has no finite error",
-                    res.params, res.rss, res.n_iter,
-                )
+            natural = _natural_fit(res, (True,) * k + _SHAPE_LOGGED)
         except (FitFailure, np.linalg.LinAlgError):
             if len(starts) == 1:
                 raise
             continue
         if best is None or res.rss < best[0].rss:
-            best = res, shape, errors
+            best = res, natural
     if best is None:
         raise FitFailure(
             "piecewise temperature fit failed from all starts", None, math.inf, 0
         )
 
-    res, shape, errors = best
+    res, (values, errors) = best
     params = TempFitParams(
-        gamma0={f: float(math.exp(res.params[i])) for i, f in enumerate(freqs)},
-        **{n: float(v) for n, v in zip(_SHAPE_NAMES, shape)},
+        gamma0=dict(zip(freqs, values[:k])), **dict(zip(_SHAPE_NAMES, values[k:]))
     )
     score = information_criteria(res.rss, temps.size, res.params.size)
-    return TempModelFit(params, score, res, errors)
+    return TempModelFit(params, score, res, dict(zip(_SHAPE_NAMES, errors[k:])))
 
 
 def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
@@ -404,7 +403,7 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
     positive rate; (T1, beta1) and, for the piecewise model, (T2, beta2, T*)
     are shared across sets.  Both models are scored on the same weighted
     residuals.  The piecewise fit starts from the simple optimum with T*
-    spread over the data, jittered with a fixed seed.  A fit whose shape
+    spread over the data, jittered with a fixed seed.  A fit whose
     parameters leave the float range, or whose errors are not finite,
     raises FitFailure.
     """
@@ -533,24 +532,16 @@ def _surface_fit(kind, temps, s_e, sigmas) -> SurfaceModelFit:
             math.log(temps.max()),
         ]
 
-    def unpack(theta):
-        values = (_exp(v) if log else v for v, log in zip(theta, model.logged))
-        return dict(zip(model.names, values))
-
     def residual(theta):
-        return (s_e - model(temps, unpack(theta))) / sigmas
+        return (s_e - model.formula(temps, *_natural(theta, model.logged))) / sigmas
 
     res = levenberg_marquardt(residual, theta0)
-    params = unpack(res.params)
-    # delta method: d p / d theta is p for a logarithm, 1 otherwise
-    scale = [p if log else 1.0 for p, log in zip(params.values(), model.logged)]
-    cov = res.covariance * np.outer(scale, scale)
-    errors = {n: float(np.sqrt(max(cov[i, i], 0.0))) for i, n in enumerate(model.names)}
+    values, errors = _natural_fit(res, model.logged)
     dof = temps.size - len(model.names)
     return SurfaceModelFit(
         kind=kind,
-        params=params,
-        errors=errors,
+        params=dict(zip(model.names, values)),
+        errors=dict(zip(model.names, errors)),
         chi2=res.rss,
         chi2_red=res.rss / dof,
         p_value=chi2_sf(res.rss, dof),

@@ -3,7 +3,9 @@
 Residual functions return the weighted residual vector r(theta); the
 objective is ||r||^2.  The Jacobian defaults to central finite differences
 with a relative step of 1e-6.  Covariance at the optimum is
-inv(J^T J) * chi2_red, the standard quote for sigma-weighted residuals.
+inv(J^T J) * chi2_red, the standard quote for sigma-weighted residuals;
+``FitResult.errors`` clips its diagonal, and ``inference._natural_fit``
+alone maps those errors to the natural units of fitted logarithms.
 """
 
 from __future__ import annotations

@@ -701,6 +701,53 @@ def test_config_value_faults_exit_config(
     assert f"{cfg}: {section}" in err
 
 
+_BAD_SYNTH_PARAMS = [
+    ("gamma2", "temp-piecewise", "t1_K = 46.2", "t1_K = -5", "[temp-model] t1_K"),
+    ("gamma2", "temp-piecewise", "t2_K = 102.9", "t2_K = 0", "[temp-model] t2_K"),
+    ("gamma2", "temp-piecewise", "t_star_K = 92.5", "t_star_K = -5",
+     "[temp-model] t_star_K"),
+    ("gamma2", "temp-piecewise", "0.4e6 3.76", "0.4e6 -3.76",
+     "[temp-model] gamma0_phps at 400000 Hz"),
+    ("gamma2", "temp-piecewise", "0.4e6 3.76", "-0.4e6 3.76",
+     "[temp-model] gamma0_phps frequency"),
+    ("power", "surface-power", "t0_K = 32.0", "t0_K = -50", "[surface-model] t0_K"),
+    ("power", "surface-power", "s_e0 = 3.7e-15", "s_e0 = 0", "[surface-model] s_e0"),
+    ("arrhenius", "surface-arrhenius", "s_e0 = 4.7e-15", "s_e0 = -4.7e-15",
+     "[surface-model] s_e0"),
+    ("arrhenius", "surface-arrhenius", "s_et = 2.1e-13", "s_et = 0",
+     "[surface-model] s_et"),
+    ("arrhenius", "surface-arrhenius", "t0_K = 169.0", "t0_K = -169",
+     "[surface-model] t0_K"),
+]
+
+
+@pytest.mark.parametrize(
+    "model, config, old, new, where", _BAD_SYNTH_PARAMS,
+    ids=[f"{model}-{new}" for model, _, _, new, _ in _BAD_SYNTH_PARAMS],
+)
+def test_bad_synth_parameter_exits_config(
+    model, config, old, new, where, tmp_path, capsys
+):
+    text = packaged_config("synth", config).read_text()
+    assert old in text
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "o.csv"
+    rc = main(["synth", "--model", model, "--params", str(cfg), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{cfg}: {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_arrhenius_synth_takes_a_zero_offset(tmp_path):
+    text = packaged_config("synth", "surface-arrhenius").read_text()
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(text.replace("s_e0 = 4.7e-15", "s_e0 = 0"))
+    rc = main(["synth", "--model", "arrhenius", "--params", str(cfg),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_OK
+
+
 def test_electrode_named_total_exits_config(tmp_path, capsys):
     cfg = tmp_path / "total.cfg"
     cfg.write_text(

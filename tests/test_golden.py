@@ -55,10 +55,11 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 JSON_CASES = {
-    name: ["fit", "--model", model, "--data", str(GOLDEN / "synth-gamma2-seed3.csv")]
-    for name, model in (
-        ("fit-temp-gamma2-seed3.json", "temp"),
-        ("fit-freq-gamma2-seed3.json", "freq"),
+    name: ["fit", "--model", model, "--data", str(GOLDEN / data)]
+    for name, model, data in (
+        ("fit-temp-gamma2-seed3.json", "temp", "synth-gamma2-seed3.csv"),
+        ("fit-freq-gamma2-seed3.json", "freq", "synth-gamma2-seed3.csv"),
+        ("fit-surface-power-seed3.json", "surface", "synth-power-seed3.csv"),
     )
 }
 

@@ -477,6 +477,92 @@ def test_spline_slope_rejects_a_nan_point():
 
 
 # ---------------------------------------------------------------------------
+# fit errors in natural units
+
+
+# which fit coordinates are logarithms: ln gamma; ln Gamma0 per frequency and
+# all temperature-shape parameters but T*; ln s_e0 and ln t0 (power), every
+# Arrhenius parameter
+_LOGGED = {
+    "freq": (True, False),
+    "simple": (True,) * 6 + (True, True),
+    "piecewise": (True,) * 6 + (True, True, True, True, False),
+    "power": (True, False, True),
+    "arrhenius": (True, True, True),
+}
+
+
+def _seeded_fit(kind, monkeypatch):
+    """The reported errors of a seeded fit of ``kind``, the fit's
+    :class:`FitResult` and the index of the first reported coordinate."""
+    if kind == "freq":
+        ds = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=5)
+        fit = fit_freq_power_law([(2 * math.pi * r.f_secular, r.gamma, r.sigma_gamma)
+                                  for r in ds.records if r.temperature == 60.0])
+        return list(fit.errors()), fit.fit, 0
+    if kind in ("simple", "piecewise"):
+        ds = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=42)
+        fit = getattr(fit_temperature_models(ds), kind)
+        # Gamma0 errors are not reported
+        return list(fit.global_errors.values()), fit.fit, len(FREQS_HZ)
+    results = []  # fit_surface_models fits power, then arrhenius
+
+    def recording(residual, theta0, **kwargs):
+        results.append(levenberg_marquardt(residual, theta0, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("trapnoise.inference.levenberg_marquardt", recording)
+    params = POWER_PARAMS if kind == "power" else ARRH_PARAMS
+    fits = fit_surface_models(synth_surface(kind, params, SURF_TEMPS, 0.05, seed=4))
+    res = results[("power", "arrhenius").index(kind)]
+    return list(getattr(fits, kind).errors.values()), res, 0
+
+
+@pytest.mark.parametrize("kind", sorted(_LOGGED))
+def test_fit_errors_match_the_delta_method(kind, monkeypatch):
+    errors, res, first = _seeded_fit(kind, monkeypatch)
+    # J of the natural map: exp(theta) for a logarithm, 1 otherwise
+    jac = np.diag([math.exp(v) if log else 1.0
+                   for v, log in zip(res.params, _LOGGED[kind])])
+    oracle = np.sqrt(np.diag(jac @ res.covariance @ jac.T))
+    np.testing.assert_allclose(errors, oracle[first:], rtol=1e-15, atol=0.0)
+
+
+def _fit_of(kind):
+    if kind == "freq":
+        omegas = 2 * math.pi * np.array(FREQS_HZ)
+        return fit_freq_power_law([(w, 0.7 * (w / OMEGA0) ** -2.1, 0.05) for w in omegas])
+    if kind == "temp":
+        return fit_temperature_models(
+            synth_dataset("gamma1", SIMPLE, TEMPS, FREQS_HZ[:1], 0.05, seed=1)
+        )
+    return fit_surface_models(synth_surface("power", POWER_PARAMS, SURF_TEMPS, 0.05, seed=1))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("nan-variance", "no finite error"), ("overflow", "overflowed"),
+     ("underflow", "underflowed")],
+)
+@pytest.mark.parametrize("kind", ["freq", "temp", "surface"])
+def test_fit_with_a_non_finite_value_or_error_fails(kind, fault, message, monkeypatch):
+    # the first coordinate of every fit is a logarithm
+    def corrupted(residual, theta0, **kwargs):
+        res = levenberg_marquardt(residual, theta0, **kwargs)
+        if fault == "nan-variance":
+            res.covariance = res.covariance.copy()
+            res.covariance[0, 0] = math.nan
+        else:
+            res.params = res.params.copy()
+            res.params[0] = 800.0 if fault == "overflow" else -800.0
+        return res
+
+    monkeypatch.setattr("trapnoise.inference.levenberg_marquardt", corrupted)
+    with pytest.raises(FitFailure, match=message):
+        _fit_of(kind)
+
+
+# ---------------------------------------------------------------------------
 # spline slope and TAF
 
 
