@@ -14,16 +14,14 @@ surface at height d above a laterally infinite stack.
 
 Evaluation
 ----------
-A quadrature round hands the g_parallel integrands up to a few hundred
-thousand nodes at once.  They are evaluated in blocks of ``_BLOCK`` nodes,
-each written into one complex array for the round, so the complex
-temporaries of the reflection recursion stay cache-sized instead of
-megabytes each.  Blocking is an evaluation detail, not an approximation:
-every node's value is the same bit for bit as in one unblocked call, except
-that the W = 0 fallback of :func:`stack_reflection` is chosen per block.
-A medium whose Im eps is > 0 or +0.0 takes the principal root of
-eps - u^2, which already lies on the Im W >= 0 branch, so it skips the
-branch flip and gives the same bits.
+:func:`~trapnoise.quadrature.adaptive_gk` hands the g_parallel integrands
+at most a few thousand nodes per call, however many panels a round splits,
+so the complex temporaries of the reflection recursion stay cache-sized.
+Every node's value is the same bit for bit as in one call over all of a
+round's nodes, except that the W = 0 fallback of :func:`stack_reflection`
+is chosen per call.  A medium whose Im eps is > 0 or +0.0 takes the
+principal root of eps - u^2, which already lies on the Im W >= 0 branch, so
+it skips the branch flip and gives the same bits.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
 
 _ABS_TOL = 1e-5  # g units; errors far below 1 do not matter to 1 + g_parallel
 _MAX_EVALS = 2_000_000  # per g_parallel call, split over its two integrals
-_BLOCK = 4096  # integrand nodes per block: 64 kB per complex temporary
 
 
 class DegenerateInterfaceError(ZeroDivisionError):
@@ -190,14 +187,6 @@ def fresnel_stack(stack: LayerStack, u, omega: float, temperature: float):
     return stack_reflection(eps_media, thicknesses, u, omega / CONSTANTS.c)
 
 
-def _blocked(f, x):
-    """Complex f(x) for a 1-D node array x, evaluated _BLOCK nodes at a time."""
-    out = np.empty(x.shape, dtype=complex)
-    for i in range(0, x.size, _BLOCK):
-        out[i:i + _BLOCK] = f(x[i:i + _BLOCK])
-    return out
-
-
 def greens_parallel(
     stack: LayerStack,
     omega: float,
@@ -232,7 +221,7 @@ def greens_parallel(
 
     budget = _MAX_EVALS // 2
     res_p = adaptive_gk(
-        lambda x: _blocked(integrand_prop, x), 0.0, np.pi / 2,
+        integrand_prop, 0.0, np.pi / 2,
         rel_tol=rel_tol, abs_tol=_ABS_TOL / 2.0, max_evals=budget,
     )
 
@@ -243,9 +232,9 @@ def greens_parallel(
     breaks = set(np.geomspace(lo, t_cap, n_dec))
     breaks.update(s for s in scales if lo < s < t_cap)
     res_e = adaptive_gk(
-        # .imag is a strided view, as before blocking; a contiguous copy
-        # sends the quadrature's matmul down a path with other last bits
-        lambda x: _blocked(integrand_evan, x).imag, 0.0, t_cap,
+        # .imag is a strided view; a contiguous copy sends the
+        # quadrature's matmul down a path with other last bits
+        lambda x: integrand_evan(x).imag, 0.0, t_cap,
         rel_tol=rel_tol, abs_tol=_ABS_TOL / 2.0, max_evals=budget,
         breakpoints=sorted(breaks),
     )

@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from trapnoise.configio import load_materials, load_stack, packaged_config
 from trapnoise.constants import CONSTANTS, DomainError
 from trapnoise.layers import (
-    _BLOCK,
     DegenerateInterfaceError,
     Layer,
     LayerStack,
-    _blocked,
     branch_sqrt,
     fresnel_interface,
     fresnel_stack,
@@ -22,7 +20,7 @@ from trapnoise.layers import (
     stack_reflection,
 )
 from trapnoise.materials import Conductor, ResistivityTable, Vacuum
-from trapnoise.quadrature import QuadratureFailure
+from trapnoise.quadrature import _CHUNK, QuadratureFailure, adaptive_gk
 
 from fresnel_oracles import (
     fresnel_four_layer,
@@ -264,8 +262,22 @@ def test_evanescent_reflection_stays_passive_where_two_media_have_w_zero():
         assert np.all(r.imag >= -1e-12 * np.maximum(1.0, np.abs(r)))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="|Rp| > 1 at grazing incidence over a lossless layer on a "
+    "superconductor; ROADMAP item 1 (the admittance kernel) is the fix",
+)
+def test_grazing_reflection_stays_passive_over_a_superconductor():
+    # one of the property test's rare draws: |Rp| - 1 is 3.4e-12 here, where
+    # a 50-digit oracle and the admittance form both keep |Rp| <= 1
+    k = 2.0 * math.pi * 1e5 / CONSTANTS.c
+    eps_media = (1.0 + 0.0j, 49.0 + 0.0j, -1e14 + 1.0j)
+    for r in stack_reflection(eps_media, (1e-4,), np.array([0.9999999999999999]), k):
+        assert np.all(np.abs(r) <= 1.0 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
-# evaluation: the root shortcut and the blocked integrands change no bit
+# evaluation: the root shortcut and the chunked integrand calls change no bit
 
 
 def _bits(r):
@@ -278,13 +290,38 @@ _ANY_SIGN_EPS = _MEDIUM_EPS | st.builds(
 )
 
 
+def _integrand_calls(to_u, a, b, edges):
+    """u = to_u(x) at the nodes x of each integrand call that adaptive_gk
+    makes in its first round over the panels between ``edges``."""
+    calls = []
+
+    def integrand(x):
+        calls.append(to_u(x))
+        return np.zeros_like(x)  # converges after the first round
+
+    adaptive_gk(integrand, a, b, breakpoints=edges)
+    return calls
+
+
+def _assert_matches_reference(eps_media, thicknesses, u, k):
+    try:
+        expected = reference_stack_reflection(eps_media, thicknesses, u, k)
+    except (DegenerateInterfaceError, RuntimeWarning) as exc:
+        with pytest.raises(type(exc)):
+            stack_reflection(eps_media, thicknesses, u, k)
+        return
+    got = stack_reflection(eps_media, thicknesses, u, k)
+    for pol in (0, 1):
+        assert np.array_equal(_bits(got[pol]), _bits(expected[pol]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     media=st.lists(
         st.tuples(_ANY_SIGN_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
     ),
     log_f=st.floats(5.0, 9.0),
-    n_nodes=st.integers(1, 3 * _BLOCK + 1),
+    n_nodes=st.integers(1, 3 * 15 * _CHUNK + 1),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stack_reflection_matches_the_reference_bit_for_bit(media, log_f, n_nodes, seed):
@@ -296,39 +333,36 @@ def test_stack_reflection_matches_the_reference_bit_for_bit(media, log_f, n_node
     t = 10.0 ** rng.uniform(-6.0, 7.0, n_nodes)
     u = np.where(rng.random(n_nodes) < 0.5,
                  np.sin(rng.uniform(0.0, math.pi / 2, n_nodes)), np.sqrt(1.0 + t * t))
-    try:
-        expected = reference_stack_reflection(eps_media, thicknesses, u, k)
-    except (DegenerateInterfaceError, RuntimeWarning) as exc:
-        with pytest.raises(type(exc)):
-            stack_reflection(eps_media, thicknesses, u, k)
-        return
-    got = stack_reflection(eps_media, thicknesses, u, k)
-    for pol in (0, 1):
-        assert np.array_equal(_bits(got[pol]), _bits(expected[pol]))
-        # blocked, each block is its own call, W = 0 fallback included
-        blocked = _blocked(lambda x: stack_reflection(eps_media, thicknesses, x, k)[pol], u)
-        per_block = [
-            reference_stack_reflection(eps_media, thicknesses, u[i:i + _BLOCK], k)[pol]
-            for i in range(0, n_nodes, _BLOCK)
-        ]
-        assert np.array_equal(_bits(blocked), _bits(np.concatenate(per_block)))
+    _assert_matches_reference(eps_media, thicknesses, u, k)
+    # each call of the quadrature is its own recursion, W = 0 fallback
+    # included; x in [0, 1) maps to propagating u and [1, 2] to evanescent
+    calls = _integrand_calls(
+        lambda x: np.where(x < 1.0, np.sin(0.5 * math.pi * x),
+                           np.sqrt(1.0 + 10.0 ** (26.0 * x - 38.0))),
+        0.0, 2.0, rng.uniform(0.0, 2.0, n_nodes // 15),
+    )
+    for u_call in calls:
+        _assert_matches_reference(eps_media, thicknesses, u_call, k)
 
 
-def test_w_zero_fallback_is_chosen_per_block():
-    # one node of the second block sits at u^2 = eps of the lossless layer:
-    # only that block takes the admittance form, the others keep the recursion
+def test_w_zero_fallback_is_chosen_per_integrand_call():
+    # 768 panels of width 1/512 over u, 272, 272 and 224 to a call; the
+    # middle node of panel 300, in the second call, sits at u^2 = eps of the
+    # lossless layer: only that call takes the admittance form
     k = 2.0 * math.pi * 1e5 / CONSTANTS.c
     eps_media = (1.0 + 0.0j, 4.0 + 0.0j, 9.0 + 2.0j, -30.0 + 5.0j)
     thicknesses = (1e-4, 1e-6)
-    u = np.linspace(1.5, 2.5, 3 * _BLOCK)
-    u[_BLOCK + 5] = 2.0
-    rs = _blocked(lambda x: stack_reflection(eps_media, thicknesses, x, k)[0], u)
-    for lo, hi in ((0, _BLOCK), (2 * _BLOCK, 3 * _BLOCK)):
-        recursion = reference_stack_reflection(eps_media, thicknesses, u[lo:hi], k)[0]
-        assert np.array_equal(_bits(rs[lo:hi]), _bits(recursion))
-    middle = u[_BLOCK:2 * _BLOCK]
-    admittance = reference_admittance_reflection(eps_media, thicknesses, middle**2, k)[0]
-    assert np.array_equal(_bits(rs[_BLOCK:2 * _BLOCK]), _bits(admittance))
+    edges = 2.0 - (300.5 - np.arange(769.0)) / 512
+    calls = _integrand_calls(lambda x: x, edges[0], edges[-1], edges[1:-1])
+    assert [u.size for u in calls] == [15 * 272, 15 * 272, 15 * 224]
+    assert 2.0 in calls[1]
+    for u in calls:
+        rs = stack_reflection(eps_media, thicknesses, u, k)[0]
+        if u is calls[1]:
+            expected = reference_admittance_reflection(eps_media, thicknesses, u**2, k)
+        else:
+            expected = reference_stack_reflection(eps_media, thicknesses, u, k)
+        assert np.array_equal(_bits(rs), _bits(expected[0]))
 
 
 def _packaged_stack(name):
@@ -348,8 +382,10 @@ def test_greens_parallel_bits_across_many_blocks():
 
 def test_greens_parallel_temporaries_stay_block_sized():
     # the README point fails after about 1M evaluations, in rounds of up to
-    # a few hundred thousand nodes; what is left at that size is the round's
-    # nodes and its one output array (unblocked, the peak was 48.5 MB)
+    # a few hundred thousand nodes; the quadrature evaluates them 4,080 to a
+    # call, so what grows with a round is its per-panel arrays (the peak
+    # was 48.5 MB with one call per round, and 7.7 MB with a complex output
+    # for every node of the round)
     stack = _packaged_stack("sapphire-ybco-au")
     tracemalloc.start()
     try:
@@ -358,7 +394,7 @@ def test_greens_parallel_temporaries_stay_block_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

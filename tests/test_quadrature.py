@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from trapnoise.quadrature import QuadratureFailure, adaptive_gk
+from trapnoise.quadrature import _CHUNK, QuadratureFailure, adaptive_gk
 
 
 def test_polynomial_is_exact():
@@ -86,9 +86,47 @@ def test_budget_exhaustion_raises_with_diagnostics():
     with pytest.raises(QuadratureFailure) as exc_info:
         adaptive_gk(f, 0.0, 1.0, rel_tol=1e-12, max_evals=600)
     err = exc_info.value
-    assert err.evaluations >= 600
+    assert err.evaluations <= 600
     assert err.error > 0.0
     assert np.isfinite(err.value)
+
+
+def _lorentzian(x):
+    return 1.0 / ((x - 0.3713) ** 2 + 1e-6)
+
+
+def _zero_mean_wave(x):
+    return np.cos(2.0 * np.pi * 60.0 * x)
+
+
+@pytest.mark.parametrize("f, n_initial", [(_lorentzian, 1), (_zero_mean_wave, 20)])
+def test_failure_never_passes_the_budget(f, n_initial):
+    # a round that cannot be paid for in full is not started; a tolerance
+    # of 0 is never met, so every budget runs out
+    breakpoints = np.linspace(0.0, 1.0, n_initial + 1)[1:-1]
+    for max_evals in range(15 * n_initial, 6000, 7):
+        with pytest.raises(QuadratureFailure) as exc_info:
+            adaptive_gk(f, 0.0, 1.0, rel_tol=0.0, max_evals=max_evals,
+                        breakpoints=breakpoints)
+        assert exc_info.value.evaluations <= max_evals
+
+
+def test_integrand_calls_stay_chunk_sized():
+    # 2,000 panels of three whole periods each have one error, so the
+    # second round splits all of them, and later rounds thousands more;
+    # the integral of 0 never meets its relative tolerance
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.cos(2.0 * np.pi * 6000.0 * x)
+
+    with pytest.raises(QuadratureFailure) as exc_info:
+        adaptive_gk(f, 0.0, 1.0, rel_tol=1e-12, max_evals=300_000,
+                    breakpoints=np.linspace(0.0, 1.0, 2001)[1:-1])
+    assert max(sizes) == 15 * _CHUNK == 4080
+    assert sum(sizes) == exc_info.value.evaluations
+    assert exc_info.value.evaluations > 15 * (2000 + 4000)
 
 
 _NON_FINITE_RUN = """
