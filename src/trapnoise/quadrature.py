@@ -7,7 +7,10 @@ error is at least a quarter of the largest panel error, until the summed
 error estimate passes.  ``max_evals`` is a hard cap: a round that would take
 the evaluation count past it is not started, and QuadratureFailure is
 raised instead, so ``evaluations <= max_evals`` whenever the initial panels
-alone fit the budget.
+alone fit the budget.  The failure also comes early, as soon as the budget
+left cannot reach tolerance: it pays for at most m more bisections, so when
+the panel errors outside the m largest already exceed the tolerance, no
+later round can converge.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ def _eval_panels(f, lows: np.ndarray, highs: np.ndarray):
         kronrod[part] = half[part] * (vals @ _WK)
         gauss[part] = half[part] * (vals[:, _GAUSS_IDX] @ _WG)
     # plain |K15 - G7| is conservative; the floor stops panels whose
-    # difference underflows from looking exactly converged
-    err = np.abs(kronrod - gauss)
+    # difference underflows from looking exactly converged.  An infinite
+    # sum gives a NaN error, which adaptive_gk turns into its failure
+    with np.errstate(invalid="ignore"):
+        err = np.abs(kronrod - gauss)
     return kronrod, np.maximum(err, np.abs(kronrod) * 1e-16)
 
 
@@ -99,6 +104,14 @@ def adaptive_gk(
     has known scales spanning decades).  Convergence criterion:
     sum of panel errors <= max(abs_tol, rel_tol * |integral|).  A NaN or
     infinite error estimate raises QuadratureFailure at once.
+
+    Otherwise QuadratureFailure is raised before a round that would pass
+    ``max_evals``, or once the tolerance is out of reach of the budget
+    left.  That budget pays for m = (max_evals - evaluations) // 30 more
+    bisections; a bisection at best takes its panel's error to zero and
+    moves the integral by at most that error.  So when the errors outside
+    the m largest sum to more than max(abs_tol, rel_tol * (|integral| +
+    error)), the integral would fail later anyway, and fails now.
     """
     if b <= a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
@@ -128,12 +141,25 @@ def adaptive_gk(
         # per-panel share rule splits ever more panels as the count grows
         split = errors >= 0.25 * errors.max()
         lo, hi = lows[split], highs[split]
-        if evals + 30 * lo.size > max_evals:
+        # the budget left pays for m more bisections (see the docstring)
+        m = (max_evals - evals) // 30
+        why = None
+        if lo.size > m:
+            why = (f"the next round's {30 * lo.size} evaluations would "
+                   f"pass max_evals={max_evals}")
+        elif m < errors.size:
+            stuck = np.partition(errors, -m)[:-m].sum()
+            reach = max(abs_tol, rel_tol * (abs(total) + total_err))
+            if stuck > reach:
+                why = (f"tolerance out of reach: the errors outside the {m} "
+                       f"largest panels, the most the {max_evals - evals} "
+                       f"evaluations left of max_evals={max_evals} can "
+                       f"split, sum to {stuck:.3e} > {reach:.3e}")
+        if why:
             raise QuadratureFailure(
                 f"no convergence after {evals} evaluations over "
                 f"[{a}, {b}]: error {total_err:.3e} > tol {tol:.3e} "
-                f"({lows.size} panels; the next round's {30 * lo.size} "
-                f"evaluations would pass max_evals={max_evals})",
+                f"({lows.size} panels; {why})",
                 total, total_err, evals,
             )
         mids = 0.5 * (lo + hi)

@@ -381,9 +381,9 @@ def test_greens_parallel_bits_across_many_blocks():
 
 
 def test_greens_parallel_temporaries_stay_block_sized():
-    # the README point fails after about 1M evaluations, in rounds of up to
-    # a few hundred thousand nodes; the quadrature evaluates them 4,080 to a
-    # call, so what grows with a round is its per-panel arrays (the peak
+    # the README point fails after 528,270 evaluations, in rounds of up to
+    # about 90,000 nodes; the quadrature evaluates them 4,080 to a call, so
+    # what grows with a round is its per-panel arrays (the peak
     # was 48.5 MB with one call per round, and 7.7 MB with a complex output
     # for every node of the round)
     stack = _packaged_stack("sapphire-ybco-au")
@@ -395,6 +395,16 @@ def test_greens_parallel_temporaries_stay_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_readme_point_fails_once_its_tolerance_is_out_of_reach():
+    # the evaluations left cannot split away the error the README point's
+    # evanescent integral holds, long before they run out: it stopped after
+    # 985,080 evaluations when only the next round's cost could stop it
+    stack = _packaged_stack("sapphire-ybco-au")
+    with pytest.raises(QuadratureFailure, match="tolerance out of reach") as exc_info:
+        greens_parallel(stack, OMEGA_1MHZ, 70.0, 225e-6)
+    assert exc_info.value.evaluations < 700_000
 
 
 # ---------------------------------------------------------------------------

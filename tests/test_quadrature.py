@@ -3,13 +3,17 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from trapnoise.quadrature import _CHUNK, QuadratureFailure, adaptive_gk
+
+from quadrature_oracles import adaptive_gk_budget_only
 
 
 def test_polynomial_is_exact():
@@ -149,6 +153,81 @@ def test_non_finite_integrand_fails_at_once(bad):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("non-finite error estimate over [0.0, 1.0]")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_integrand_fails_without_a_warning(bad):
+    # in process, with every warning an error: the infinite panel sums must
+    # reach the non-finite failure, not warn while the error is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="^non-finite error estimate"):
+            adaptive_gk(lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
+
+
+def test_unreachable_tolerance_fails_before_the_budget_runs_out():
+    # |x - pi/8|^(-0.9) at rel_tol 1e-12: the budget-only stop grinds on to
+    # the last round it can pay for, though the panels it could never split
+    # already hold more error than the tolerance
+    def f(x):
+        return np.abs(x - np.pi / 8) ** -0.9
+
+    kwargs = dict(rel_tol=1e-12, max_evals=600)
+    with pytest.raises(QuadratureFailure) as budget_only:
+        adaptive_gk_budget_only(f, 0.0, 1.0, **kwargs)
+    with pytest.raises(QuadratureFailure, match="tolerance out of reach") as exc_info:
+        adaptive_gk(f, 0.0, 1.0, **kwargs)
+    assert exc_info.value.evaluations < budget_only.value.evaluations
+
+
+def _family(kind, c, s):
+    """One integrand on [0, 1] of a family, with shape parameter s in [0, 1]."""
+    if kind == "lorentzian":
+        width = 10.0 ** (-6.0 + 5.0 * s)
+        return lambda x: 1.0 / ((x - c) ** 2 + width**2)
+    if kind == "power":
+        def f(x):
+            # a node on c gives inf, and both sides fail on it alike
+            with np.errstate(divide="ignore"):
+                return np.abs(x - c) ** -(0.05 + 0.9 * s)
+        return f
+    if kind == "oscillatory":
+        omega = 10.0 ** (3.5 * s)
+        return lambda x: np.exp(-x) * np.cos(omega * x + c)
+    # rounding-level noise on a constant: K15 and G7 disagree at random
+    amp = 10.0 ** (-16.0 + 8.0 * s)
+    return lambda x: 1.0 + amp * np.sin(1e9 * x + c) + amp * np.cos(3.7e11 * x * x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["lorentzian", "power", "oscillatory", "noise"]),
+    c=st.floats(0.0, 1.0),
+    s=st.floats(0.0, 1.0),
+    log_rel_tol=st.floats(-14.0, -2.0),
+    abs_tol=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+    max_evals=st.integers(15, 30_000),
+    breakpoints=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_early_failure_changes_no_outcome_of_the_budget_only_loop(
+        kind, c, s, log_rel_tol, abs_tol, max_evals, breakpoints):
+    # the early stop only fires when no later round could converge: the
+    # budget-only loop converges exactly when this one does, to the same
+    # bits, and a failure never costs more evaluations than it does there
+    f = _family(kind, c, s)
+    kwargs = dict(rel_tol=10.0**log_rel_tol, abs_tol=abs_tol,
+                  max_evals=max_evals, breakpoints=breakpoints)
+    try:
+        want = adaptive_gk_budget_only(f, 0.0, 1.0, **kwargs)
+    except QuadratureFailure as exc:
+        with pytest.raises(QuadratureFailure) as exc_info:
+            adaptive_gk(f, 0.0, 1.0, **kwargs)
+        assert exc_info.value.evaluations <= exc.evaluations
+        return
+    got = adaptive_gk(f, 0.0, 1.0, **kwargs)
+    assert float(got.value).hex() == float(want.value).hex()
+    assert got.error.hex() == want.error.hex()
+    assert (got.evaluations, got.panels) == (want.evaluations, want.panels)
 
 
 def test_budget_exhaustion_carries_an_honest_best_effort():
