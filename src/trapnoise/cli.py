@@ -12,9 +12,13 @@ synth  Synthetic heating-rate datasets from model parameters (CSV).
 Each ``cmd_*`` function returns ``(inputs, output)``: the config and data
 paths it read, and a report dict, a ``HeatingDataset`` or ``(header, rows[,
 comments])``.  :func:`main` alone builds the run manifest and writes the file.
-The commands convert no data themselves: ``HeatingDataset.noise_curve`` and
-``HeatingDataset.from_noise_curve`` turn heating rates into field noise S_E
-at a dataset's one secular frequency and back.
+The commands convert no data themselves; the library types do:
+``HeatingDataset.noise_curve`` and ``HeatingDataset.from_noise_curve`` turn
+heating rates into field noise S_E at a dataset's one secular frequency and
+back, ``HeatingDataset.frequency_curves`` gives each temperature's
+(omega, Gamma, sigma) points, ``jnn_budget`` returns each electrode's
+distance and heating rate next to its S_E, and
+``LayerStack.with_london_depth`` swaps a stack's London depth.
 The manifest records the seed (``null`` but for ``synth`` and ``taf``, the
 two commands that draw random numbers and so the only ones with ``--seed``),
 the inputs as ``config_paths``, every other flag but ``--out`` as an
@@ -30,7 +34,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .configio import (
     write_heating_csv,
     write_json_report,
 )
-from .constants import DomainError, heating_rate_from_noise, omega_from_hz
+from .constants import DomainError, omega_from_hz
 from .inference import (
     OMEGA0,
     HeatingDataset,
@@ -68,9 +72,9 @@ from .inference import (
     taf_alpha,
     taf_consistency_chi2,
 )
-from .layers import DegenerateInterfaceError
+from .layers import DegenerateInterfaceError, NoSuperconductorError
 from .leastsq import FitFailure
-from .materials import TemperatureRangeError, TwoFluidSC
+from .materials import TemperatureRangeError
 from .noise import fdt_noise, jnn_budget
 from .patches import PatchBudgetError, zeta as zeta_share
 from .quadrature import QuadratureFailure
@@ -234,35 +238,20 @@ def cmd_fdt(args):
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * 1e-6
 
-    if lambdas:
-        has_sc = any(isinstance(lay.material, TwoFluidSC) for lay in stack.layers)
-        if not has_sc:
-            raise ConfigFileError(
-                "--lambda0-nm given but the stack has no superconducting layer"
-            )
-        stacks = []
-        for nm in lambdas:
-            layers = tuple(
-                replace(lay, material=replace(lay.material, lambda0=nm * 1e-9))
-                if isinstance(lay.material, TwoFluidSC)
-                else lay
-                for lay in stack.layers
-            )
-            stacks.append(replace(stack, layers=layers))
-    else:
-        stacks = [stack]
+    try:
+        stacks = [stack.with_london_depth(nm * 1e-9) for nm in lambdas] or [stack]
+    except NoSuperconductorError:
+        raise ConfigFileError(
+            "--lambda0-nm given but the stack has no superconducting layer"
+        ) from None
 
-    def one(temperature: float):
-        row = [temperature]
+    rows = []
+    for temperature in temps:
         results = [
             fdt_noise(s, omega, temperature, distance, rel_tol=args.tolerance)
             for s in stacks
         ]
-        row.append(results[0].s_blackbody)
-        row.extend(r.s_e for r in results)
-        return row
-
-    rows = [one(t) for t in temps]
+        rows.append([temperature, results[0].s_blackbody, *(r.s_e for r in results)])
     return list(configs.values()), (["T_K", "S_BB_V2m2Hz", *s_cols], rows)
 
 
@@ -276,46 +265,14 @@ def cmd_jnn(args):
     rows = []
     for temperature in temps:
         budget = jnn_budget(electrodes, omega, temperature)
-        for e in electrodes:
-            n = budget.electrodes[e.name]
-            rows.append(
-                [
-                    temperature,
-                    e.name,
-                    n.r_filter,
-                    n.r_lead,
-                    n.r_elec,
-                    n.r_eff,
-                    e.characteristic_distance,
-                    n.s_e,
-                    heating_rate_from_noise(n.s_e, omega),
-                ]
-            )
-        total = budget.total
-        rows.append(
-            [
-                temperature,
-                "TOTAL",
-                None,
-                None,
-                None,
-                None,
-                None,
-                total,
-                heating_rate_from_noise(total, omega),
-            ]
-        )
-    header = [
-        "T_K",
-        "electrode",
-        "R_filter_ohm",
-        "R_lead_ohm",
-        "R_elec_ohm",
-        "R_eff_ohm",
-        "D_m",
-        "S_E_V2m2Hz",
-        "gamma_phps",
-    ]
+        rows += [
+            [temperature, name, n.r_filter, n.r_lead, n.r_elec, n.r_eff,
+             n.distance, n.s_e, n.gamma]
+            for name, n in budget.electrodes.items()
+        ]
+        rows.append([temperature, "TOTAL", *[None] * 5, budget.total, budget.gamma])
+    header = ["T_K", "electrode", "R_filter_ohm", "R_lead_ohm", "R_elec_ohm",
+              "R_eff_ohm", "D_m", "S_E_V2m2Hz", "gamma_phps"]
     return list(configs.values()), (header, rows)
 
 
@@ -352,15 +309,8 @@ def _fit_temp_report(dataset: HeatingDataset, args) -> dict:
 
 
 def _fit_freq_report(dataset: HeatingDataset) -> dict:
-    groups: dict[float, list] = {}
-    for r in dataset.records:
-        groups.setdefault(r.temperature, []).append(r)
     fits = []
-    for temperature in sorted(groups):
-        points = [
-            (omega_from_hz(r.f_secular), r.gamma, r.sigma_gamma)
-            for r in groups[temperature]
-        ]
+    for temperature, points in dataset.frequency_curves().items():
         fit = fit_freq_power_law(points)
         err_g, err_a = fit.errors()
         fits.append(
@@ -411,10 +361,8 @@ def cmd_taf(args):
     curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=args.seed)
 
     t_arr = np.array(temps)
-    slopes = np.atleast_1d(curve(t_arr))
+    slopes = curve(t_arr)
     lo, hi = curve.band(t_arr)
-    lo = np.atleast_1d(lo)
-    hi = np.atleast_1d(hi)
     rows = [
         [t, s, s_lo, s_hi, taf_alpha(s, omega, args.tau0_s)]
         for t, s, s_lo, s_hi in zip(temps, slopes, lo, hi)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, require_above
+from .constants import CONSTANTS, DomainError, omega_from_hz, require_above
 from .inference import SURFACE_MODELS, HeatingDataset, HeatingRecord, TempFitParams
 from .layers import Layer, LayerStack
 from .materials import (
@@ -360,9 +360,9 @@ def _build_material(name: str, sec: _Section) -> MaterialModel:
         sigma_n = sec.floatval("sigma_n_S_per_m", required=True)
         sheet = SCSheetSpec(
             rs_ref=sec.floatval("sc_rs_ref_ohm", SCSheetSpec.rs_ref),
-            omega_ref=2.0 * math.pi * sec.floatval(
+            omega_ref=omega_from_hz(sec.floatval(
                 "sc_f_ref_hz", SCSheetSpec.omega_ref / (2.0 * math.pi)
-            ),
+            )),
             rs_residual=sec.floatval("sc_rs_residual_ohm", SCSheetSpec.rs_residual),
         )
         if sec.raw("rho_normal", "auto") == "auto":

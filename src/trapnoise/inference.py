@@ -65,7 +65,7 @@ __all__ = [
     "synth_surface",
 ]
 
-OMEGA0 = 2.0 * math.pi * 1.0e6
+OMEGA0 = omega_from_hz(1.0e6)
 
 
 class FitRangeWarning(UserWarning):
@@ -161,6 +161,16 @@ class HeatingDataset:
              noise_from_heating_rate(r.sigma_gamma, omega))
             for r in self.records
         ]
+
+    def frequency_curves(self) -> dict[float, list[tuple[float, float, float]]]:
+        """The (omega, Gamma, sigma_Gamma) points of each temperature, omega in
+        rad/s: temperatures ascending, each one's points in record order."""
+        curves: dict[float, list] = {}
+        for r in sorted(self.records, key=lambda r: r.temperature):
+            curves.setdefault(r.temperature, []).append(
+                (omega_from_hz(r.f_secular), r.gamma, r.sigma_gamma)
+            )
+        return curves
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ it skips the branch flip and gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, require_above
-from .materials import MaterialModel, permittivity
+from .materials import MaterialModel, TwoFluidSC, permittivity
 from .quadrature import adaptive_gk
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "LayerStack",
     "GreensResult",
     "DegenerateInterfaceError",
+    "NoSuperconductorError",
     "branch_sqrt",
     "fresnel_interface",
     "stack_reflection",
@@ -53,6 +54,10 @@ _MAX_EVALS = 2_000_000  # per g_parallel call, split over its two integrals
 
 class DegenerateInterfaceError(ZeroDivisionError):
     """A Fresnel denominator vanished exactly for some (eps_a, eps_b, u)."""
+
+
+class NoSuperconductorError(DomainError):
+    """A stack operation needs a superconducting layer and found none."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,20 @@ class LayerStack:
         for lay in self.layers[:-1]:
             if lay.thickness is None:
                 raise DomainError("only the bottom layer may be semi-infinite")
+
+    def with_london_depth(self, lambda0: float) -> LayerStack:
+        """This stack with the zero-temperature London depth of every
+        :class:`TwoFluidSC` layer set to ``lambda0`` (m); other layers and
+        all thicknesses are kept.  A stack without one raises
+        :class:`NoSuperconductorError`."""
+        if not any(isinstance(lay.material, TwoFluidSC) for lay in self.layers):
+            raise NoSuperconductorError("the stack has no superconducting layer")
+        return replace(self, layers=tuple(
+            replace(lay, material=replace(lay.material, lambda0=lambda0))
+            if isinstance(lay.material, TwoFluidSC)
+            else lay
+            for lay in self.layers
+        ))
 
 
 @dataclass(frozen=True)

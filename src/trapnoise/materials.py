@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .constants import CONSTANTS, DomainError, require_above
+from .constants import CONSTANTS, DomainError, omega_from_hz, require_above
 
 
 class TemperatureRangeError(ValueError):
@@ -75,6 +75,11 @@ class ResistivityTable:
         return math.exp(log_rho)
 
 
+def _conduction(sigma: float, omega: float) -> float:
+    """Im eps = sigma / (omega eps0) of the conductivity ``sigma`` (S/m)."""
+    return sigma / (omega * CONSTANTS.eps0)
+
+
 @dataclass(frozen=True)
 class Vacuum:
     name: str = "vacuum"
@@ -107,7 +112,7 @@ class Conductor:
 
     def permittivity(self, omega: float, temperature: float) -> complex:
         require_above(omega, "omega")
-        return complex(0.0, self.conductivity(temperature) / (omega * CONSTANTS.eps0))
+        return complex(0.0, _conduction(self.conductivity(temperature), omega))
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class SCSheetSpec:
     """
 
     rs_ref: float = 0.11e-3        # Ohm/sq
-    omega_ref: float = 2.0 * math.pi * 10.9e9  # rad/s
+    omega_ref: float = omega_from_hz(10.9e9)  # rad/s
     rs_residual: float = 1.0e-7    # Ohm/sq, measured floor at tens of MHz
 
     def __post_init__(self):
@@ -152,13 +157,12 @@ class TwoFluidSC:
         require_above(omega, "omega")
         if temperature >= self.Tc:
             sigma = 1.0 / self.rho_normal.lookup(temperature)
-            return complex(0.0, sigma / (omega * CONSTANTS.eps0))
+            return complex(0.0, _conduction(sigma, omega))
         lam = london_depth(self.lambda0, self.Tc, temperature)
         k = omega / CONSTANTS.c
         sigma_normal_carriers = self.sigma_n * temperature / self.Tc
         return complex(
-            1.0 - 1.0 / (k * lam) ** 2,
-            sigma_normal_carriers / (omega * CONSTANTS.eps0),
+            1.0 - 1.0 / (k * lam) ** 2, _conduction(sigma_normal_carriers, omega)
         )
 
 
@@ -201,12 +205,14 @@ def sheet_resistance(film: FilmSheet, temperature: float, omega: float) -> float
     """
     mat = film.material
     if isinstance(mat, Conductor):
-        return mat.rho.lookup(temperature) / film.thickness
-    if isinstance(mat, TwoFluidSC):
-        if temperature >= mat.Tc:
-            return mat.rho_normal.lookup(temperature) / film.thickness
+        rho = mat.rho
+    elif isinstance(mat, TwoFluidSC) and temperature >= mat.Tc:
+        rho = mat.rho_normal
+    elif isinstance(mat, TwoFluidSC):
         return mat.sc_sheet.sheet_resistance(omega)
-    raise DomainError(f"sheet resistance undefined for material {mat!r}")
+    else:
+        raise DomainError(f"sheet resistance undefined for material {mat!r}")
+    return rho.lookup(temperature) / film.thickness
 
 
 def parallel_sheet(a: float, b: float) -> float:

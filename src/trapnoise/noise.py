@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, require_above
+from .constants import CONSTANTS, DomainError, heating_rate_from_noise, require_above
 from .layers import GreensResult, LayerStack, greens_parallel
 from .materials import Conductor, FilmSheet, parallel_sheet, sheet_resistance
 
@@ -241,23 +241,27 @@ def electrode_resistance(e: ElectrodeModel, temperature: float, omega: float) ->
 
 @dataclass(frozen=True)
 class ElectrodeNoise:
-    """One electrode's line of a Johnson budget: resistances in ohm, S_E in
-    V^2 m^-2 Hz^-1."""
+    """One electrode's line of a Johnson budget: resistances in ohm, its
+    coupling distance D in m, S_E in V^2 m^-2 Hz^-1 and the heating rate
+    Gamma it drives in phonons/s."""
 
     r_filter: float
     r_lead: float
     r_elec: float
     r_eff: float
+    distance: float
     s_e: float
+    gamma: float
 
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    electrodes: dict[str, ElectrodeNoise]
+    """Each electrode's line in inventory order, the total S_E and the
+    total's heating rate Gamma (phonons/s)."""
 
-    @property
-    def total(self) -> float:
-        return sum(n.s_e for n in self.electrodes.values())
+    electrodes: dict[str, ElectrodeNoise]
+    total: float
+    gamma: float
 
 
 def _electrode_noise(
@@ -270,8 +274,10 @@ def _electrode_noise(
     r_elec = electrode_resistance(e, temperature, omega)
     # this summation order fixes the last digit of the CLI's R_eff column
     r_eff = r_filter + r_lead + r_elec
-    s_e = 4.0 * CONSTANTS.kB * temperature * r_eff / e.characteristic_distance**2
-    return ElectrodeNoise(r_filter, r_lead, r_elec, r_eff, s_e)
+    d = e.characteristic_distance
+    s_e = 4.0 * CONSTANTS.kB * temperature * r_eff / d**2
+    gamma = heating_rate_from_noise(s_e, omega)
+    return ElectrodeNoise(r_filter, r_lead, r_elec, r_eff, d, s_e, gamma)
 
 
 def jnn_budget(
@@ -279,7 +285,8 @@ def jnn_budget(
     omega: float,
     temperature: float,
 ) -> NoiseBudget:
-    """S_E = 4 kB T sum_i R_eff,i / D_i^2 over the electrode inventory.
+    """S_E = 4 kB T sum_i R_eff,i / D_i^2 over the electrode inventory, and
+    the heating rates at secular frequency ``omega`` it drives.
 
     The budget keeps each electrode's resistance split next to its S_E, in
     inventory order; electrode names must be unique.
@@ -292,4 +299,5 @@ def jnn_budget(
         if e.name in per:
             raise DomainError(f"duplicate electrode name {e.name!r}")
         per[e.name] = _electrode_noise(e, omega, temperature)
-    return NoiseBudget(electrodes=per)
+    total = sum(n.s_e for n in per.values())
+    return NoiseBudget(per, total, heating_rate_from_noise(total, omega))

@@ -121,6 +121,11 @@ def _tiles(lo: float, hi: float, step: float):
     return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
+def _prefactor(h: float) -> float:
+    """(3 h / 2 pi)^2, the squared kernel's factor at ion height ``h``."""
+    return (3.0 * h / (2.0 * np.pi)) ** 2
+
+
 def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
     """Sum of K^2 over the tiles with centres ``cx`` x ``cy`` and widths
     ``wx`` x ``wy``: (3 h / 2 pi)^2 sum_j wy_j^2 sum_i wx_i^2 da_ij^2 / s_ij^5.
@@ -155,7 +160,7 @@ def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
         np.multiply(t, s, out=t)
         np.divide(u, t, out=u)
         np.dot(u, wx2, out=row_sums[j0:j1])
-    return (3.0 * h / (2.0 * np.pi)) ** 2 * math.fsum(row_sums * (wy * wy))
+    return _prefactor(h) * math.fsum(row_sums * (wy * wy))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -234,7 +239,7 @@ def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
     density = _midpoint_density(
         xs[None, :] - scene.ion_xy[0], ys[:, None] - scene.ion_xy[1], scene, patch_size
     )
-    return patch_size**2 * (3.0 * h / (2.0 * np.pi)) ** 2 * float(wy @ density @ wx)
+    return patch_size**2 * _prefactor(h) * float(wy @ density @ wx)
 
 
 def _core_span(lo: float, step: float, center: float, n: int) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from trapnoise.constants import (
     DomainError,
     heating_rate_from_noise,
     noise_from_heating_rate,
+    omega_from_hz,
 )
 from trapnoise.inference import (
     OMEGA0,
@@ -117,6 +118,25 @@ def test_noise_curve_round_trip(f_hz, rows):
         assert (b.temperature, b.f_secular) == (r.temperature, r.f_secular)
         assert abs(b.gamma - r.gamma) <= 8 * np.spacing(r.gamma)
         assert abs(b.sigma_gamma - r.sigma_gamma) <= 8 * np.spacing(r.sigma_gamma)
+
+
+def test_frequency_curves_sort_temperatures_and_keep_record_order():
+    records = (
+        HeatingRecord(60.0, 2e6, 3.0, 0.3),
+        HeatingRecord(20.0, 3e6, 1.0, 0.1),
+        HeatingRecord(60.0, 1e6, 4.0, 0.4),
+        HeatingRecord(20.0, 1e6, 2.0, 0.2),
+        HeatingRecord(40.0, 5e5, 5.0, 0.5),
+        HeatingRecord(20.0, 2e6, 6.0, 0.6),
+    )
+    curves = HeatingDataset(records).frequency_curves()
+    assert list(curves) == [20.0, 40.0, 60.0]
+    for temperature, points in curves.items():
+        same_t = [r for r in records if r.temperature == temperature]
+        assert points == [
+            (omega_from_hz(r.f_secular), r.gamma, r.sigma_gamma) for r in same_t
+        ]
+    assert [p[1] for p in curves[20.0]] == [1.0, 2.0, 6.0]
 
 
 # ---------------------------------------------------------------------------

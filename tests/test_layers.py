@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from trapnoise.layers import (
     DegenerateInterfaceError,
     Layer,
     LayerStack,
+    NoSuperconductorError,
     branch_sqrt,
     fresnel_interface,
     fresnel_stack,
     greens_parallel,
     stack_reflection,
 )
-from trapnoise.materials import Conductor, ResistivityTable, Vacuum
+from trapnoise.materials import Conductor, ResistivityTable, TwoFluidSC, Vacuum
 from trapnoise.quadrature import _CHUNK, QuadratureFailure, adaptive_gk
 
 from fresnel_oracles import (
@@ -425,6 +427,30 @@ def test_stack_validation():
         LayerStack((Layer(gold), Layer(gold)))  # only bottom may be bulk
     with pytest.raises(DomainError):
         Layer(gold, 0.0)
+
+
+def test_london_depth_substitution_changes_only_superconductors():
+    stack = _packaged_stack("sapphire-ybco-au")
+    swapped = stack.with_london_depth(200e-9)
+    assert swapped.name == stack.name
+    assert len(swapped.layers) == len(stack.layers)
+    sc_layers = 0
+    for old, new in zip(stack.layers, swapped.layers):
+        assert new.thickness == old.thickness
+        if isinstance(old.material, TwoFluidSC):
+            sc_layers += 1
+            assert old.material.lambda0 != 200e-9
+            assert new.material.lambda0 == 200e-9
+            assert new.material == replace(old.material, lambda0=200e-9)
+        else:
+            assert new is old
+    assert sc_layers == 1
+
+
+def test_london_depth_substitution_needs_a_superconductor():
+    with pytest.raises(DomainError, match="no superconducting layer"):
+        gold_half_space().with_london_depth(150e-9)
+    assert issubclass(NoSuperconductorError, DomainError)
 
 
 def test_fresnel_stack_equals_direct_interface_for_half_space():

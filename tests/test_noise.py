@@ -311,6 +311,22 @@ def test_jnn_budget_sums_electrodes_and_reports_fractions():
     assert s_b / budget.total == pytest.approx(0.2, rel=1e-12)
 
 
+def test_jnn_budget_carries_distances_and_heating_rates():
+    electrodes = [
+        strip_electrode(filter_net=FilterNetwork(series_r=50.0), name="A"),
+        ElectrodeModel("B", 10.2e-3, 5.0e-3, 25e-6, filter=FilterNetwork(80.0)),
+    ]
+    for temperature in (0.0, 40.0):
+        budget = jnn_budget(electrodes, OMEGA_1MHZ, temperature)
+        assert list(budget.electrodes) == ["A", "B"]
+        for e in electrodes:
+            n = budget.electrodes[e.name]
+            assert n.distance == e.characteristic_distance
+            assert n.gamma == heating_rate_from_noise(n.s_e, OMEGA_1MHZ)
+        assert budget.gamma == heating_rate_from_noise(budget.total, OMEGA_1MHZ)
+    assert budget.gamma > 0.0
+
+
 def test_jnn_budget_validation():
     with pytest.raises(DomainError):
         jnn_budget([], OMEGA_1MHZ, 40.0)
