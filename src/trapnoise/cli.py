@@ -26,6 +26,12 @@ override, the tool version and the constants fingerprint; it has no
 timestamps, so repeated runs with identical inputs produce byte-identical
 files.  Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
 failure.
+
+Importing this module loads only :mod:`~trapnoise.configio` and
+:mod:`~trapnoise.constants`, which defines the error types :func:`main`
+maps to exit codes; each command imports the library functions it calls
+when it runs, so a ``zeta`` run never loads the layer-stack code, nor an
+``fdt`` run the fits.
 """
 
 from __future__ import annotations
@@ -57,27 +63,16 @@ from .configio import (
     write_heating_csv,
     write_json_report,
 )
-from .constants import DomainError, omega_from_hz
-from .inference import (
-    OMEGA0,
-    HeatingDataset,
+from .constants import (
+    DegenerateInterfaceError,
+    DomainError,
+    FitFailure,
+    PatchBudgetError,
+    QuadratureFailure,
+    TemperatureRangeError,
     UnusableDataError,
-    fit_freq_power_law,
-    fit_surface_models,
-    fit_temperature_models,
-    loglog_spline_slope,
-    plateau_width,
-    synth_dataset,
-    synth_surface,
-    taf_alpha,
-    taf_consistency_chi2,
+    omega_from_hz,
 )
-from .layers import DegenerateInterfaceError, NoSuperconductorError
-from .leastsq import FitFailure
-from .materials import TemperatureRangeError
-from .noise import fdt_noise, jnn_budget
-from .patches import PatchBudgetError, zeta as zeta_share
-from .quadrature import QuadratureFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,6 +104,10 @@ _SYNTH_DEFAULT_PARAMS = {
 
 _DEFAULT_TEMPS = "15,40,60,80,90,100,120,160,200"
 
+# metres per unit of the length flags
+_UM = 1e-6
+_NM = 1e-9
+
 # flags a manifest does not list under overrides: the output path, the seed
 # (a manifest field of its own) and the input paths (its config_paths)
 _NOT_OVERRIDES = {"command", "func", "out", "seed", "config", "data", "alphas", "params"}
@@ -135,6 +134,21 @@ def _positive(text: str) -> float:
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
+
+
+def _positive_length(unit: float):
+    """argparse ``type`` of a length flag given in ``unit`` metres: > 0, and
+    still > 0 once converted to metres."""
+
+    def parse(text: str) -> float:
+        value = _positive(text)
+        if not value * unit > 0.0:
+            raise argparse.ArgumentTypeError(
+                f"must be > 0, got {text!r}, which is 0 m in floating point"
+            )
+        return value
+
+    return parse
 
 
 def _non_negative(text: str) -> float:
@@ -227,6 +241,9 @@ def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
 
 
 def cmd_fdt(args):
+    from .layers import NoSuperconductorError
+    from .noise import fdt_noise
+
     lambdas = args.lambda0_nm or []
     s_cols = [f"S_E_V2m2Hz_lam0_{nm:g}nm" for nm in lambdas] or ["S_E_V2m2Hz"]
     if len(set(s_cols)) < len(s_cols):
@@ -236,10 +253,10 @@ def cmd_fdt(args):
     stack = load_stack(configs["stack"], materials)
     temps = _bounded_grid(args.temps, "temps", positive=True)
     omega = omega_from_hz(args.omega_hz)
-    distance = args.distance_um * 1e-6
+    distance = args.distance_um * _UM
 
     try:
-        stacks = [stack.with_london_depth(nm * 1e-9) for nm in lambdas] or [stack]
+        stacks = [stack.with_london_depth(nm * _NM) for nm in lambdas] or [stack]
     except NoSuperconductorError:
         raise ConfigFileError(
             "--lambda0-nm given but the stack has no superconducting layer"
@@ -256,6 +273,8 @@ def cmd_fdt(args):
 
 
 def cmd_jnn(args):
+    from .noise import jnn_budget
+
     configs = resolve_configs(args.config, ("materials", "circuit"))
     materials = load_materials(configs["materials"])
     electrodes = load_circuit(configs["circuit"], materials)
@@ -292,7 +311,9 @@ def _temp_fit_dict(fit) -> dict:
     }
 
 
-def _fit_temp_report(dataset: HeatingDataset, args) -> dict:
+def _fit_temp_report(dataset, args) -> dict:
+    from .inference import fit_temperature_models, plateau_width
+
     comparison = fit_temperature_models(dataset)
     return {
         "mode": "temp",
@@ -308,7 +329,9 @@ def _fit_temp_report(dataset: HeatingDataset, args) -> dict:
     }
 
 
-def _fit_freq_report(dataset: HeatingDataset) -> dict:
+def _fit_freq_report(dataset) -> dict:
+    from .inference import OMEGA0, fit_freq_power_law
+
     fits = []
     for temperature, points in dataset.frequency_curves().items():
         fit = fit_freq_power_law(points)
@@ -330,7 +353,9 @@ def _surface_fit_dict(fit) -> dict:
     return {k: v for k, v in asdict(fit).items() if k != "kind"}
 
 
-def _fit_surface_report(dataset: HeatingDataset) -> dict:
+def _fit_surface_report(dataset) -> dict:
+    from .inference import fit_surface_models
+
     f_hz, curve = dataset.noise_curve("surface-model fit")
     fits = fit_surface_models(curve)
     return {
@@ -354,6 +379,8 @@ def cmd_fit(args):
 
 
 def cmd_taf(args):
+    from .inference import loglog_spline_slope, taf_alpha, taf_consistency_chi2
+
     dataset = read_heating_csv(args.data)
     _, curve_pts = dataset.noise_curve("TAF analysis")
     temps = sorted({r.temperature for r in dataset.records})
@@ -385,6 +412,8 @@ def cmd_taf(args):
 
 
 def cmd_zeta(args):
+    from .patches import zeta
+
     configs = resolve_configs(args.config, ("scene",))
     scene = load_scene(configs["scene"])
     if all(region.name != args.target for region in scene.regions):
@@ -393,15 +422,16 @@ def cmd_zeta(args):
             f"target region '{args.target}' not in scene (regions: {names})"
         )
     ratios = _bounded_grid(args.f_ratios, "f-ratios", positive=False)
-    patch_size = args.patch_um * 1e-6
+    patch_size = args.patch_um * _UM
 
-    ref = zeta_share(scene, 1.0, patch_size, target_name=args.target,
-                     exact=args.exact)
+    ref = zeta(scene, 1.0, patch_size, target_name=args.target, exact=args.exact)
     rows = [[r, ref.at(r)] for r in ratios]
     return list(configs.values()), (["f_ratio", "zeta"], rows)
 
 
 def cmd_synth(args):
+    from .inference import HeatingDataset, synth_dataset, synth_surface
+
     temp_model = args.model in ("gamma1", "gamma2")
     if args.freqs is not None and not temp_model:
         raise ConfigFileError(
@@ -469,14 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temps", default="10:250:25", help="temperature grid (K)")
     p.add_argument("--omega-hz", type=_positive, default=1e6, help="frequency (Hz)")
     p.add_argument(
-        "--distance-um", type=_positive, default=225.0, help="ion-surface gap (um)"
+        "--distance-um",
+        type=_positive_length(_UM),
+        default=225.0,
+        help="ion-surface gap (um)",
     )
     p.add_argument(
         "--tolerance", type=_positive, default=1e-6, help="quadrature rel. tolerance"
     )
     p.add_argument(
         "--lambda0-nm",
-        type=_positive,
+        type=_positive_length(_NM),
         action="append",
         metavar="NM",
         help="override the superconductor London depth; repeat for a band",
@@ -537,7 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fluctuation-strength ratios (grid syntax like --temps)",
     )
     p.add_argument(
-        "--patch-um", type=_positive, default=1.0, help="patch edge length (um)"
+        "--patch-um",
+        type=_positive_length(_UM),
+        default=1.0,
+        help="patch edge length (um)",
     )
     p.add_argument("--target", default="ybco", help="target region name")
     p.add_argument(
@@ -605,10 +641,10 @@ def main(argv=None) -> int:
         )
         if isinstance(output, dict):
             write_json_report(args.out, manifest, output)
-        elif isinstance(output, HeatingDataset):
-            write_heating_csv(args.out, output, manifest)
-        else:
+        elif isinstance(output, tuple):
             write_csv(args.out, manifest, *output)
+        else:
+            write_heating_csv(args.out, output, manifest)
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

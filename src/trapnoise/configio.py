@@ -19,6 +19,9 @@ header row, and lines starting with ``#`` are comments.  Every file
 this package writes embeds the dict of :func:`make_manifest` -- as a
 ``# manifest:`` comment line in CSVs and as a top-level ``"manifest"`` field
 in JSON reports -- so outputs are traceable and reruns byte-identical.
+
+Each loader imports the library types it builds when it runs, so importing
+this module loads only :mod:`~trapnoise.constants` of the package.
 """
 
 from __future__ import annotations
@@ -29,32 +32,18 @@ import math
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, omega_from_hz, require_above
-from .inference import SURFACE_MODELS, HeatingDataset, HeatingRecord, TempFitParams
-from .layers import Layer, LayerStack
-from .materials import (
-    Conductor,
-    FilmSheet,
-    LossyDielectric,
-    MaterialModel,
-    ResistivityTable,
-    SCSheetSpec,
-    TwoFluidSC,
-    Vacuum,
-    ybco_normal_default,
-)
-from .noise import (
-    ElectrodeModel,
-    FilterCapacitor,
-    FilterNetwork,
-    LeadModel,
-    RectTrace,
-    WireBond,
-)
-from .patches import PatchScene, PlaneRegion
+
+if TYPE_CHECKING:
+    from .inference import HeatingDataset, TempFitParams
+    from .layers import LayerStack
+    from .materials import Conductor, MaterialModel
+    from .noise import ElectrodeModel, FilterNetwork, LeadModel
+    from .patches import PatchScene
 
 __all__ = [
     "ConfigFileError",
@@ -339,6 +328,16 @@ def _single_section(parser, path, name: str) -> _Section:
 
 
 def _build_material(name: str, sec: _Section) -> MaterialModel:
+    from .materials import (
+        Conductor,
+        LossyDielectric,
+        ResistivityTable,
+        SCSheetSpec,
+        TwoFluidSC,
+        Vacuum,
+        ybco_normal_default,
+    )
+
     kind = sec.raw("kind", required=True)
     if kind == "vacuum":
         sec.finish()
@@ -407,6 +406,8 @@ def _resolve_material(sec: _Section, materials, name: str) -> MaterialModel:
 
 
 def _resolve_conductor(sec: _Section, materials, name: str) -> Conductor:
+    from .materials import Conductor
+
     mat = _resolve_material(sec, materials, name)
     if not isinstance(mat, Conductor):
         raise sec.error(
@@ -421,6 +422,8 @@ def _resolve_conductor(sec: _Section, materials, name: str) -> Conductor:
 
 def load_stack(path, materials: dict[str, MaterialModel]) -> LayerStack:
     """The ``[stack]`` section: one ``material thickness_m|bulk`` line per layer."""
+    from .layers import Layer, LayerStack
+
     parser = _read_ini(path)
     sec = _single_section(parser, path, "stack")
     with sec:
@@ -444,6 +447,8 @@ def load_stack(path, materials: dict[str, MaterialModel]) -> LayerStack:
 
 
 def _build_filter(sec: _Section) -> FilterNetwork:
+    from .noise import FilterCapacitor, FilterNetwork
+
     series_r = sec.floatval("series_r_ohm", required=True)
     caps = sec.floats("capacitors", "C_F [esr_ohm]") or ()
     sec.finish()
@@ -453,6 +458,8 @@ def _build_filter(sec: _Section) -> FilterNetwork:
 
 
 def _build_lead(sec: _Section, materials) -> LeadModel:
+    from .noise import LeadModel, RectTrace, WireBond
+
     trace = sec.fields("trace", "material width_m thickness_m length_m")
     if trace is not None:
         mat, width, thickness, length = trace
@@ -489,6 +496,9 @@ def _build_electrodes(
     name: str, sec: _Section, materials, filters, leads
 ) -> list[ElectrodeModel]:
     """One ``[electrode:NAME]`` section, expanded into its ``copies``."""
+    from .materials import FilmSheet
+    from .noise import ElectrodeModel, LeadModel
+
     distance = sec.floatval("distance_m", required=True)
     strip_length = sec.floatval("strip_length_m", required=True)
     strip_width = sec.floatval("strip_width_m", required=True)
@@ -561,6 +571,8 @@ def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeMod
 
 def load_scene(path) -> PatchScene:
     """Patch scene from a ``[scene]`` section plus ``[region:NAME]`` rectangles."""
+    from .patches import PatchScene, PlaneRegion
+
     parser = _read_ini(path)
     sec = _single_section(parser, path, "scene")
     with sec:
@@ -602,6 +614,8 @@ def load_temp_params(path) -> TempFitParams:
     keys (``t2_K``, ``beta2``, ``t_star_K``) are all-or-none.  Every
     temperature, frequency and gamma0 must be > 0.
     """
+    from .inference import TempFitParams
+
     parser = _read_ini(path)
     sec = _single_section(parser, path, "temp-model")
     t1 = sec.floatval("t1_K", required=True)
@@ -637,6 +651,8 @@ def load_surface_params(path, kind: str) -> dict[str, float]:
     """Surface-noise model parameters from a ``[surface-model]`` section;
     the key of the temperature ``t0`` is ``t0_K``.  ``t0``, ``s_et`` and the
     power-law ``s_e0`` must be > 0, the Arrhenius ``s_e0`` >= 0."""
+    from .inference import SURFACE_MODELS
+
     if kind not in SURFACE_MODELS:
         raise ConfigFileError(f"unknown surface model kind {kind!r}")
     parser = _read_ini(path)
@@ -708,6 +724,8 @@ def _read_numeric_csv(path, columns: tuple[str, ...], build) -> list:
 
 def read_heating_csv(path) -> HeatingDataset:
     """Dataset from a ``T_K,f_Hz,gamma_phps,sigma_phps`` CSV."""
+    from .inference import HeatingDataset, HeatingRecord
+
     records = _read_numeric_csv(path, HEATING_COLUMNS, HeatingRecord)
     return HeatingDataset(tuple(records))
 

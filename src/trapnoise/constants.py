@@ -9,6 +9,10 @@ in V^2 m^-2 Hz^-1.
 :func:`require_above` is the one domain check of a physical argument: it
 raises :class:`DomainError`, naming the argument, on NaN, on +-inf and on a
 value at or below its bound.
+
+The numerical and data errors that the command line maps to exit codes are
+defined here, so it can catch them without loading the modules that raise
+them; each of those modules re-exports its own under the same name.
 """
 
 from __future__ import annotations
@@ -44,6 +48,47 @@ CONSTANTS = PhysicalConstants()
 
 class DomainError(ValueError):
     """Input outside the physical domain of an operation."""
+
+
+class UnusableDataError(DomainError):
+    """Data a fit cannot use: too few or repeated points, non-positive values."""
+
+
+class TemperatureRangeError(ValueError):
+    """Temperature outside the tabulated range (plus one grid step)."""
+
+
+class DegenerateInterfaceError(ZeroDivisionError):
+    """A Fresnel denominator vanished exactly for some (eps_a, eps_b, u)."""
+
+
+class QuadratureFailure(RuntimeError):
+    """Adaptive integration did not reach tolerance within the budget."""
+
+    def __init__(self, message: str, value, error: float, evaluations: int):
+        super().__init__(message)
+        self.value = value
+        self.error = error
+        self.evaluations = evaluations
+
+
+class FitFailure(RuntimeError):
+    """No convergence; carries the best point found for diagnostics."""
+
+    def __init__(self, message: str, params, rss: float, n_iter: int):
+        super().__init__(message)
+        self.params = params
+        self.rss = rss
+        self.n_iter = n_iter
+
+
+class PatchBudgetError(RuntimeError):
+    """More tiles would be summed directly than the patch budget allows.
+
+    Exact mode sums every tile of a region, so coarsen patch_size or drop
+    exact mode; the hybrid mode sums directly only the core around the ion
+    and the region's partial last column and row.
+    """
 
 
 def require_above(value: float, what: str, lo: float = 0.0, *, or_equal: bool = False):

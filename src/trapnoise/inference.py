@@ -25,6 +25,7 @@ import numpy as np
 
 from .constants import (
     DomainError,
+    UnusableDataError,
     heating_rate_from_noise,
     noise_from_heating_rate,
     omega_from_hz,
@@ -76,16 +77,29 @@ class IllConditionedWarning(UserWarning):
     """A formula is evaluated where it is numerically ill-conditioned."""
 
 
-class UnusableDataError(DomainError):
-    """Data a fit cannot use: too few or repeated points, non-positive values."""
-
-
 def _exp(x) -> float:
     """``math.exp``, but NaN where it overflows, so a fit rejects the step."""
     try:
         return math.exp(x)
     except OverflowError:
         return math.nan
+
+
+def _n_distinct(values) -> int:
+    """``np.unique(values).size`` of floats, all NaNs one value, without the
+    import of ``numpy.ma`` that ``np.unique`` makes on its first call."""
+    values = list(values)
+    return len({v for v in values if v == v}) + any(v != v for v in values)
+
+
+def _median(values) -> float:
+    """``np.median`` of finite floats, bit for bit, without the import of
+    ``numpy.ma`` that ``np.median`` makes on its first call."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    middle = ordered[mid : mid + 1] if ordered.size % 2 else ordered[mid - 1 : mid + 1]
+    # numpy takes the mean of the middle, a sum that starts at +0.0
+    return sum(middle.tolist(), 0.0) / middle.size
 
 
 def _natural(theta, logged) -> tuple:
@@ -205,7 +219,7 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
     if len(pts) < 3:
         raise UnusableDataError(f"need at least 3 points, got {len(pts)}")
     omegas = np.array([p[0] for p in pts])
-    if np.unique(omegas).size != omegas.size:
+    if _n_distinct(omegas) != omegas.size:
         raise UnusableDataError("frequencies must be distinct")
     gammas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
@@ -440,7 +454,7 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
         if rates.size == 0:
             raise UnusableDataError(f"no positive heating rate at {f:g} Hz")
         g0.append(rates.min())
-    start = np.concatenate([np.log(g0), [math.log(np.median(temps)), math.log(2.0)]])
+    start = np.concatenate([np.log(g0), [math.log(_median(temps)), math.log(2.0)]])
     simple = _temp_model_fit([start], *data)
 
     n = simple.fit.params.size
@@ -530,10 +544,11 @@ class SurfaceFitParams:
 def _surface_fit(kind, temps, s_e, sigmas) -> SurfaceModelFit:
     model = SURFACE_MODELS[kind]
     if kind == "power":
+        t_mid = _median(temps)
         slope0 = (math.log(s_e[-1] / s_e[0])) / math.log(
-            (1.0 + temps[-1] / np.median(temps)) / (1.0 + temps[0] / np.median(temps))
+            (1.0 + temps[-1] / t_mid) / (1.0 + temps[0] / t_mid)
         )
-        theta0 = [math.log(s_e.min()), max(slope0, 0.5), math.log(np.median(temps))]
+        theta0 = [math.log(s_e.min()), max(slope0, 0.5), math.log(t_mid)]
     else:
         theta0 = [
             math.log(max(s_e.min(), 1e-300)),
@@ -613,7 +628,7 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     """
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
     t = np.array([p[0] for p in pts])
-    n_distinct = np.unique(t).size
+    n_distinct = _n_distinct(t)
     if n_distinct < 4:
         raise UnusableDataError(
             f"need at least 4 distinct temperatures, got {n_distinct}"

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, require_above
+from .constants import CONSTANTS, DegenerateInterfaceError, DomainError, require_above
 from .materials import MaterialModel, TwoFluidSC, permittivity
 from .quadrature import adaptive_gk
 
@@ -50,10 +50,6 @@ __all__ = [
 
 _ABS_TOL = 1e-5  # g units; errors far below 1 do not matter to 1 + g_parallel
 _MAX_EVALS = 2_000_000  # per g_parallel call, split over its two integrals
-
-
-class DegenerateInterfaceError(ZeroDivisionError):
-    """A Fresnel denominator vanished exactly for some (eps_a, eps_b, u)."""
 
 
 class NoSuperconductorError(DomainError):

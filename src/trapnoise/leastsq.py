@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import FitFailure
+
 __all__ = ["FitFailure", "FitResult", "levenberg_marquardt", "fd_jacobian"]
 
 _FD_STEP = 1e-6
@@ -21,16 +23,6 @@ _MAX_ITER = 200
 _RSS_TOL = 1e-12
 _STEP_TOL = 1e-12
 _LAM0 = 1e-3
-
-
-class FitFailure(RuntimeError):
-    """No convergence; carries the best point found for diagnostics."""
-
-    def __init__(self, message: str, params, rss: float, n_iter: int):
-        super().__init__(message)
-        self.params = params
-        self.rss = rss
-        self.n_iter = n_iter
 
 
 @dataclass

@@ -21,11 +21,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .constants import CONSTANTS, DomainError, omega_from_hz, require_above
-
-
-class TemperatureRangeError(ValueError):
-    """Temperature outside the tabulated range (plus one grid step)."""
+from .constants import (
+    CONSTANTS,
+    DomainError,
+    TemperatureRangeError,
+    omega_from_hz,
+    require_above,
+)
 
 
 @dataclass(frozen=True)

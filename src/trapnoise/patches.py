@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DomainError, require_above
+from .constants import DomainError, PatchBudgetError, require_above
 
 __all__ = [
     "PlaneRegion",
@@ -47,15 +47,6 @@ __all__ = [
 _CHUNK = 32_768
 _CORE_TILES = 128  # tiles from the ion to each side of the hybrid mode's direct core
 _MAX_PATCHES = 250_000_000
-
-
-class PatchBudgetError(RuntimeError):
-    """More tiles would be summed directly than the patch budget allows.
-
-    Exact mode sums every tile of a region, so coarsen patch_size or drop
-    exact mode; the hybrid mode sums directly only the core around the ion
-    and the region's partial last column and row.
-    """
 
 
 @dataclass(frozen=True)

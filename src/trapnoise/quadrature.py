@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import QuadratureFailure
+
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 _XK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -47,16 +49,6 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # size reaches the last bits of the rule sums: 272 keeps those of one call
 # per round, where 273 or 274 moves an error estimate pinned in the tests
 _CHUNK = 272
-
-
-class QuadratureFailure(RuntimeError):
-    """Adaptive integration did not reach tolerance within the budget."""
-
-    def __init__(self, message: str, value, error: float, evaluations: int):
-        super().__init__(message)
-        self.value = value
-        self.error = error
-        self.evaluations = evaluations
 
 
 @dataclass

@@ -22,9 +22,19 @@ from trapnoise.cli import (
 )
 from trapnoise.configio import (
     ConfigFileError,
+    DataFileError,
     packaged_config,
     read_csv_manifest,
     read_heating_csv,
+)
+from trapnoise.constants import (
+    DegenerateInterfaceError,
+    DomainError,
+    FitFailure,
+    PatchBudgetError,
+    QuadratureFailure,
+    TemperatureRangeError,
+    UnusableDataError,
 )
 
 
@@ -129,6 +139,10 @@ _OUT_OF_RANGE = [
     ("fdt", "--omega-hz", "-1"),
     ("fdt", "--lambda0-nm", "0"),
     ("fdt", "--lambda0-nm", "-5"),
+    # positive, but 0 m once converted to metres
+    ("fdt", "--lambda0-nm", "1e-320"),
+    ("fdt", "--distance-um", "1e-320"),
+    ("zeta", "--patch-um", "1e-320"),
     ("jnn", "--omega-hz", "0"),
     ("taf", "--omega-hz", "0"),
     ("taf", "--tau0-s", "0"),
@@ -178,11 +192,42 @@ def test_flag_fault_exits_config_before_computing(
     def never(*args, **kwargs):
         raise AssertionError("computed despite a bad flag")
 
-    for name in ("fdt_noise", "jnn_budget", "synth_dataset", "synth_surface"):
-        monkeypatch.setattr(f"trapnoise.cli.{name}", never)
+    # the commands import their library entry points when they run
+    for name in ("noise.fdt_noise", "noise.jnn_budget", "inference.synth_dataset",
+                 "inference.synth_surface"):
+        monkeypatch.setattr(f"trapnoise.{name}", never)
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+_RAISED = [
+    (ConfigFileError("bad"), EXIT_CONFIG, "config error"),
+    (DataFileError("bad"), EXIT_DATA, "data error"),
+    (UnusableDataError("bad"), EXIT_DATA, "data error"),
+    (DomainError("bad"), EXIT_NUMERIC, "numerical error"),
+    (QuadratureFailure("bad", 0.0, 1.0, 15), EXIT_NUMERIC, "numerical error"),
+    (FitFailure("bad", None, 1.0, 3), EXIT_NUMERIC, "numerical error"),
+    (PatchBudgetError("bad"), EXIT_NUMERIC, "numerical error"),
+    (TemperatureRangeError("bad"), EXIT_NUMERIC, "numerical error"),
+    (DegenerateInterfaceError("bad"), EXIT_NUMERIC, "numerical error"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix", _RAISED, ids=[type(e).__name__ for e, _, _ in _RAISED]
+)
+def test_library_error_reaches_its_exit_code(
+    error, code, prefix, tmp_path, capsys, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("trapnoise.patches.zeta", fail)
+    out = tmp_path / "zeta.csv"
+    assert main(["zeta", "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{prefix}: bad\n"
     assert not out.exists()
 
 

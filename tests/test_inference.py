@@ -25,6 +25,8 @@ from trapnoise.inference import (
     SurfaceModelFit,
     TempFitParams,
     UnusableDataError,
+    _median,
+    _n_distinct,
     chi2_sf,
     fit_freq_power_law,
     fit_surface_models,
@@ -494,6 +496,27 @@ def test_spline_slope_rejects_a_nan_point():
     curve[5][1] = math.nan
     with pytest.raises(UnusableDataError, match="T and S_E must be > 0"):
         loglog_spline_slope(curve, n_boot=10)
+
+
+# the fit starts take the median of the temperatures; signed zeros and the
+# smallest subnormals check the sum numpy's mean makes
+_MEDIAN_VALUES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_median_matches_numpy_bit_for_bit(parity, data):
+    size = 2 * data.draw(st.integers(1, 20)) - parity
+    values = np.array(data.draw(st.lists(_MEDIAN_VALUES, min_size=size, max_size=size)))
+    assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, math.nan]), max_size=30))
+def test_distinct_count_matches_numpy(values):
+    values = np.array(values)
+    assert _n_distinct(values) == np.unique(values).size
 
 
 # ---------------------------------------------------------------------------
