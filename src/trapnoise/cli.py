@@ -19,6 +19,9 @@ back, ``HeatingDataset.frequency_curves`` gives each temperature's
 (omega, Gamma, sigma) points, ``jnn_budget`` returns each electrode's
 distance and heating rate next to its S_E, and
 ``LayerStack.with_london_depth`` swaps a stack's London depth.
+Every number a flag or grid takes must pass :func:`require_above` both as
+given and in the SI units the library receives, or the run exits 2; grids
+are parsed inside the commands, so the manifest records their text as given.
 The manifest records the seed (``null`` but for ``synth`` and ``taf``, the
 two commands that draw random numbers and so the only ones with ``--seed``),
 the inputs as ``config_paths``, every other flag but ``--out`` as an
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -72,6 +74,7 @@ from .constants import (
     TemperatureRangeError,
     UnusableDataError,
     omega_from_hz,
+    require_above,
 )
 
 EXIT_OK = 0
@@ -104,9 +107,10 @@ _SYNTH_DEFAULT_PARAMS = {
 
 _DEFAULT_TEMPS = "15,40,60,80,90,100,120,160,200"
 
-# metres per unit of the length flags
+# metres per unit of the length flags, and rad/s per Hz of the frequency flags
 _UM = 1e-6
 _NM = 1e-9
+_HZ = omega_from_hz(1.0)
 
 # flags a manifest does not list under overrides: the output path, the seed
 # (a manifest field of its own) and the input paths (its config_paths)
@@ -117,62 +121,33 @@ _NOT_OVERRIDES = {"command", "func", "out", "seed", "config", "data", "alphas", 
 # small helpers
 
 
-def _finite(text: str) -> float:
-    """argparse ``type`` of a float flag: a finite number or exit 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _number(lo: float = 0.0, *, or_equal: bool = False, unit: float = 1.0, kind=float):
+    """argparse ``type`` of a number flag: ``kind(text)``, which must pass
+    :func:`require_above` against ``lo`` as given and times ``unit``, the
+    factor its command applies, or exit 2."""
+    rule = f"must be finite and {'>=' if or_equal else '>'} {lo:g}"
 
-
-def _positive(text: str) -> float:
-    """argparse ``type`` of a float flag that the library requires > 0."""
-    value = _finite(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def _positive_length(unit: float):
-    """argparse ``type`` of a length flag given in ``unit`` metres: > 0, and
-    still > 0 once converted to metres."""
-
-    def parse(text: str) -> float:
-        value = _positive(text)
-        if not value * unit > 0.0:
-            raise argparse.ArgumentTypeError(
-                f"must be > 0, got {text!r}, which is 0 m in floating point"
-            )
+    def parse(text: str):
+        value = kind(text)  # a ValueError exits 2 as "invalid <kind> value"
+        for scale, where in ((1, ""), (unit, " in SI units")):
+            try:
+                require_above(value * scale, "", lo, or_equal=or_equal)
+            except DomainError:
+                message = f"{rule}{where}, got {text!r}"
+                raise argparse.ArgumentTypeError(message) from None
         return value
 
+    parse.__name__ = kind.__name__
     return parse
 
 
-def _non_negative(text: str) -> float:
-    """argparse ``type`` of a float flag that the library requires >= 0."""
-    value = _finite(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+_COUNT = _number(or_equal=True, kind=int)  # a count or a seed
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse ``type`` of a count or seed flag: an int >= 0 or exit 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def parse_grid(text: str) -> list[float]:
-    """Comma-separated finite values; a ``lo:hi:n`` token expands to a linear
-    grid."""
+def parse_grid(text: str, name: str = "grid", lo: float = 0.0, *,
+               or_equal: bool = False) -> list[float]:
+    """Comma-separated values, each finite and above ``lo`` (or at it if
+    ``or_equal``); a ``lo:hi:n`` token expands to a linear grid."""
     values: list[float] = []
     for token in text.split(","):
         token = token.strip()
@@ -183,12 +158,12 @@ def parse_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ConfigFileError(f"bad grid token {token!r}; want lo:hi:n")
             try:
-                lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+                start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ConfigFileError(f"bad grid token {token!r}: {exc}") from exc
             if n < 1:
                 raise ConfigFileError(f"grid count must be >= 1 in {token!r}")
-            values.extend(float(v) for v in np.linspace(lo, hi, n))
+            values.extend(float(v) for v in np.linspace(start, stop, n))
         else:
             try:
                 values.append(float(token))
@@ -196,17 +171,11 @@ def parse_grid(text: str) -> list[float]:
                 raise ConfigFileError(f"bad grid value {token!r}") from exc
     if not values:
         raise ConfigFileError(f"empty grid {text!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigFileError(f"non-finite value in grid {text!r}")
-    return values
-
-
-def _bounded_grid(text: str, name: str, positive: bool) -> list[float]:
-    """:func:`parse_grid` of the flag ``--name``, whose values must all be
-    > 0 if ``positive`` and >= 0 otherwise."""
-    values = parse_grid(text)
-    if not all(v > 0.0 if positive else v >= 0.0 for v in values):
-        raise ConfigFileError(f"{name} must be {'> 0' if positive else '>= 0'}")
+    try:
+        for value in values:
+            require_above(value, name, lo, or_equal=or_equal)
+    except DomainError as exc:
+        raise ConfigFileError(str(exc)) from None
     return values
 
 
@@ -251,7 +220,7 @@ def cmd_fdt(args):
     configs = resolve_configs(args.config, ("materials", "stack"))
     materials = load_materials(configs["materials"])
     stack = load_stack(configs["stack"], materials)
-    temps = _bounded_grid(args.temps, "temps", positive=True)
+    temps = parse_grid(args.temps, "--temps")
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * _UM
 
@@ -278,7 +247,7 @@ def cmd_jnn(args):
     configs = resolve_configs(args.config, ("materials", "circuit"))
     materials = load_materials(configs["materials"])
     electrodes = load_circuit(configs["circuit"], materials)
-    temps = _bounded_grid(args.temps, "temps", positive=False)
+    temps = parse_grid(args.temps, "--temps", or_equal=True)
     omega = omega_from_hz(args.omega_hz)
 
     rows = []
@@ -421,7 +390,7 @@ def cmd_zeta(args):
         raise ConfigFileError(
             f"target region '{args.target}' not in scene (regions: {names})"
         )
-    ratios = _bounded_grid(args.f_ratios, "f-ratios", positive=False)
+    ratios = parse_grid(args.f_ratios, "--f-ratios", or_equal=True)
     patch_size = args.patch_um * _UM
 
     ref = zeta(scene, 1.0, patch_size, target_name=args.target, exact=args.exact)
@@ -437,7 +406,7 @@ def cmd_synth(args):
         raise ConfigFileError(
             f"--freqs is for gamma1 and gamma2; {args.model} takes --f-hz"
         )
-    temps = _bounded_grid(args.temps, "temps", positive=True)
+    temps = parse_grid(args.temps, "--temps")
     if args.params is not None:
         params_path = str(args.params)
     else:
@@ -450,7 +419,8 @@ def cmd_synth(args):
             raise ConfigFileError(
                 f"{params_path}: gamma2 needs t2_K, beta2, t_star_K"
             )
-        freqs = parse_grid(args.freqs) if args.freqs else sorted(params.gamma0)
+        freqs = (parse_grid(args.freqs, "--freqs") if args.freqs
+                 else sorted(params.gamma0))
         missing = [f for f in freqs if f not in params.gamma0]
         if missing:
             raise ConfigFileError(
@@ -497,19 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fdt", help="field noise above a layer stack")
     _add_common(p)
     p.add_argument("--temps", default="10:250:25", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=_positive, default=1e6, help="frequency (Hz)")
+    p.add_argument(
+        "--omega-hz", type=_number(unit=_HZ), default=1e6, help="frequency (Hz)"
+    )
     p.add_argument(
         "--distance-um",
-        type=_positive_length(_UM),
+        type=_number(unit=_UM),
         default=225.0,
         help="ion-surface gap (um)",
     )
     p.add_argument(
-        "--tolerance", type=_positive, default=1e-6, help="quadrature rel. tolerance"
+        "--tolerance", type=_number(), default=1e-6, help="quadrature rel. tolerance"
     )
     p.add_argument(
         "--lambda0-nm",
-        type=_positive_length(_NM),
+        type=_number(unit=_NM),
         action="append",
         metavar="NM",
         help="override the superconductor London depth; repeat for a band",
@@ -519,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jnn", help="Johnson-noise budget of the electrodes")
     _add_common(p)
     p.add_argument("--temps", default="10:210:21", help="temperature grid (K)")
-    p.add_argument("--omega-hz", type=_positive, default=1e6, help="frequency (Hz)")
+    p.add_argument(
+        "--omega-hz", type=_number(unit=_HZ), default=1e6, help="frequency (Hz)"
+    )
     p.set_defaults(func=cmd_jnn)
 
     p = sub.add_parser("fit", help="fit heating-rate data")
@@ -533,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--plateau-tol",
-        type=_positive,
+        type=_number(),
         default=0.1,
         help="relative rise defining the plateau width (temp model)",
     )
@@ -543,18 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_config=False)
     p.add_argument("--data", required=True, help="heating-rate CSV (single f)")
     p.add_argument(
-        "--omega-hz", type=_positive, default=1e6, help="prediction frequency (Hz)"
+        "--omega-hz", type=_number(unit=_HZ), default=1e6,
+        help="prediction frequency (Hz)",
     )
     p.add_argument(
-        "--tau0-s", type=_positive, default=1e-13, help="fluctuator attempt time (s)"
+        "--tau0-s", type=_number(), default=1e-13, help="fluctuator attempt time (s)"
     )
     p.add_argument(
-        "--n-boot", type=_non_negative_int, default=200,
-        help="bootstrap refits for the band",
+        "--n-boot", type=_COUNT, default=200, help="bootstrap refits for the band"
     )
-    p.add_argument(
-        "--seed", type=_non_negative_int, default=7041, help="bootstrap seed"
-    )
+    p.add_argument("--seed", type=_COUNT, default=7041, help="bootstrap seed")
     p.add_argument(
         "--alphas",
         default=None,
@@ -571,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--patch-um",
-        type=_positive_length(_UM),
+        type=_number(unit=_UM),
         default=1.0,
         help="patch edge length (um)",
     )
@@ -601,17 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="secular frequencies in Hz (default: all in the params file)",
     )
     p.add_argument(
-        "--noise-frac", type=_non_negative, default=0.1, help="relative noise level"
+        "--noise-frac", type=_number(or_equal=True), default=0.1,
+        help="relative noise level",
     )
     p.add_argument(
         "--f-hz",
-        type=_positive,
+        type=_number(unit=_HZ),
         default=1e6,
         help="embedding frequency for surface-model datasets (Hz)",
     )
-    p.add_argument(
-        "--seed", type=_non_negative_int, default=0, help="noise seed"
-    )
+    p.add_argument("--seed", type=_COUNT, default=0, help="noise seed")
     p.set_defaults(func=cmd_synth)
 
     return parser

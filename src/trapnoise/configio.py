@@ -512,8 +512,7 @@ def _build_electrodes(
     lead = _named(sec, "lead", leads, LeadModel())
     filt = _named(sec, "filter", filters, None)
     bonds = sec.intval("bonds", 1)
-    if bonds < 1:
-        raise sec.error(f"bonds must be >= 1, got {bonds}")
+    require_above(bonds, "bonds", 1, or_equal=True)
     if bonds > 1:
         if lead.wire_bond is None:
             raise sec.error("bonds > 1 requires a lead with a bond wire")
@@ -521,8 +520,7 @@ def _build_electrodes(
             lead, wire_bond=replace(lead.wire_bond, multiplicity=bonds)
         )
     copies = sec.intval("copies", 1)
-    if copies < 1:
-        raise sec.error(f"copies must be >= 1, got {copies}")
+    require_above(copies, "copies", 1, or_equal=True)
     sec.finish()
     names = [name] if copies == 1 else [f"{name}{i}" for i in range(1, copies + 1)]
     return [

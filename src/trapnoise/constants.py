@@ -93,8 +93,13 @@ class PatchBudgetError(RuntimeError):
 
 def require_above(value: float, what: str, lo: float = 0.0, *, or_equal: bool = False):
     """Raise :class:`DomainError` unless ``value`` is finite and > ``lo``
-    (>= ``lo`` if ``or_equal``); ``what`` names the argument."""
-    if not math.isfinite(value):
+    (>= ``lo`` if ``or_equal``); ``what`` names the argument.  An int too
+    large for a float counts as not finite."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise DomainError(f"{what} must be finite, got {value}")
     if not (value >= lo if or_equal else value > lo):
         raise DomainError(f"{what} must be {'>=' if or_equal else '>'} {lo:g}, got {value}")

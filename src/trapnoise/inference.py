@@ -642,6 +642,8 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     x = np.log(t)
     y = np.log(s)
     sig_y = sg / s
+    if not np.all((sig_y > 0.0) & np.isfinite(sig_y)):
+        raise UnusableDataError("sigma must be finite and > 0 relative to S_E")
 
     spline = fit_smoothing_spline(x, y, sig_y)
     fitted = spline(x)

@@ -100,8 +100,10 @@ class PatchScene:
         raise KeyError(f"no region named {name!r}")
 
 
-def _tile_count(lo: float, hi: float, step: float) -> int:
-    return int(math.ceil((hi - lo) / step - 1e-12))
+def _tile_count(lo: float, hi: float, step: float) -> int | float:
+    """Tiles of side ``step`` across [lo, hi]; inf if the ratio overflows."""
+    n = (hi - lo) / step - 1e-12
+    return math.ceil(n) if math.isfinite(n) else math.inf
 
 
 def _tiles(lo: float, hi: float, step: float):
@@ -277,8 +279,8 @@ def region_noise_integral(
     0.5 mm off centre) it agrees with exact mode to 1e-10 relative; thin
     regions along the kernel's nodal line are the worst case, 4e-7.
 
-    Raises PatchBudgetError if more than _MAX_PATCHES tiles would be
-    summed directly.
+    Raises PatchBudgetError if more than _MAX_PATCHES tiles, or more than
+    a float can count, would be summed directly.
     """
     require_above(patch_size, "patch_size")
     x0, x1, y0, y1 = region.rect

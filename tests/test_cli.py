@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trapnoise.cli import (
     EXIT_CONFIG,
@@ -35,6 +36,8 @@ from trapnoise.constants import (
     QuadratureFailure,
     TemperatureRangeError,
     UnusableDataError,
+    omega_from_hz,
+    require_above,
 )
 
 
@@ -83,17 +86,22 @@ def test_threads_flag_is_rejected(argv, tmp_path):
     assert exc.value.code == 2
 
 
-def _float_and_grid_flags():
-    """(subcommand, flag) for every flag that takes a number or a grid."""
+def _typed_flags():
+    """(subcommand, flag, dest) for every flag whose text argparse converts."""
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    floats = [
-        (command, action.option_strings[0])
+    return [
+        (command, action.option_strings[0], action.dest)
         for command, parser in sub.choices.items()
         for action in parser._actions
         if action.type is not None
     ]
+
+
+def _float_and_grid_flags():
+    """(subcommand, flag) for every flag that takes a number or a grid."""
+    floats = [(command, flag) for command, flag, _ in _typed_flags()]
     grids = [("fdt", "--temps"), ("jnn", "--temps"), ("zeta", "--f-ratios"),
              ("synth", "--temps"), ("synth", "--freqs")]
     # --seed is gone from the commands that draw nothing; a non-finite
@@ -151,6 +159,11 @@ _OUT_OF_RANGE = [
     ("synth", "--f-hz", "-1"),
     ("synth", "--noise-frac", "-1"),
     ("synth", "--seed", "-1"),
+    # finite in Hz, but inf rad/s once converted
+    ("fdt", "--omega-hz", "1e308"),
+    ("jnn", "--omega-hz", "1e308"),
+    ("taf", "--omega-hz", "1e308"),
+    ("synth", "--f-hz", "1e308"),
 ]
 
 
@@ -171,6 +184,52 @@ def test_out_of_range_flag_exits_config(command, flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+# what each command makes of a typed flag's value before the library gets
+# it, and the library's bound on the result: (convert, lo, or_equal)
+_LIBRARY_DOMAIN = {
+    "--omega-hz": (omega_from_hz, 0.0, False),
+    "--f-hz": (omega_from_hz, 0.0, False),
+    "--distance-um": (lambda um: um * 1e-6, 0.0, False),
+    "--patch-um": (lambda um: um * 1e-6, 0.0, False),
+    "--lambda0-nm": (lambda nms: nms[0] * 1e-9, 0.0, False),
+    "--tolerance": (float, 0.0, False),
+    "--plateau-tol": (float, 0.0, False),
+    "--tau0-s": (float, 0.0, False),
+    "--noise-frac": (float, 0.0, True),
+    "--n-boot": (int, 0, True),
+    "--seed": (int, 0, True),
+}
+_EDGE_TEXTS = ["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2e-308", "1e-320",
+               "2e-310", "1e308", "-1e308", "1.7976931348623157e308", "-1", "-1e-300",
+               "nan", "-nan", "inf", "-inf", "1", "7", "1e-13"]
+_TYPED = _typed_flags()
+
+
+def _with_edge_texts(test):
+    for text in _EDGE_TEXTS:
+        test = example(text=text)(test)
+    return test
+
+
+@pytest.mark.parametrize(
+    "command, flag, dest", _TYPED, ids=[f"{c}{f}" for c, f, _ in _TYPED]
+)
+@settings(max_examples=40, deadline=None)
+@_with_edge_texts
+@given(text=st.floats().map(repr) | st.integers(-2**70, 2**70).map(str))
+def test_typed_flag_is_rejected_or_reaches_the_library_in_domain(
+    command, flag, dest, text
+):
+    argv = [command, *_FLAG_BASE.get(command, []), f"{flag}={text}", "--out", "o"]
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # rejected before any command runs or writes
+        assert exc.code == EXIT_CONFIG
+        return
+    convert, lo, or_equal = _LIBRARY_DOMAIN[flag]
+    require_above(convert(getattr(args, dest)), flag, lo, or_equal=or_equal)
+
+
 _LATE_FLAG_FAULTS = [
     (["synth", "--model", "power", "--freqs", "2e6"], "--freqs"),
     (["synth", "--model", "arrhenius", "--freqs", "1e6"], "--freqs"),
@@ -179,6 +238,7 @@ _LATE_FLAG_FAULTS = [
     (["fdt", "--temps", "20,-5"], "temps"),
     (["synth", "--model", "gamma2", "--temps", "0,20"], "temps"),
     (["jnn", "--temps=-1"], "temps"),
+    (["synth", "--model", "gamma1", "--freqs", "0"], "--freqs"),
 ]
 
 
@@ -668,6 +728,14 @@ def test_zeta_sweep_is_monotone_from_zero(tmp_path):
     assert 0.9 < zetas[-1] < 1.0
 
 
+def test_zeta_patch_too_small_to_count_exits_numeric(tmp_path, capsys):
+    # 2e-310 um is 2e-316 m: more tiles across a region than a float holds
+    out = tmp_path / "zeta.csv"
+    assert main(["zeta", "--patch-um", "2e-310", "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error: inf directly summed")
+    assert not out.exists()
+
+
 def test_zeta_empty_region_name_is_config_error(tmp_path):
     scene = tmp_path / "scene.cfg"
     scene.write_text(
@@ -727,9 +795,16 @@ def test_missing_data_file_exits_data(tmp_path):
          "rho_normal_t_max_K = 320.0\nsc_f_ref_hz = 0", "[material:ybco]"),
         ("jnn", ("materials", "default"), "rho_normal_t_max_K = 320.0",
          "rho_normal_t_max_K = 320.0\nsc_rs_residual_ohm = -1e-7", "[material:ybco]"),
+        ("jnn", ("circuits", "ybco-trap"), "bonds = 2", "bonds = 0",
+         "[electrode:CC] bonds must be >= 1, got 0\n"),
+        ("jnn", ("circuits", "ybco-trap"), "copies = 10", "copies = -3",
+         "[electrode:DC] copies must be >= 1, got -3\n"),
+        ("jnn", ("circuits", "ybco-trap"), "bonds = 2", "bonds = 1" + "0" * 400,
+         "[electrode:CC] bonds must be finite"),
     ],
     ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan",
-         "sc-zero-reference-frequency", "sc-negative-residual"],
+         "sc-zero-reference-frequency", "sc-negative-residual", "zero-bonds",
+         "negative-copies", "bonds-past-float-range"],
 )
 def test_config_value_faults_exit_config(
     command, config, old, new, section, tmp_path, capsys

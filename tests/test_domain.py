@@ -177,6 +177,7 @@ def test_require_above_bounds_and_messages():
         (-2.5, 0.0, True, "x must be >= 0, got -2.5"),
         (0.5, 1.0, True, "x must be >= 1, got 0.5"),
         (0, 1, True, "x must be >= 1, got 0"),
+        (10**400, 1, True, f"x must be finite, got {10**400}"),  # past float range
     ):
         with pytest.raises(DomainError) as err:
             require_above(value, "x", lo, or_equal=or_equal)

@@ -498,6 +498,16 @@ def test_spline_slope_rejects_a_nan_point():
         loglog_spline_slope(curve, n_boot=10)
 
 
+@pytest.mark.parametrize(
+    "sigma", [0.0, -1e-17, math.nan], ids=["zero", "negative", "nan"]
+)
+def test_spline_slope_rejects_a_point_without_a_usable_error(sigma):
+    curve = [[t, 2e-15 * t**2.5, 1e-17 * t**2.5] for t in np.geomspace(10.0, 250.0, 15)]
+    curve[5][2] = sigma
+    with pytest.raises(UnusableDataError, match="sigma must be finite and > 0"):
+        loglog_spline_slope(curve, n_boot=10)
+
+
 # the fit starts take the median of the temperatures; signed zeros and the
 # smallest subnormals check the sum numpy's mean makes
 _MEDIAN_VALUES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])

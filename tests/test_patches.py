@@ -322,6 +322,14 @@ def test_hybrid_budget_error(monkeypatch):
         region_noise_integral(scene.regions[0], scene, 1e-6)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["hybrid", "exact"])
+def test_tile_count_past_float_range_is_a_budget_error(exact):
+    # 740 um / 2e-316 m overflows to inf tiles along each axis
+    scene = simple_scene()
+    with pytest.raises(PatchBudgetError, match="inf directly summed"):
+        region_noise_integral(scene.region("inner"), scene, 2e-316, exact=exact)
+
+
 def test_region_integral_rejects_bad_patch_size():
     scene = simple_scene()
     with pytest.raises(DomainError):

@@ -1,0 +1,182 @@
+"""Rules on the library's source, checked on its syntax trees.
+
+Each rule takes a module's file name and parsed tree and returns the line
+numbers that break it; :func:`violations` walks every module under
+``src/trapnoise`` with it.  Each rule also gets a source string with one
+planted violation, so a rule that stops seeing anything fails too.
+"""
+
+import ast
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trapnoise"
+
+
+def broad_excepts(name: str, tree: ast.AST) -> list[int]:
+    """A bare ``except:``, ``except Exception`` or ``except BaseException``,
+    alone or in a tuple."""
+    broad = {"Exception", "BaseException"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(getattr(t, "id", None) in broad for t in types):
+            lines.append(node.lineno)
+    return lines
+
+
+def _sign_tests(node):
+    """The ``<``/``<=`` comparisons against a float literal in ``node`` that
+    no ``not`` encloses: NaN fails each of them, so NaN passes a guard that
+    raises on them.  Such checks go through constants.require_above or read
+    ``if not x > lo:``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return
+    if (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)
+            and any(isinstance(e, ast.Constant) and isinstance(e.value, float)
+                    for e in (node.left, *node.comparators))):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _sign_tests(child)
+
+
+def nan_unsafe_sign_checks(name: str, tree: ast.AST) -> list[int]:
+    """An ``if`` whose body is a single ``raise`` and whose test holds a
+    NaN-unsafe sign comparison."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise) and any(_sign_tests(node.test))
+    ]
+
+
+def covariance_reads(name: str, tree: ast.AST) -> list[int]:
+    """A ``.covariance`` read outside ``leastsq``: inference._natural_fit maps
+    every fit's errors to natural units through FitResult.errors(), and a
+    read elsewhere starts a second copy of the delta method."""
+    if name == "leastsq.py":
+        return []
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "covariance"
+    ]
+
+
+def cli_conversions(name: str, tree: ast.AST) -> list[int]:
+    """``cli.py`` importing or calling a heating-rate converter or
+    ``dataclasses.replace``: HeatingDataset, jnn_budget and
+    LayerStack.with_london_depth do those conversions."""
+    if name != "cli.py":
+        return []
+    converters = {"heating_rate_from_noise", "noise_from_heating_rate"}
+    # the names `import dataclasses [as x]` binds
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == "dataclasses"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if a.name in converters
+                     or (node.module == "dataclasses" and a.name == "replace")]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            called = getattr(f, "id", None) or getattr(f, "attr", None)
+            on_module = isinstance(f, ast.Name) or getattr(f.value, "id", None) in modules
+            names = [called] if called in converters or (
+                called == "replace" and on_module) else []
+        else:
+            continue
+        lines += [node.lineno] * len(names)
+    return lines
+
+
+RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions]
+
+
+def violations(rule, sources: dict[str, str]) -> list[str]:
+    """``path:line`` of each break of ``rule`` in ``sources``, a map of file
+    path to source text."""
+    return [
+        f"{path}:{line}"
+        for path, text in sources.items()
+        for line in rule(Path(path).name, ast.parse(text, path))
+    ]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[r.__name__ for r in RULES])
+def test_library_keeps_the_rule(rule):
+    sources = {str(p): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert "cli.py" in {Path(p).name for p in sources}
+    assert violations(rule, sources) == []
+
+
+# (rule, file name, source); the line marked `# planted`, if any, is the one
+# violation the rule must report, and a source without the mark must pass
+_PLANTED = [
+    (broad_excepts, "noise.py", """
+        try:
+            pass
+        except (KeyError, ValueError):
+            pass
+        try:
+            pass
+        except (KeyError, Exception):  # planted
+            pass
+    """),
+    (broad_excepts, "noise.py", """
+        try:
+            pass
+        except:  # planted
+            pass
+    """),
+    (nan_unsafe_sign_checks, "layers.py", """
+        if not x > 0.0:
+            raise ValueError(x)
+        if n < 1:
+            raise ValueError(n)
+        if x < 0.0 or y > 1.0:
+            x = 0.0
+        if y > 1.0 or x <= 0.0:  # planted
+            raise ValueError(x)
+    """),
+    (covariance_reads, "inference.py", """
+        errors = fit.errors()
+        c = fit.covariance  # planted
+    """),
+    (covariance_reads, "leastsq.py", """
+        c = fit.covariance
+    """),
+    (cli_conversions, "cli.py", """
+        import dataclasses as dc
+        from .constants import omega_from_hz
+        omega = omega_from_hz(1.0)
+        args = args._replace(out=None)
+        stack = dc.replace(stack, layers=())  # planted
+    """),
+    (cli_conversions, "cli.py", """
+        from .constants import heating_rate_from_noise  # planted
+    """),
+    (cli_conversions, "noise.py", """
+        from .constants import heating_rate_from_noise
+    """),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, name, source", _PLANTED,
+    ids=[f"{rule.__name__}-{name}-{i}" for i, (rule, name, _) in enumerate(_PLANTED)],
+)
+def test_rule_reports_a_planted_violation(rule, name, source):
+    source = textwrap.dedent(source)
+    planted = [
+        f"{name}:{i}" for i, line in enumerate(source.splitlines(), 1)
+        if "# planted" in line
+    ]
+    assert violations(rule, {name: source}) == planted
