@@ -665,7 +665,10 @@ def taf_alpha(slope: float, omega: float, tau0: float = 1e-13) -> float:
     """
     require_above(omega, "omega")
     require_above(tau0, "tau0")
-    ln_wt = math.log(omega * tau0)
+    # each factor may be in range while the product overflows or underflows
+    omega_tau0 = omega * tau0
+    require_above(omega_tau0, "omega * tau0")
+    ln_wt = math.log(omega_tau0)
     if abs(ln_wt) < 1.0:
         warnings.warn(
             f"|ln(omega tau0)| = {abs(ln_wt):.3f} < 1: prediction is "

@@ -574,6 +574,25 @@ def test_taf_consistency_comment_line(tmp_path):
     assert 0.0 <= verdict["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("1e300", "must be finite, got inf"), ("1e-300", "must be > 0, got 0.0")],
+    ids=["overflow", "underflow"],
+)
+def test_taf_omega_tau0_product_out_of_range_exits_numeric(
+    value, message, tmp_path, capsys
+):
+    # both flags pass their own checks; their product leaves the float range
+    data = tmp_path / "flat.csv"
+    flat_rate_csv(data)
+    out = tmp_path / "taf.csv"
+    argv = ["taf", "--data", str(data), "--n-boot", "5",
+            "--omega-hz", value, "--tau0-s", value, "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical error: omega * tau0 {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("temps", [(20, 40, 60), (20, 40, 60, 60)])
 def test_taf_short_data_exits_data(temps, tmp_path, capsys):
     data = tmp_path / "short.csv"

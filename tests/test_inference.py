@@ -704,6 +704,17 @@ def test_taf_alpha_warns_near_unity_omega_tau():
         taf_alpha(2.0, -1.0, 1e-13)
 
 
+@pytest.mark.parametrize(
+    "omega, tau0, message",
+    [(1e300, 1e300, "must be finite, got inf"), (1e-300, 1e-300, "must be > 0, got 0.0")],
+    ids=["overflow", "underflow"],
+)
+def test_taf_alpha_rejects_a_product_out_of_range(omega, tau0, message):
+    # each factor is in range; omega * tau0 overflows to inf or underflows to 0
+    with pytest.raises(DomainError, match=rf"^omega \* tau0 {message}$"):
+        taf_alpha(2.0, omega, tau0)
+
+
 def test_taf_consistency_hand_value():
     measured = [(-1.0, 0.1, 50.0), (-1.1, 0.1, 80.0)]
     chi2, p = taf_consistency_chi2(measured, lambda t: -1.05)

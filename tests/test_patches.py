@@ -1,6 +1,7 @@
 """Patch-potential kernel, region tilings, and the noise-share ratio."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,12 @@ from trapnoise.patches import (
     zeta_inverse,
 )
 
-from patch_oracles import _kernel, axial_patch_kernel, midpoint_density_leibniz
+from patch_oracles import (
+    _kernel,
+    axial_patch_kernel,
+    direct_sum_k2_general,
+    midpoint_density_leibniz,
+)
 
 H = 225e-6
 
@@ -154,11 +160,19 @@ def test_direct_sum_matches_per_tile_kernel(small_blocks, grid, scene, data):
     assert got == pytest.approx(_fsum_of_oracle(*grid, scene), rel=1e-14, abs=0.0)
 
 
-def test_direct_sum_is_bit_identical_at_every_heap_offset():
+# both signs along each chip axis, and an axis a hair short of unit length,
+# take the axis-aligned path; the tilted axis runs the general loop
+_AXES = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 1.0 - 1e-10),
+         (0.6, 0.8)]
+
+
+@pytest.mark.parametrize("axial", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)])
+def test_direct_sum_is_bit_identical_at_every_heap_offset(axial):
     # the block buffers start on a 64-byte boundary whatever address the
     # allocator hands out, so the offset mod 64 cannot change a bit
     grid = (*patches._tiles(-300e-6, 310e-6, 1e-6),
             *patches._tiles(-200e-6, 205e-6, 1e-6))
+    scene = simple_scene(axial)
     real_empty = np.empty
     sums = set()
     for shift in range(8):
@@ -168,8 +182,40 @@ def test_direct_sum_is_bit_identical_at_every_heap_offset():
             return raw[start : start + n]
 
         with mock.patch.object(patches.np, "empty", shifted_empty):
-            sums.add(patches._direct_sum_k2(*grid, simple_scene()))
-    assert len(sums) == 1
+            sums.add(patches._direct_sum_k2(*grid, scene))
+    assert sums == {direct_sum_k2_general(*grid, scene)}
+
+
+@pytest.mark.parametrize("axial", _AXES)
+@settings(max_examples=60, deadline=None)
+@given(grid=_small_grids(), pose=_poses(), data=st.data())
+def test_direct_sum_keeps_the_bits_of_the_general_loop(axial, grid, pose, data):
+    # off-centre ions, 1 to 40 tiles a side with a partial last tile, and
+    # blocks from one row up to the whole grid
+    cx, _, cy, _ = grid
+    chunk = data.draw(st.integers(1, cx.size * cy.size) | st.just(patches._CHUNK))
+    scene = replace(pose, axial_dir=axial)
+    with mock.patch.object(patches, "_CHUNK", chunk):
+        assert patches._direct_sum_k2(*grid, scene) == direct_sum_k2_general(*grid, scene)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "hybrid"])
+@pytest.mark.parametrize("axial", _AXES)
+def test_region_integrals_keep_the_bits_of_the_general_loop(axial, exact, monkeypatch):
+    # 51 x 29 and 36 x 36 tiles, each with a partial last column and row,
+    # under an off-centre ion right above a tile centre (da = +-0 there);
+    # the small core leaves hybrid mode strips, a core and a continuum
+    monkeypatch.setattr(patches, "_CORE_TILES", 10)
+    odd = PlaneRegion((-41.3e-6, 60e-6, -30e-6, 27.5e-6), name="odd")
+    even = PlaneRegion((60e-6, 131e-6, -30e-6, 40.9e-6), name="even")
+    cx, _ = patches._tiles(-41.3e-6, 60e-6, 2e-6)
+    cy, _ = patches._tiles(-30e-6, 27.5e-6, 2e-6)
+    scene = PatchScene((odd, even), ion_height=20e-6,
+                       ion_xy=(float(cx[7]), float(cy[5])), axial_dir=axial)
+    got = [region_noise_integral(r, scene, 2e-6, exact) for r in scene.regions]
+    with mock.patch.object(patches, "_direct_sum_k2", direct_sum_k2_general):
+        want = [region_noise_integral(r, scene, 2e-6, exact) for r in scene.regions]
+    assert got == want and all(v > 0.0 for v in got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,6 +418,17 @@ def test_scene_rejects_non_unit_axial_direction():
         )
 
 
+@pytest.mark.parametrize("ion_xy", [(0.0, math.inf), (math.nan, 0.0)])
+def test_scene_rejects_a_non_finite_ion_position(ion_xy):
+    with pytest.raises(DomainError, match="ion position must be finite"):
+        PatchScene(regions=(), ion_height=H, ion_xy=ion_xy)
+
+
+def test_scene_rejects_a_nan_axial_direction():
+    with pytest.raises(DomainError, match="unit vector"):
+        PatchScene(regions=(), ion_height=H, axial_dir=(math.nan, 0.0))
+
+
 def test_scene_region_lookup():
     scene = simple_scene()
     assert scene.region("east").name == "east"
@@ -449,6 +506,19 @@ def test_zeta_inverse_round_trip():
     res = zeta(scene, 0.08, 2e-6, target_name="inner")
     f_back = zeta_inverse(scene, res.zeta, 2e-6, target_name="inner")
     assert f_back == pytest.approx(0.08, rel=1e-9)
+
+
+@pytest.mark.parametrize("east_weight", [None, 0.0], ids=["target-alone", "rest-weight-0"])
+def test_zeta_inverse_rejects_a_scene_whose_rest_carries_no_noise(east_weight):
+    # zeta is 0 at f = 0 and 1 for every f > 0: no ratio reaches 0.5
+    inner = PlaneRegion((-370e-6, 370e-6, -290e-6, 290e-6), name="inner")
+    regions = (inner,) if east_weight is None else (
+        inner, PlaneRegion((370e-6, 2e-3, -290e-6, 290e-6), east_weight, "east"))
+    scene = PatchScene(regions=regions, ion_height=H)
+    res = zeta(scene, 1.0, 5e-6, target_name="inner")
+    assert (res.at(0.0), res.at(1e-9), res.at(1e9)) == (0.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="other than 'inner' carry no weighted noise"):
+        zeta_inverse(scene, 0.5, 5e-6, target_name="inner")
 
 
 def test_zeta_respects_region_weights():
