@@ -7,11 +7,11 @@ surface-noise offset fits, spline-based log-log slopes, and the
 thermally-activated-fluctuator (TAF) prediction linking the temperature
 slope to the frequency exponent.
 
-All fits minimise sigma-weighted residuals; quoted RSS and information
-criteria use the same weighted residual definition.  ``_natural_fit`` is
-the one place where fit coordinates, some of them logarithms, become
-reported values and errors; a value or error out of float range raises
-FitFailure.
+Every fit goes through ``_fit``, which minimises sigma-weighted residuals
+from each start and keeps the lowest RSS; quoted RSS and information
+criteria use the same residuals.  ``_natural_fit`` is the one place where
+fit coordinates, some of them logarithms, become reported values and
+errors; a value or error out of float range raises FitFailure.
 """
 
 from __future__ import annotations
@@ -128,6 +128,49 @@ def _natural_fit(res: FitResult, logged) -> tuple[tuple, tuple]:
     return values, errors
 
 
+def _fit(predict, y, sigma, starts, logged) -> tuple[FitResult, tuple, tuple]:
+    """The least-squares fit of ``predict(theta)`` to ``y`` with errors
+    ``sigma``: the lowest-RSS fit over the start vectors ``starts``, and its
+    natural values and errors by ``_natural_fit`` with ``logged``.
+
+    Of several starts, one that fails is skipped, and FitFailure is raised
+    if all fail; a lone start's failure propagates.
+    """
+
+    def residual(theta):
+        # trial steps may overflow; NaN/inf residuals just lose the step
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return (y - predict(theta)) / sigma
+
+    best = None
+    for theta0 in starts:
+        try:
+            res = levenberg_marquardt(residual, theta0)
+            fit = res, *_natural_fit(res, logged)
+        except (FitFailure, np.linalg.LinAlgError):
+            if len(starts) == 1:
+                raise
+            continue
+        if best is None or res.rss < best[0].rss:
+            best = fit
+    if best is None:
+        raise FitFailure("fit failed from all starts", None, math.inf, 0)
+    return best
+
+
+@dataclass(frozen=True)
+class SurfaceModel:
+    """y(x) = formula(x, *params) with the parameters in ``names`` order;
+    those flagged in ``logged`` are fitted as logarithms."""
+
+    formula: Callable
+    names: tuple[str, ...]
+    logged: tuple[bool, ...]
+
+    def __call__(self, t, params: dict[str, float]):
+        return self.formula(t, *(params[name] for name in self.names))
+
+
 @dataclass(frozen=True)
 class HeatingRecord:
     temperature: float
@@ -191,11 +234,11 @@ class HeatingDataset:
 # frequency power law
 
 
-_FREQ_LOGGED = (True, False)  # ln gamma_coeff, alpha
-
-
-def _power_law(omega, gamma_coeff, alpha):
-    return gamma_coeff * (np.asarray(omega) / OMEGA0) ** (alpha - 1.0)
+_POWER_LAW = SurfaceModel(  # Gamma(omega)
+    lambda omega, gamma, alpha: gamma * (np.asarray(omega) / OMEGA0) ** (alpha - 1.0),
+    ("gamma_coeff", "alpha"),
+    (True, False),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +250,10 @@ class FreqPowerLawFit:
     fit: FitResult = field(repr=False, compare=False)
 
     def __call__(self, omega):
-        return _power_law(omega, self.gamma_coeff, self.alpha)
+        return _POWER_LAW.formula(omega, self.gamma_coeff, self.alpha)
 
     def errors(self) -> tuple[float, float]:
-        return _natural_fit(self.fit, _FREQ_LOGGED)[1]
+        return _natural_fit(self.fit, _POWER_LAW.logged)[1]
 
 
 def fit_freq_power_law(points) -> FreqPowerLawFit:
@@ -227,17 +270,12 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
         raise UnusableDataError("gamma and sigma must be > 0 for the power-law fit")
 
     # log-log regression seeds the nonlinear fit
-    lx = np.log(omegas / OMEGA0)
-    slope, intercept = np.polyfit(lx, np.log(gammas), 1)
-    theta0 = np.array([intercept, slope + 1.0])
-
-    def residual(theta):
-        model = _power_law(omegas, np.exp(theta[0]), theta[1])
-        return (gammas - model) / sigmas
-
-    res = levenberg_marquardt(residual, theta0)
-    (gamma_coeff, alpha), _ = _natural_fit(res, _FREQ_LOGGED)
-    return FreqPowerLawFit(gamma_coeff=gamma_coeff, alpha=alpha, fit=res)
+    slope, intercept = np.polyfit(np.log(omegas / OMEGA0), np.log(gammas), 1)
+    res, values, _ = _fit(
+        lambda theta: _POWER_LAW.formula(omegas, np.exp(theta[0]), theta[1]),
+        gammas, sigmas, [np.array([intercept, slope + 1.0])], _POWER_LAW.logged,
+    )
+    return FreqPowerLawFit(**dict(zip(_POWER_LAW.names, values)), fit=res)
 
 
 # ---------------------------------------------------------------------------
@@ -379,45 +417,9 @@ class TempModelComparison:
         return self.piecewise.score.aic - self.simple.score.aic
 
 
-_SHAPE_NAMES = ("t1", "beta1", "t2", "beta2", "t_star")
-_SHAPE_LOGGED = (True, True, True, True, False)  # all but T*
-
-
-def _temp_model_fit(starts, freqs, temps, gammas, sigmas, owner) -> TempModelFit:
-    """Best fit over ``starts`` (ln Gamma0 per frequency, then 2 or 5 shape
-    coordinates); failed starts are skipped unless there is only one."""
-    k = len(freqs)
-
-    def residual(theta):
-        # trial steps may overflow; NaN/inf residuals just lose the step
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            g0 = np.exp(theta[:k])[owner]
-            shape = _natural(theta[k:], _SHAPE_LOGGED)
-            model = model_gamma2 if len(shape) == 5 else model_gamma1
-            return (gammas - model(temps, g0, *shape)) / sigmas
-
-    best = None
-    for theta0 in starts:
-        try:
-            res = levenberg_marquardt(residual, theta0)
-            natural = _natural_fit(res, (True,) * k + _SHAPE_LOGGED)
-        except (FitFailure, np.linalg.LinAlgError):
-            if len(starts) == 1:
-                raise
-            continue
-        if best is None or res.rss < best[0].rss:
-            best = res, natural
-    if best is None:
-        raise FitFailure(
-            "piecewise temperature fit failed from all starts", None, math.inf, 0
-        )
-
-    res, (values, errors) = best
-    params = TempFitParams(
-        gamma0=dict(zip(freqs, values[:k])), **dict(zip(_SHAPE_NAMES, values[k:]))
-    )
-    score = information_criteria(res.rss, temps.size, res.params.size)
-    return TempModelFit(params, score, res, dict(zip(_SHAPE_NAMES, errors[k:])))
+# Gamma2's shape parameters in fit order, after ln Gamma0 per frequency, and
+# whether each is fitted as a logarithm; Gamma1 has the first two
+_SHAPE = {"t1": True, "beta1": True, "t2": True, "beta2": True, "t_star": False}
 
 
 def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
@@ -436,7 +438,8 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
     if len({r.temperature for r in records}) < 4:
         raise UnusableDataError("need at least 4 distinct temperatures")
     freqs = sorted({r.f_secular for r in records})
-    n_params = len(freqs) + len(_SHAPE_NAMES)
+    k = len(freqs)
+    n_params = k + len(_SHAPE)
     if len(records) <= n_params:
         raise UnusableDataError(
             f"need more than {n_params} records for the piecewise model, "
@@ -446,16 +449,29 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
     gammas = np.array([r.gamma for r in records])
     sigmas = np.array([r.sigma_gamma for r in records])
     owner = np.array([freqs.index(r.f_secular) for r in records])
-    data = freqs, temps, gammas, sigmas, owner
-
     g0 = []
     for i, f in enumerate(freqs):
         rates = gammas[(owner == i) & (gammas > 0.0)]
         if rates.size == 0:
             raise UnusableDataError(f"no positive heating rate at {f:g} Hz")
         g0.append(rates.min())
+    shape_logged = tuple(_SHAPE.values())
+    logged = (True,) * k + shape_logged
+
+    def predict(theta):
+        shape = _natural(theta[k:], shape_logged)
+        model = model_gamma2 if len(shape) == 5 else model_gamma1
+        return model(temps, np.exp(theta[:k])[owner], *shape)
+
+    def model_fit(starts) -> TempModelFit:
+        res, values, errors = _fit(predict, gammas, sigmas, starts, logged)
+        shape = dict(zip(_SHAPE, values[k:]))
+        params = TempFitParams(dict(zip(freqs, values)), **shape)
+        score = information_criteria(res.rss, temps.size, res.params.size)
+        return TempModelFit(params, score, res, dict(zip(_SHAPE, errors[k:])))
+
     start = np.concatenate([np.log(g0), [math.log(_median(temps)), math.log(2.0)]])
-    simple = _temp_model_fit([start], *data)
+    simple = model_fit([start])
 
     n = simple.fit.params.size
     t_lo, t_hi = temps.min(), temps.max()
@@ -471,7 +487,7 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
             start[:n] += rng.normal(0.0, 0.05, n)
             start[n : n + 2] += rng.normal(0.0, 0.3, 2)
         starts.append(start)
-    piecewise = _temp_model_fit(starts, *data)
+    piecewise = model_fit(starts)
     t_star = piecewise.params.t_star
     if not t_lo <= t_star <= t_hi:
         warnings.warn(
@@ -495,20 +511,7 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
 # surface-noise offset models
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """S_E(T) = formula(T, *params) with the parameters in ``names`` order;
-    those flagged in ``logged`` are fitted as logarithms."""
-
-    formula: Callable
-    names: tuple[str, ...]
-    logged: tuple[bool, ...]
-
-    def __call__(self, t, params: dict[str, float]):
-        return self.formula(t, *(params[name] for name in self.names))
-
-
-SURFACE_MODELS = {
+SURFACE_MODELS = {  # S_E(T)
     "power": SurfaceModel(  # S_E0 (1 + T/T0)^beta
         lambda t, s_e0, beta, t0: s_e0 * (1.0 + t / t0) ** beta,
         ("s_e0", "beta", "t0"),
@@ -541,38 +544,6 @@ class SurfaceFitParams:
     arrhenius: SurfaceModelFit
 
 
-def _surface_fit(kind, temps, s_e, sigmas) -> SurfaceModelFit:
-    model = SURFACE_MODELS[kind]
-    if kind == "power":
-        t_mid = _median(temps)
-        slope0 = (math.log(s_e[-1] / s_e[0])) / math.log(
-            (1.0 + temps[-1] / t_mid) / (1.0 + temps[0] / t_mid)
-        )
-        theta0 = [math.log(s_e.min()), max(slope0, 0.5), math.log(t_mid)]
-    else:
-        theta0 = [
-            math.log(max(s_e.min(), 1e-300)),
-            math.log(max(s_e.max() - 0.9 * s_e.min(), 1e-300))
-            + (temps.max() - temps.min()) / temps.max(),
-            math.log(temps.max()),
-        ]
-
-    def residual(theta):
-        return (s_e - model.formula(temps, *_natural(theta, model.logged))) / sigmas
-
-    res = levenberg_marquardt(residual, theta0)
-    values, errors = _natural_fit(res, model.logged)
-    dof = temps.size - len(model.names)
-    return SurfaceModelFit(
-        kind=kind,
-        params=dict(zip(model.names, values)),
-        errors=dict(zip(model.names, errors)),
-        chi2=res.rss,
-        chi2_red=res.rss / dof,
-        p_value=chi2_sf(res.rss, dof),
-    )
-
-
 def fit_surface_models(curve) -> SurfaceFitParams:
     """Fit both surface-noise models S_E(T) and score each against chi^2."""
     pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
@@ -583,10 +554,35 @@ def fit_surface_models(curve) -> SurfaceFitParams:
     sigmas = np.array([p[2] for p in pts])
     if not (np.all(s_e > 0.0) and np.all(sigmas > 0.0)):
         raise UnusableDataError("S_E and sigma must be > 0")
-    return SurfaceFitParams(
-        power=_surface_fit("power", temps, s_e, sigmas),
-        arrhenius=_surface_fit("arrhenius", temps, s_e, sigmas),
+    n_temps = _n_distinct(temps)
+    if n_temps < 3:  # one per parameter
+        raise UnusableDataError(f"need at least 3 distinct temperatures, got {n_temps}")
+    t_mid = _median(temps)
+    slope0 = (math.log(s_e[-1] / s_e[0])) / math.log(
+        (1.0 + temps[-1] / t_mid) / (1.0 + temps[0] / t_mid)
     )
+    starts = {
+        "power": [math.log(s_e.min()), max(slope0, 0.5), math.log(t_mid)],
+        "arrhenius": [
+            math.log(max(s_e.min(), 1e-300)),
+            math.log(max(s_e.max() - 0.9 * s_e.min(), 1e-300))
+            + (temps.max() - temps.min()) / temps.max(),
+            math.log(temps.max()),
+        ],
+    }
+    fits = {}
+    for kind, theta0 in starts.items():
+        model = SURFACE_MODELS[kind]
+        res, values, errors = _fit(
+            lambda theta: model.formula(temps, *_natural(theta, model.logged)),
+            s_e, sigmas, [theta0], model.logged,
+        )
+        dof = temps.size - len(model.names)
+        fits[kind] = SurfaceModelFit(
+            kind, dict(zip(model.names, values)), dict(zip(model.names, errors)),
+            res.rss, res.rss / dof, chi2_sf(res.rss, dof),
+        )
+    return SurfaceFitParams(**fits)
 
 
 # ---------------------------------------------------------------------------

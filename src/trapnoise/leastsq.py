@@ -4,7 +4,8 @@ Residual functions return the weighted residual vector r(theta); the
 objective is ||r||^2.  The Jacobian defaults to central finite differences
 with a relative step of 1e-6.  Covariance at the optimum is
 inv(J^T J) * chi2_red, the standard quote for sigma-weighted residuals;
-``FitResult.errors`` clips its diagonal, and ``inference._natural_fit``
+``FitResult.errors`` clips its diagonal.  ``inference._fit`` is the one
+library caller of ``levenberg_marquardt``, and ``inference._natural_fit``
 alone maps those errors to the natural units of fitted logarithms.
 """
 
@@ -30,7 +31,6 @@ class FitResult:
     params: np.ndarray
     covariance: np.ndarray
     rss: float
-    n_points: int
     n_iter: int
     gradient_norm: float
 
@@ -118,7 +118,6 @@ def levenberg_marquardt(
         params=theta,
         covariance=cov,
         rss=rss,
-        n_points=r.size,
         n_iter=n_iter,
         gradient_norm=float(np.linalg.norm(jac.T @ r)),
     )

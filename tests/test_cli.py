@@ -615,6 +615,7 @@ def _rates_at_1mhz(*gammas):
 
 _ZERO_RATE = _rates_at_1mhz(2, 0, 3, 4, 5)
 _TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
+_ONE_TEMPERATURE = "".join(f"50,1e6,{g},0.1\n" for g in range(2, 8))
 
 
 @pytest.mark.parametrize(
@@ -624,6 +625,8 @@ _TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
          "20,4e5,2,0.1\n20,4e5,2.1,0.1\n20,1e6,3,0.1\n20,2e6,4,0.1\n", None,
          "frequencies must be distinct"),
         (["fit", "--model", "surface"], _ZERO_RATE, None, "must be > 0"),
+        (["fit", "--model", "surface"], _ONE_TEMPERATURE, None,
+         "at least 3 distinct temperatures"),
         (["fit", "--model", "temp"], _ZERO_RATE, None, "piecewise model"),
         (["fit", "--model", "temp"], _rates_at_1mhz(*[0] * 7), None,
          "no positive heating rate"),
@@ -633,7 +636,8 @@ _TAF_ROWS = _rates_at_1mhz(2, 2.5, 3, 4, 5)
         (["taf"], _TAF_ROWS, "40,-1.0,0.1\n", "at least 2 points"),
         (["taf"], _TAF_ROWS, "40,-1.0,0.1\n80,-1.1,0\n", "sigma_alpha"),
     ],
-    ids=["freq-repeated-f", "surface-zero-rate", "temp-too-few-records",
+    ids=["freq-repeated-f", "surface-zero-rate", "surface-one-temperature",
+         "temp-too-few-records",
          "temp-no-positive-rate",
          "taf-zero-rate", "taf-repeated-t", "taf-one-alpha", "taf-zero-sigma"],
 )

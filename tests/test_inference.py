@@ -337,6 +337,49 @@ def test_piecewise_fit_lets_unexpected_errors_propagate(monkeypatch):
         fit_temperature_models(dataset)
 
 
+def _failing_starts(failing, error, monkeypatch):
+    """Fit the seeded piecewise set with the ``levenberg_marquardt`` calls
+    numbered in ``failing`` (0 is the simple model's lone start) raising
+    ``error``; returns the comparison and every fit that did return."""
+    results = []
+
+    def faulty(residual, theta0, **kwargs):
+        results.append(None)
+        if len(results) - 1 in failing:
+            raise error
+        results[-1] = levenberg_marquardt(residual, theta0, **kwargs)
+        return results[-1]
+
+    monkeypatch.setattr("trapnoise.inference.levenberg_marquardt", faulty)
+    dataset = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=42)
+    return fit_temperature_models(dataset), results
+
+
+@pytest.mark.parametrize(
+    "error",
+    [FitFailure("injected", None, math.inf, 0), np.linalg.LinAlgError("injected")],
+    ids=["fit-failure", "singular"],
+)
+def test_piecewise_fit_skips_a_failing_start(error, monkeypatch):
+    cmp, results = _failing_starts({3}, error, monkeypatch)
+    assert len(results) == 9 and results[3] is None  # the simple fit, then 8 starts
+    fits = [r for r in results[1:] if r is not None]
+    assert cmp.piecewise.fit is min(fits, key=lambda r: r.rss)
+
+
+def test_piecewise_fit_failing_from_every_start_fails(monkeypatch):
+    with pytest.raises(FitFailure, match="failed from all starts"):
+        _failing_starts(set(range(1, 9)), FitFailure("injected", None, 1.0, 0),
+                        monkeypatch)
+
+
+def test_simple_fit_failure_propagates(monkeypatch):
+    injected = FitFailure("injected", None, 1.0, 0)
+    with pytest.raises(FitFailure) as raised:
+        _failing_starts({0}, injected, monkeypatch)
+    assert raised.value is injected
+
+
 def _zeroed_synth_records():
     ds = synth_dataset("gamma2", PIECEWISE, TEMPS, FREQS_HZ, 0.1, seed=1)
     return (replace(ds.records[0], gamma=0.0), *ds.records[1:])
@@ -481,6 +524,14 @@ def test_surface_fit_validation():
     short = synth_surface("power", POWER_PARAMS, SURF_TEMPS[:4], 0.05, seed=1)
     with pytest.raises(DomainError):
         fit_surface_models(short)
+
+
+@pytest.mark.parametrize("temps", [(50.0,) * 6, (50.0,) * 3 + (80.0,) * 3],
+                         ids=["one", "two"])
+def test_surface_fit_needs_three_distinct_temperatures(temps):
+    curve = [(t, 1e-14 * (1.0 + 0.1 * i), 1e-15) for i, t in enumerate(temps)]
+    with pytest.raises(UnusableDataError, match="at least 3 distinct temperatures"):
+        fit_surface_models(curve)
 
 
 @pytest.mark.parametrize("column", [1, 2], ids=["s_e", "sigma"])

@@ -64,7 +64,7 @@ def test_covariance_matches_curve_fit():
 def test_chi2_red_definition():
     _, _, _, _, residual = exponential_problem()
     res = levenberg_marquardt(residual, np.array([1.0, 1.0, 0.0]))
-    assert res.n_points == 40
+    assert residual(res.params).size == 40
     # the covariance is inv(J^T J) scaled by chi2_red = rss / (40 - 3)
     jac = fd_jacobian(residual, res.params, residual(res.params))
     np.testing.assert_allclose(

@@ -97,7 +97,25 @@ def cli_conversions(name: str, tree: ast.AST) -> list[int]:
     return lines
 
 
-RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions]
+def fit_engine_bypasses(name: str, tree: ast.AST) -> list[int]:
+    """A use of ``levenberg_marquardt`` outside ``inference._fit``, the one
+    fitting path: a second caller would start a second copy of its start
+    loop and residual weighting."""
+    engine = set()
+    if name == "inference.py":
+        engine = {id(node) for top in tree.body
+                  if isinstance(top, ast.FunctionDef) and top.name == "_fit"
+                  for node in ast.walk(top)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in engine and "levenberg_marquardt"
+        in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+
+
+RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions,
+         fit_engine_bypasses]
 
 
 def violations(rule, sources: dict[str, str]) -> list[str]:
@@ -165,6 +183,17 @@ _PLANTED = [
     """),
     (cli_conversions, "noise.py", """
         from .constants import heating_rate_from_noise
+    """),
+    (fit_engine_bypasses, "inference.py", """
+        from .leastsq import levenberg_marquardt
+        def _fit(residual, theta0):
+            return levenberg_marquardt(residual, theta0)
+        def fit_freq_power_law(residual, theta0):
+            return levenberg_marquardt(residual, theta0)  # planted
+    """),
+    (fit_engine_bypasses, "noise.py", """
+        from . import leastsq
+        lm = leastsq.levenberg_marquardt  # planted
     """),
 ]
 
