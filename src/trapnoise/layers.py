@@ -1,12 +1,16 @@
-"""Plane-layered media: Fresnel reflections and the surface response integral.
+"""Plane-layered media: the stack reflection and the surface response integral.
 
 Conventions
 -----------
 In-plane wavevector is written as u = q/k with k = omega/c.  Vertical
 wavevector factors W = sqrt(eps - u^2) take the branch Im W >= 0 so that
-evanescent phase factors decay; for real non-negative arguments this reduces
-to the ordinary positive square root.  Layer phase factors use the physical
-vertical wavenumber k*W (rad/m) times the layer thickness in metres.
+evanescent phase factors decay.  :func:`stack_reflection` requires
+Im eps >= 0 of every medium, as a passive medium has, and raises
+:class:`DomainError` naming the medium otherwise (NaN and +-inf included);
+it folds Im eps = -0.0 into +0.0.  Im(eps - u^2) is then >= +0, where the
+principal root already lies on the Im W >= 0 branch.  Layer phase factors
+use the physical vertical wavenumber k*W (rad/m) times the layer thickness
+in metres.
 
 The surface response g_parallel multiplies the blackbody field noise density
 as S = S_bb * (1 + g_parallel) for the field component parallel to the
@@ -19,14 +23,12 @@ at most a few thousand nodes per call, however many panels a round splits,
 so the complex temporaries of the reflection recursion stay cache-sized.
 Every node's value is the same bit for bit as in one call over all of a
 round's nodes, except that the W = 0 fallback of :func:`stack_reflection`
-is chosen per call.  A medium whose Im eps is > 0 or +0.0 takes the
-principal root of eps - u^2, which already lies on the Im W >= 0 branch, so
-it skips the branch flip and gives the same bits.
+is chosen per call.  The check of Im eps runs once per medium and call,
+before any node is evaluated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +43,6 @@ __all__ = [
     "GreensResult",
     "DegenerateInterfaceError",
     "NoSuperconductorError",
-    "branch_sqrt",
-    "fresnel_interface",
     "stack_reflection",
     "fresnel_stack",
     "greens_parallel",
@@ -108,19 +108,9 @@ class GreensResult:
     evanescent: float
 
 
-def branch_sqrt(z):
-    """Square root with Im >= 0 (ties resolved toward Re >= 0)."""
-    w = np.sqrt(np.asarray(z, dtype=complex))
-    flip = (w.imag < 0.0) | ((w.imag == 0.0) & (w.real < 0.0))
-    return np.where(flip, -w, w)
-
-
 def _vertical(eps, u2):
-    """W = sqrt(eps - u2) on the branch Im W >= 0, from a scalar eps."""
-    if math.copysign(1.0, eps.imag) > 0.0:
-        # Im(eps - u2) >= +0, where the principal root already has Im >= 0
-        return np.sqrt(np.asarray(eps - u2, dtype=complex))
-    return branch_sqrt(eps - u2)
+    """W = sqrt(eps - u2), the principal root: Im W >= 0 as Im eps >= +0."""
+    return np.sqrt(np.asarray(eps - u2, dtype=complex))
 
 
 def _check_denominator(den, eps_a, eps_b, pol: str):
@@ -142,19 +132,18 @@ def _interface(eps_a, eps_b, wa, wb):
     return rs, rp
 
 
-def fresnel_interface(eps_a, eps_b, u):
-    """(Rs, Rp) for a wave in medium a reflecting off medium b."""
-    u2 = np.asarray(u, dtype=float) ** 2
-    return _interface(eps_a, eps_b, branch_sqrt(eps_a - u2), branch_sqrt(eps_b - u2))
-
-
 def stack_reflection(eps_media, thicknesses, u, k):
     """Recursion over interfaces from the bulk up; media listed top to bulk.
 
     eps_media has N+1 entries (index 0 is the upper half-space) and
     thicknesses has N-1 entries for the interior finite media.  Each
-    medium's W is computed once; only two are held at a time.
+    medium's W is computed once; only two are held at a time.  A medium
+    with Im eps < 0, NaN or +-inf raises :class:`DomainError`.
     """
+    for i, eps in enumerate(eps_media):
+        require_above(eps.imag, f"Im eps of medium {i}", or_equal=True)
+    # a lossless medium written with Im eps = -0.0 keeps the decaying branch
+    eps_media = [complex(eps.real, eps.imag + 0.0) for eps in eps_media]
     u2 = np.asarray(u, dtype=float) ** 2
     lossless = [e.real for e in eps_media[1:-1] if e.imag == 0.0]
     if lossless and np.isin(u2, lossless).any():

@@ -132,7 +132,8 @@ def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
     Rows go in blocks of about _CHUNK tiles, small enough that the three
     buffers every block reuses stay in a core's L2 cache; s^5 is built by
     multiplication.  Each row is reduced against wx^2 by a dot product,
-    and the weighted row sums are added exactly.
+    and the weighted row sums are added exactly by math.fsum, from a list
+    of Python floats, which it reads faster than an array's numpy scalars.
 
     When the axial direction lies along a chip axis, da^2 is one row
     (dx ax)^2 or one column (dy ay)^2 for every tile, so it is built once
@@ -176,7 +177,7 @@ def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
         np.divide(u if da2 is None else da2[j0:j1], t, out=u)
         np.dot(u, wx2, out=row_sums[j0:j1])
     row_sums *= wy * wy
-    return _prefactor(h) * math.fsum(row_sums)
+    return _prefactor(h) * math.fsum(row_sums.tolist())
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)

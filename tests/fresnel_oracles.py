@@ -1,11 +1,26 @@
-"""Explicit three- and four-layer Fresnel reflections, written out in closed
-form as reference values for the general recursion in
-:func:`trapnoise.layers.stack_reflection`, and a verbatim copy of that
-recursion as it was before its evaluation was optimised."""
+"""Reference reflections for :func:`trapnoise.layers.stack_reflection`,
+kept apart from the kernel they check: the square root on the branch
+Im W >= 0 (``branch_sqrt``), the single-interface Fresnel coefficients
+(``fresnel_interface``), the explicit three- and four-layer reflections
+written out in closed form, and a verbatim copy of the recursion as it was
+before its evaluation was optimised."""
 
 import numpy as np
 
-from trapnoise.layers import DegenerateInterfaceError, branch_sqrt, fresnel_interface
+from trapnoise.layers import DegenerateInterfaceError
+
+
+def branch_sqrt(z):
+    """Square root with Im >= 0 (ties resolved toward Re >= 0)."""
+    w = np.sqrt(np.asarray(z, dtype=complex))
+    flip = (w.imag < 0.0) | ((w.imag == 0.0) & (w.real < 0.0))
+    return np.where(flip, -w, w)
+
+
+def fresnel_interface(eps_a, eps_b, u):
+    """(Rs, Rp) for a wave in medium a reflecting off medium b."""
+    u2 = np.asarray(u, dtype=float) ** 2
+    return _interface(eps_a, eps_b, branch_sqrt(eps_a - u2), branch_sqrt(eps_b - u2))
 
 
 def _phase(eps, u2, k, thickness):
@@ -41,9 +56,9 @@ def fresnel_four_layer(eps_a, eps_b, eps_c, eps_d, t_b, t_c, u, k):
 
 # ---------------------------------------------------------------------------
 # The reflection recursion as it was before its integrands were blocked and
-# before media with Im eps >= +0 skipped the branch flip, kept verbatim so
-# that tests can require trapnoise.layers.stack_reflection to match it bit
-# for bit.
+# before it took the principal root of every medium, kept verbatim so that
+# tests can require trapnoise.layers.stack_reflection to match it bit for
+# bit wherever Im eps >= +0.
 
 
 def _check_denominator(den, eps_a, eps_b, pol: str):

@@ -30,12 +30,7 @@ from trapnoise.inference import (
     synth_dataset,
     taf_alpha,
 )
-from trapnoise.layers import (
-    Layer,
-    LayerStack,
-    fresnel_interface,
-    stack_reflection,
-)
+from trapnoise.layers import Layer, LayerStack, stack_reflection
 from trapnoise.materials import Conductor, ResistivityTable
 from trapnoise.noise import (
     blackbody_noise,
@@ -46,7 +41,7 @@ from trapnoise.noise import (
 )
 from trapnoise.patches import region_noise_integral, zeta, zeta_inverse
 
-from fresnel_oracles import fresnel_four_layer, fresnel_three_layer
+from fresnel_oracles import fresnel_four_layer, fresnel_interface, fresnel_three_layer
 
 OMEGA = 2 * math.pi * 1e6
 

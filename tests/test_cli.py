@@ -362,6 +362,18 @@ def test_fdt_temperature_outside_tables_is_numeric_error(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+def test_fdt_overflowing_loss_names_its_medium(tmp_path, capsys):
+    # above Tc the YBCO film (medium 1 below vacuum) has
+    # Im eps = sigma / (omega eps0), which overflows at 1e-300 Hz
+    out = tmp_path / "fdt.csv"
+    rc = main(["fdt", "--omega-hz", "1e-300", "--temps", "100", "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numerical error: Im eps of medium 1 must be finite, got inf\n"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # jnn
 

@@ -1,4 +1,4 @@
-"""Fresnel coefficients, N-layer recursion, and the surface response integral."""
+"""Fresnel oracles, the N-layer recursion, and the surface response integral."""
 
 import math
 import tracemalloc
@@ -15,8 +15,6 @@ from trapnoise.layers import (
     Layer,
     LayerStack,
     NoSuperconductorError,
-    branch_sqrt,
-    fresnel_interface,
     fresnel_stack,
     greens_parallel,
     stack_reflection,
@@ -25,7 +23,9 @@ from trapnoise.materials import Conductor, ResistivityTable, TwoFluidSC, Vacuum
 from trapnoise.quadrature import _CHUNK, QuadratureFailure, adaptive_gk
 
 from fresnel_oracles import (
+    branch_sqrt,
     fresnel_four_layer,
+    fresnel_interface,
     fresnel_three_layer,
     reference_admittance_reflection,
     reference_stack_reflection,
@@ -43,7 +43,7 @@ GOLD = ResistivityTable.from_pairs(
 
 
 # ---------------------------------------------------------------------------
-# branch choices and single interfaces
+# the oracles' branch choice and single interfaces
 
 
 def test_branch_sqrt_positive_real():
@@ -279,17 +279,56 @@ def test_grazing_reflection_stays_passive_over_a_superconductor():
 
 
 # ---------------------------------------------------------------------------
-# evaluation: the root shortcut and the chunked integrand calls change no bit
+# the entry check on Im eps
+
+
+@pytest.mark.parametrize("im", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("medium", [0, 1, 2])
+def test_stack_reflection_rejects_a_medium_that_is_not_passive(im, medium):
+    eps_media = [1.0 + 0.0j, 4.0 + 1.0j, -30.0 + 5.0j]
+    eps_media[medium] = complex(eps_media[medium].real, im)
+    with pytest.raises(DomainError, match=f"^Im eps of medium {medium} must be"):
+        stack_reflection(eps_media, (1e-6,), np.array([0.5, 2.0]), K_1MHZ)
+
+
+# lossless media of any Re eps, as vacuum and a dielectric with tan delta = 0 are
+_LOSSLESS_EPS = st.builds(lambda re: complex(re, 0.0), st.floats(-100.0, 100.0))
 
 
 def _bits(r):
     return np.ascontiguousarray(r, dtype=complex).view(np.int64)
 
 
-# media with Im eps = -0.0 or < 0 keep the branch flip, so they join the draw
-_ANY_SIGN_EPS = _MEDIUM_EPS | st.builds(
-    lambda re, im: complex(re, -im), st.floats(-100.0, 100.0), st.sampled_from([0.0, 1.0])
+def _outcome(eps_media, thicknesses, u, k):
+    """The bits of both reflections, or the type of what was raised."""
+    try:
+        return [_bits(r).tolist() for r in stack_reflection(eps_media, thicknesses, u, k)]
+    except (DegenerateInterfaceError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    media=st.lists(
+        st.tuples(_MEDIUM_EPS | _LOSSLESS_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
+    ),
+    negative=st.lists(st.booleans(), min_size=5, max_size=5),
+    log_f=st.floats(5.0, 9.0),
+    u=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8),
 )
+def test_negative_zero_loss_gives_the_bits_of_positive_zero(media, negative, log_f, u):
+    # Im eps = -0.0 passes the entry check and takes the decaying branch
+    eps_media = [1.0 + 0.0j, *(eps for eps, _ in media)]
+    signed = [complex(eps.real, -0.0) if neg and eps.imag == 0.0 else eps
+              for eps, neg in zip(eps_media, negative)]
+    thicknesses = tuple(10.0**log_t for _, log_t in media[:-1])
+    k = 2.0 * math.pi * 10.0**log_f / CONSTANTS.c
+    u = np.array(u)
+    assert _outcome(signed, thicknesses, u, k) == _outcome(eps_media, thicknesses, u, k)
+
+
+# ---------------------------------------------------------------------------
+# evaluation: the principal root and the chunked integrand calls change no bit
 
 
 def _integrand_calls(to_u, a, b, edges):
@@ -320,7 +359,7 @@ def _assert_matches_reference(eps_media, thicknesses, u, k):
 @settings(max_examples=60, deadline=None)
 @given(
     media=st.lists(
-        st.tuples(_ANY_SIGN_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
+        st.tuples(_MEDIUM_EPS, st.floats(-9.0, -3.0)), min_size=1, max_size=4
     ),
     log_f=st.floats(5.0, 9.0),
     n_nodes=st.integers(1, 3 * 15 * _CHUNK + 1),

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trapnoise.constants import CONSTANTS, DomainError
 from trapnoise.materials import (
@@ -180,6 +180,41 @@ def test_two_fluid_real_part_diverges_toward_tc():
     eps_high = permittivity(mat, omega, 85.0)
     # lambda grows toward Tc, so the -1/(k lambda)^2 magnitude shrinks
     assert -eps_low.real > -eps_high.real > 0.0
+
+
+@st.composite
+def _material_and_temperature(draw):
+    kind = draw(st.sampled_from(["vacuum", "dielectric", "conductor", "sc-below", "sc-above"]))
+    if kind == "vacuum":
+        return Vacuum(), draw(st.floats(1e-3, 400.0))
+    if kind == "dielectric":
+        tan_delta = draw(st.just(0.0) | st.floats(0.0, 1e3))
+        return LossyDielectric(draw(st.floats(1.0, 1e6)), tan_delta), draw(st.floats(1e-3, 400.0))
+    if kind == "conductor":
+        temps = sorted(draw(st.lists(st.floats(1.0, 400.0), min_size=2, max_size=12, unique=True)))
+        rhos = draw(st.lists(st.floats(1e-12, 1e2), min_size=len(temps), max_size=len(temps)))
+        return Conductor(ResistivityTable(tuple(temps), tuple(rhos))), draw(
+            st.floats(temps[0], temps[-1]))
+    tc = draw(st.floats(1.0, 150.0))
+    sigma_n = draw(st.floats(1e4, 1e8))
+    sc = TwoFluidSC(draw(st.floats(1e-8, 1e-6)), tc, sigma_n, ybco_normal_default(sigma_n, tc))
+    if kind == "sc-below":
+        return sc, tc * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return sc, draw(st.floats(tc, 320.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(material_and_t=_material_and_temperature(), log_f=st.floats(0.0, 12.0))
+@example(material_and_t=(LossyDielectric(4.0, 0.0), 300.0), log_f=6.0)
+def test_every_material_kind_is_passive(material_and_t, log_f):
+    # stack_reflection takes the principal root of eps - u^2, which decays
+    # only if Im eps is +0.0 or more, so tan delta = 0 must not give -0.0.
+    # At 1 Hz - 1 THz the loss stays finite; toward omega = 0 it overflows,
+    # which the kernel's entry check rejects
+    material, temperature = material_and_t
+    eps = permittivity(material, 2.0 * math.pi * 10.0**log_f, temperature)
+    assert math.isfinite(eps.imag)
+    assert math.copysign(1.0, eps.imag) == 1.0
 
 
 def test_permittivity_rejects_bad_domain():

@@ -180,6 +180,23 @@ def test_unreachable_tolerance_fails_before_the_budget_runs_out():
     assert exc_info.value.evaluations < budget_only.value.evaluations
 
 
+def test_early_stop_allows_for_the_error_of_a_near_zero_estimate():
+    # the first round sees 0.41 of the Lorentzian's unit area, which the
+    # floor of -0.4 cancels to |total| = 0.0066 with error 0.0068.  The 16
+    # panels outside the 9 it can still split hold 8.5e-6 of the floor's
+    # noise error: above rel_tol * |total|, below rel_tol * (|total| + error),
+    # and within what the resolved integral, 0.597, lets converge
+    x0, w = 0.05, 5e-4
+
+    def f(x):
+        return (w / np.pi) / ((x - x0) ** 2 + w * w) - 0.4 * (1.0 + 1e-3 * np.sin(1e9 * x))
+
+    res = adaptive_gk(f, 0.0, 1.0, rel_tol=1e-3, max_evals=650,
+                      breakpoints=np.linspace(0.0, 1.0, 26)[1:-1])
+    exact = (np.arctan((1.0 - x0) / w) + np.arctan(x0 / w)) / np.pi - 0.4
+    assert abs(res.value - exact) <= res.error <= 1e-3 * abs(res.value)
+
+
 def _family(kind, c, s):
     """One integrand on [0, 1] of a family, with shape parameter s in [0, 1]."""
     if kind == "lorentzian":
