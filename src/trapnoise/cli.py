@@ -28,13 +28,14 @@ the inputs as ``config_paths``, every other flag but ``--out`` as an
 override, the tool version and the constants fingerprint; it has no
 timestamps, so repeated runs with identical inputs produce byte-identical
 files.  Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-failure.
+failure: :func:`main` catches the base of every error the library raises
+on purpose, :class:`~trapnoise.constants.TrapnoiseError`, prints its
+``label`` and message as one line and returns its ``exit_code``.
 
 Importing this module loads only :mod:`~trapnoise.configio` and
-:mod:`~trapnoise.constants`, which defines the error types :func:`main`
-maps to exit codes; each command imports the library functions it calls
-when it runs, so a ``zeta`` run never loads the layer-stack code, nor an
-``fdt`` run the fits.
+:mod:`~trapnoise.constants`, which defines the error types; each command
+imports the library functions it calls when it runs, so a ``zeta`` run
+never loads the layer-stack code, nor an ``fdt`` run the fits.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ import numpy as np
 
 from . import __version__
 from .configio import (
-    ConfigFileError,
-    DataFileError,
     config_roles,
     load_circuit,
     load_materials,
@@ -66,30 +65,18 @@ from .configio import (
     write_json_report,
 )
 from .constants import (
-    DegenerateInterfaceError,
+    ConfigFileError,
+    DataFileError,
     DomainError,
-    FitFailure,
-    PatchBudgetError,
-    QuadratureFailure,
-    TemperatureRangeError,
-    UnusableDataError,
+    TrapnoiseError,
     omega_from_hz,
     require_above,
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
-_NUMERIC_ERRORS = (
-    DomainError,
-    QuadratureFailure,
-    FitFailure,
-    PatchBudgetError,
-    TemperatureRangeError,
-    DegenerateInterfaceError,
-)
+EXIT_CONFIG = ConfigFileError.exit_code
+EXIT_DATA = DataFileError.exit_code
+EXIT_NUMERIC = TrapnoiseError.exit_code
 
 _DEFAULT_CONFIGS = {
     "materials": ("materials", "default"),
@@ -616,15 +603,9 @@ def main(argv=None) -> int:
             write_csv(args.out, manifest, *output)
         else:
             write_heating_csv(args.out, output, manifest)
-    except ConfigFileError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataFileError, UnusableDataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except TrapnoiseError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     if args.command == "taf" and args.alphas is not None:
         # the one comment line of the file holds the verdict as JSON
         c = json.loads(output[2][0].split(":", 1)[1])

@@ -36,7 +36,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, omega_from_hz, require_above
+from .constants import (
+    CONSTANTS, ConfigFileError, DataFileError, DomainError, omega_from_hz, require_above,
+)
 
 if TYPE_CHECKING:
     from .inference import HeatingDataset, TempFitParams
@@ -62,20 +64,11 @@ __all__ = [
     "write_heating_csv",
     "write_csv",
     "write_json_report",
-    "read_csv_manifest",
     "format_value",
     "HEATING_COLUMNS",
 ]
 
 HEATING_COLUMNS = ("T_K", "f_Hz", "gamma_phps", "sigma_phps")
-
-
-class ConfigFileError(ValueError):
-    """A configuration file is missing, malformed, or inconsistent."""
-
-
-class DataFileError(ValueError):
-    """A dataset file is malformed; the message carries the line number."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +145,6 @@ def write_json_report(path, manifest: dict, payload: dict) -> None:
         raise DomainError(f"refusing to serialize non-finite value ({exc})") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
-
-
-def read_csv_manifest(path) -> dict:
-    """Manifest dict parsed back from a CSV written by :func:`write_csv`."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    prefix = "# manifest: "
-    if not first.startswith(prefix):
-        raise DataFileError(f"{path}:1: no manifest comment line")
-    return json.loads(first[len(prefix):])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ in V^2 m^-2 Hz^-1.
 raises :class:`DomainError`, naming the argument, on NaN, on +-inf and on a
 value at or below its bound.
 
-The numerical and data errors that the command line maps to exit codes are
-defined here, so it can catch them without loading the modules that raise
-them; each of those modules re-exports its own under the same name.
+Every error the library raises on purpose is a :class:`TrapnoiseError`,
+whose ``exit_code`` and ``label`` the command line returns and prints.  All
+but ``layers.NoSuperconductorError`` are defined here, so the command line
+catches them without loading the modules that raise them; each of those
+modules re-exports its own under the same name.
 """
 
 from __future__ import annotations
@@ -46,23 +48,48 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-class DomainError(ValueError):
+class TrapnoiseError(Exception):
+    """A failure the library raises on purpose; the command line prints
+    ``label: message`` and exits with ``exit_code``."""
+
+    exit_code = 4
+    label = "numerical error"
+
+
+class ConfigFileError(TrapnoiseError, ValueError):
+    """A configuration file is missing, malformed, or inconsistent."""
+
+    exit_code = 2
+    label = "config error"
+
+
+class DataFileError(TrapnoiseError, ValueError):
+    """A dataset file is malformed; the message carries the line number."""
+
+    exit_code = 3
+    label = "data error"
+
+
+class DomainError(TrapnoiseError, ValueError):
     """Input outside the physical domain of an operation."""
 
 
 class UnusableDataError(DomainError):
     """Data a fit cannot use: too few or repeated points, non-positive values."""
 
+    exit_code = 3
+    label = "data error"
 
-class TemperatureRangeError(ValueError):
+
+class TemperatureRangeError(TrapnoiseError, ValueError):
     """Temperature outside the tabulated range (plus one grid step)."""
 
 
-class DegenerateInterfaceError(ZeroDivisionError):
+class DegenerateInterfaceError(TrapnoiseError, ZeroDivisionError):
     """A Fresnel denominator vanished exactly for some (eps_a, eps_b, u)."""
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(TrapnoiseError, RuntimeError):
     """Adaptive integration did not reach tolerance within the budget."""
 
     def __init__(self, message: str, value, error: float, evaluations: int):
@@ -72,7 +99,7 @@ class QuadratureFailure(RuntimeError):
         self.evaluations = evaluations
 
 
-class FitFailure(RuntimeError):
+class FitFailure(TrapnoiseError, RuntimeError):
     """No convergence; carries the best point found for diagnostics."""
 
     def __init__(self, message: str, params, rss: float, n_iter: int):
@@ -82,7 +109,7 @@ class FitFailure(RuntimeError):
         self.n_iter = n_iter
 
 
-class PatchBudgetError(RuntimeError):
+class PatchBudgetError(TrapnoiseError, RuntimeError):
     """More tiles would be summed directly than the patch budget allows.
 
     Exact mode sums every tile of a region, so coarsen patch_size or drop

@@ -5,9 +5,9 @@ Conventions
 In-plane wavevector is written as u = q/k with k = omega/c.  Vertical
 wavevector factors W = sqrt(eps - u^2) take the branch Im W >= 0 so that
 evanescent phase factors decay.  :func:`stack_reflection` requires
-Im eps >= 0 of every medium, as a passive medium has, and raises
-:class:`DomainError` naming the medium otherwise (NaN and +-inf included);
-it folds Im eps = -0.0 into +0.0.  Im(eps - u^2) is then >= +0, where the
+a finite eps with Im eps >= 0 of every medium, as a passive medium has, and
+raises :class:`DomainError` naming the medium otherwise; it folds
+Im eps = -0.0 into +0.0.  Im(eps - u^2) is then >= +0, where the
 principal root already lies on the Im W >= 0 branch.  Layer phase factors
 use the physical vertical wavenumber k*W (rad/m) times the layer thickness
 in metres.
@@ -23,7 +23,7 @@ at most a few thousand nodes per call, however many panels a round splits,
 so the complex temporaries of the reflection recursion stay cache-sized.
 Every node's value is the same bit for bit as in one call over all of a
 round's nodes, except that the W = 0 fallback of :func:`stack_reflection`
-is chosen per call.  The check of Im eps runs once per medium and call,
+is chosen per call.  The check of eps runs once per medium and call,
 before any node is evaluated.
 """
 
@@ -138,9 +138,11 @@ def stack_reflection(eps_media, thicknesses, u, k):
     eps_media has N+1 entries (index 0 is the upper half-space) and
     thicknesses has N-1 entries for the interior finite media.  Each
     medium's W is computed once; only two are held at a time.  A medium
-    with Im eps < 0, NaN or +-inf raises :class:`DomainError`.
+    with Im eps < 0, or with NaN or +-inf in either part, raises
+    :class:`DomainError`.
     """
     for i, eps in enumerate(eps_media):
+        require_above(eps.real, f"Re eps of medium {i}", -np.inf)
         require_above(eps.imag, f"Im eps of medium {i}", or_equal=True)
     # a lossless medium written with Im eps = -0.0 keeps the decaying branch
     eps_media = [complex(eps.real, eps.imag + 0.0) for eps in eps_media]

@@ -163,9 +163,10 @@ class TwoFluidSC:
         lam = london_depth(self.lambda0, self.Tc, temperature)
         k = omega / CONSTANTS.c
         sigma_normal_carriers = self.sigma_n * temperature / self.Tc
-        return complex(
-            1.0 - 1.0 / (k * lam) ** 2, _conduction(sigma_normal_carriers, omega)
-        )
+        k_lam2 = (k * lam) ** 2
+        if not k_lam2:
+            raise DomainError(f"{self.name}: (k lambda)^2 is 0 at omega = {omega}")
+        return complex(1.0 - 1.0 / k_lam2, _conduction(sigma_normal_carriers, omega))
 
 
 MaterialModel = Vacuum | Conductor | TwoFluidSC | LossyDielectric

@@ -25,7 +25,6 @@ from trapnoise.configio import (
     ConfigFileError,
     DataFileError,
     packaged_config,
-    read_csv_manifest,
     read_heating_csv,
 )
 from trapnoise.constants import (
@@ -50,6 +49,13 @@ def read_rows(path):
     ]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def csv_manifest(path) -> dict:
+    """The manifest of a CSV this package wrote, read from its first line."""
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("# manifest: ")
+    return json.loads(first.removeprefix("# manifest: "))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,7 @@ def test_manifest_records_the_seed_of_drawing_commands(argv, seed, tmp_path):
     out = tmp_path / "out.csv"
     rc = main([a.format(data=data) for a in argv] + ["--out", str(out)])
     assert rc == EXIT_OK
-    assert read_csv_manifest(out)["seed"] == seed
+    assert csv_manifest(out)["seed"] == seed
 
 
 def test_resolve_configs_duplicate_role(tmp_path):
@@ -371,6 +377,23 @@ def test_fdt_overflowing_loss_names_its_medium(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical error: Im eps of medium 1 must be finite, got inf\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega_hz, message", [
+    ("1e-150", "ybco: (k lambda)^2 is 0 at omega = 6.283185307179586e-150"),
+    ("1e-140", "Re eps of medium 1 must be finite, got -inf"),
+], ids=["1e-150", "1e-140"])
+def test_fdt_vanishing_frequency_below_tc_is_numeric_error(
+    omega_hz, message, tmp_path, capsys
+):
+    # below Tc the YBCO film has Re eps = 1 - 1/(k lambda)^2: (k lambda)^2
+    # underflows to 0 at 1e-150 Hz, and at 1e-140 Hz to a subnormal whose
+    # reciprocal overflows; a RuntimeWarning on the way fails the test
+    out = tmp_path / "fdt.csv"
+    rc = main(["fdt", "--omega-hz", omega_hz, "--temps", "20", "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
     assert not out.exists()
 
 
@@ -940,7 +963,7 @@ def test_manifest_records_grid_overrides(tmp_path):
             str(out),
         ]
     )
-    manifest = read_csv_manifest(out)
+    manifest = csv_manifest(out)
     assert manifest["seed"] == 3
     assert manifest["overrides"]["temps"] == "20,60,100,140"
     assert manifest["overrides"]["model"] == "gamma1"
@@ -1001,7 +1024,7 @@ def test_manifest_records_every_flag_but_out_seed_and_inputs(argv, inputs, tmp_p
     if command == "fit":
         manifest = json.loads(out.read_text())["manifest"]
     else:
-        manifest = read_csv_manifest(out)
+        manifest = csv_manifest(out)
     not_overrides = {"out", "seed", "config", "data", "alphas", "params"}
     assert manifest["command"] == command
     assert set(manifest["overrides"]) == _subcommand_flags(command) - not_overrides
@@ -1012,9 +1035,9 @@ def test_manifest_formats_list_and_absent_flags(tmp_path):
     out = tmp_path / "fdt.csv"
     argv = ["fdt", "--temps", "50", "--out", str(out)]
     main([*argv, "--lambda0-nm", "140", "--lambda0-nm", "200"])
-    assert read_csv_manifest(out)["overrides"]["lambda0_nm"] == "140,200"
+    assert csv_manifest(out)["overrides"]["lambda0_nm"] == "140,200"
     main(argv)
-    assert read_csv_manifest(out)["overrides"]["lambda0_nm"] == ""
+    assert csv_manifest(out)["overrides"]["lambda0_nm"] == ""
 
 
 def test_jnn_config_paths_follow_role_order_not_flag_order(tmp_path):
@@ -1024,4 +1047,4 @@ def test_jnn_config_paths_follow_role_order_not_flag_order(tmp_path):
     configs = ["--config", circuit, "--config", materials]
     rc = main(["jnn", *configs, "--temps", "50", "--out", str(out)])
     assert rc == EXIT_OK
-    assert read_csv_manifest(out)["config_paths"] == [materials, circuit]
+    assert csv_manifest(out)["config_paths"] == [materials, circuit]

@@ -22,7 +22,6 @@ from trapnoise.configio import (
     make_manifest,
     packaged_config,
     read_alpha_csv,
-    read_csv_manifest,
     read_heating_csv,
     write_csv,
     write_heating_csv,
@@ -41,6 +40,13 @@ from trapnoise.materials import (
 @pytest.fixture(scope="module")
 def materials():
     return load_materials(packaged_config("materials", "default"))
+
+
+def csv_manifest(path) -> dict:
+    """The manifest of a CSV this package wrote, read from its first line."""
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("# manifest: ")
+    return json.loads(first.removeprefix("# manifest: "))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def test_heating_csv_round_trip(tmp_path):
     back = read_heating_csv(path)
     assert back == sample_dataset()
     # manifest survives as the comment header
-    assert read_csv_manifest(path)["seed"] == 3
+    assert csv_manifest(path)["seed"] == 3
 
 
 def test_heating_csv_skips_comments_and_blanks(tmp_path):
@@ -523,7 +529,7 @@ def test_write_csv_round_trip(tmp_path):
     assert lines[1] == "T_K,S_E"
     assert lines[2] == "20.0,7.33e-16"
     assert lines[3] == "40.0,"
-    assert read_csv_manifest(path)["command"] == "jnn"
+    assert csv_manifest(path)["command"] == "jnn"
 
 
 def test_write_csv_comments_follow_the_manifest(tmp_path):

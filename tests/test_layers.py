@@ -279,7 +279,7 @@ def test_grazing_reflection_stays_passive_over_a_superconductor():
 
 
 # ---------------------------------------------------------------------------
-# the entry check on Im eps
+# the entry check on eps
 
 
 @pytest.mark.parametrize("im", [-1.0, math.nan, math.inf, -math.inf])
@@ -289,6 +289,21 @@ def test_stack_reflection_rejects_a_medium_that_is_not_passive(im, medium):
     eps_media[medium] = complex(eps_media[medium].real, im)
     with pytest.raises(DomainError, match=f"^Im eps of medium {medium} must be"):
         stack_reflection(eps_media, (1e-6,), np.array([0.5, 2.0]), K_1MHZ)
+
+
+@pytest.mark.parametrize("re", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("medium", [0, 1, 2])
+def test_stack_reflection_rejects_a_non_finite_real_part(re, medium):
+    eps_media = [1.0 + 0.0j, 4.0 + 1.0j, -30.0 + 5.0j]
+    eps_media[medium] = complex(re, eps_media[medium].imag)
+    with pytest.raises(DomainError, match=f"^Re eps of medium {medium} must be finite"):
+        stack_reflection(eps_media, (1e-6,), np.array([0.5, 2.0]), K_1MHZ)
+
+
+@pytest.mark.parametrize("re", [math.nan, -math.inf])
+def test_stack_reflection_rejects_a_lossy_bulk_with_non_finite_real_part(re):
+    with pytest.raises(DomainError, match="^Re eps of medium 1 must be finite"):
+        stack_reflection([1, complex(re, 1)], (), [0.5], K_1MHZ)
 
 
 # lossless media of any Re eps, as vacuum and a dielectric with tan delta = 0 are

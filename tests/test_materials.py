@@ -159,6 +159,14 @@ def test_two_fluid_below_tc_terms():
     assert -eps.real > 1e3 * eps.imag
 
 
+def test_two_fluid_names_itself_where_k_lambda_squared_underflows():
+    # (k lambda)^2 is 0 at 1e-150 Hz; at 1e-140 Hz it is subnormal and its
+    # reciprocal overflows, a Re eps of -inf the reflection kernel rejects
+    with pytest.raises(DomainError, match="^ybco: .k lambda.\\^2 is 0 at omega = "):
+        permittivity(ybco(), 2 * math.pi * 1e-150, 20.0)
+    assert permittivity(ybco(), 2 * math.pi * 1e-140, 20.0).real == -math.inf
+
+
 def test_two_fluid_at_and_above_tc_is_normal_metal():
     omega = 2 * math.pi * 1e6
     mat = ybco()
