@@ -12,7 +12,9 @@ synth  Synthetic heating-rate datasets from model parameters (CSV).
 Each ``cmd_*`` function returns ``(inputs, output)``: the config and data
 paths it read, and a report dict, a ``HeatingDataset`` or ``(header, rows[,
 comments])``.  :func:`main` alone builds the run manifest and writes the file.
-The commands convert no data themselves; the library types do:
+The commands choose no files and convert no data themselves:
+:func:`~trapnoise.configio.load_configs` and ``load_synth_params`` pick and
+load every config file, given or packaged, and the library types convert:
 ``HeatingDataset.noise_curve`` and ``HeatingDataset.from_noise_curve`` turn
 heating rates into field noise S_E at a dataset's one secular frequency and
 back, ``HeatingDataset.frequency_curves`` gives each temperature's
@@ -49,15 +51,9 @@ import numpy as np
 
 from . import __version__
 from .configio import (
-    config_roles,
-    load_circuit,
-    load_materials,
-    load_scene,
-    load_stack,
-    load_surface_params,
-    load_temp_params,
+    load_configs,
+    load_synth_params,
     make_manifest,
-    packaged_config,
     read_alpha_csv,
     read_heating_csv,
     write_csv,
@@ -77,20 +73,6 @@ EXIT_OK = 0
 EXIT_CONFIG = ConfigFileError.exit_code
 EXIT_DATA = DataFileError.exit_code
 EXIT_NUMERIC = TrapnoiseError.exit_code
-
-_DEFAULT_CONFIGS = {
-    "materials": ("materials", "default"),
-    "stack": ("stacks", "sapphire-ybco"),
-    "circuit": ("circuits", "ybco-trap"),
-    "scene": ("scenes", "ybco-chip"),
-}
-
-_SYNTH_DEFAULT_PARAMS = {
-    "gamma1": ("synth", "temp-simple"),
-    "gamma2": ("synth", "temp-piecewise"),
-    "power": ("synth", "surface-power"),
-    "arrhenius": ("synth", "surface-arrhenius"),
-}
 
 _DEFAULT_TEMPS = "15,40,60,80,90,100,120,160,200"
 
@@ -166,32 +148,6 @@ def parse_grid(text: str, name: str = "grid", lo: float = 0.0, *,
     return values
 
 
-def resolve_configs(paths, needed: tuple[str, ...]) -> dict[str, str]:
-    """Map config roles to file paths, filling gaps with packaged defaults.
-
-    Each ``--config`` file declares its roles through its section names; a
-    file may serve several roles at once, but two files must not claim the
-    same role.  Files providing none of the needed roles are an error.
-    """
-    resolved: dict[str, str] = {}
-    for path in paths:
-        roles = config_roles(path) & set(needed)
-        if not roles:
-            raise ConfigFileError(
-                f"{path}: provides none of the roles {needed} used here"
-            )
-        for role in roles:
-            if role in resolved:
-                raise ConfigFileError(
-                    f"role '{role}' given twice: {resolved[role]} and {path}"
-                )
-            resolved[role] = str(path)
-    return {
-        role: resolved.get(role) or str(packaged_config(*_DEFAULT_CONFIGS[role]))
-        for role in needed
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -204,9 +160,8 @@ def cmd_fdt(args):
     s_cols = [f"S_E_V2m2Hz_lam0_{nm:g}nm" for nm in lambdas] or ["S_E_V2m2Hz"]
     if len(set(s_cols)) < len(s_cols):
         raise ConfigFileError("--lambda0-nm repeats a value")
-    configs = resolve_configs(args.config, ("materials", "stack"))
-    materials = load_materials(configs["materials"])
-    stack = load_stack(configs["stack"], materials)
+    inputs, configs = load_configs(args.config, ("materials", "stack"))
+    stack = configs["stack"]
     temps = parse_grid(args.temps, "--temps")
     omega = omega_from_hz(args.omega_hz)
     distance = args.distance_um * _UM
@@ -225,21 +180,19 @@ def cmd_fdt(args):
             for s in stacks
         ]
         rows.append([temperature, results[0].s_blackbody, *(r.s_e for r in results)])
-    return list(configs.values()), (["T_K", "S_BB_V2m2Hz", *s_cols], rows)
+    return inputs, (["T_K", "S_BB_V2m2Hz", *s_cols], rows)
 
 
 def cmd_jnn(args):
     from .noise import jnn_budget
 
-    configs = resolve_configs(args.config, ("materials", "circuit"))
-    materials = load_materials(configs["materials"])
-    electrodes = load_circuit(configs["circuit"], materials)
+    inputs, configs = load_configs(args.config, ("materials", "circuit"))
     temps = parse_grid(args.temps, "--temps", or_equal=True)
     omega = omega_from_hz(args.omega_hz)
 
     rows = []
     for temperature in temps:
-        budget = jnn_budget(electrodes, omega, temperature)
+        budget = jnn_budget(configs["circuit"], omega, temperature)
         rows += [
             [temperature, name, n.r_filter, n.r_lead, n.r_elec, n.r_eff,
              n.distance, n.s_e, n.gamma]
@@ -248,7 +201,7 @@ def cmd_jnn(args):
         rows.append([temperature, "TOTAL", *[None] * 5, budget.total, budget.gamma])
     header = ["T_K", "electrode", "R_filter_ohm", "R_lead_ohm", "R_elec_ohm",
               "R_eff_ohm", "D_m", "S_E_V2m2Hz", "gamma_phps"]
-    return list(configs.values()), (header, rows)
+    return inputs, (header, rows)
 
 
 def _temp_fit_dict(fit) -> dict:
@@ -370,8 +323,8 @@ def cmd_taf(args):
 def cmd_zeta(args):
     from .patches import zeta
 
-    configs = resolve_configs(args.config, ("scene",))
-    scene = load_scene(configs["scene"])
+    inputs, configs = load_configs(args.config, ("scene",))
+    scene = configs["scene"]
     if all(region.name != args.target for region in scene.regions):
         names = ", ".join(region.name for region in scene.regions)
         raise ConfigFileError(
@@ -382,7 +335,7 @@ def cmd_zeta(args):
 
     ref = zeta(scene, 1.0, patch_size, target_name=args.target, exact=args.exact)
     rows = [[r, ref.at(r)] for r in ratios]
-    return list(configs.values()), (["f_ratio", "zeta"], rows)
+    return inputs, (["f_ratio", "zeta"], rows)
 
 
 def cmd_synth(args):
@@ -394,18 +347,9 @@ def cmd_synth(args):
             f"--freqs is for gamma1 and gamma2; {args.model} takes --f-hz"
         )
     temps = parse_grid(args.temps, "--temps")
-    if args.params is not None:
-        params_path = str(args.params)
-    else:
-        category, name = _SYNTH_DEFAULT_PARAMS[args.model]
-        params_path = str(packaged_config(category, name))
+    params_path, params = load_synth_params(args.params, args.model)
 
     if temp_model:
-        params = load_temp_params(params_path)
-        if args.model == "gamma2" and not params.piecewise:
-            raise ConfigFileError(
-                f"{params_path}: gamma2 needs t2_K, beta2, t_star_K"
-            )
         freqs = (parse_grid(args.freqs, "--freqs") if args.freqs
                  else sorted(params.gamma0))
         missing = [f for f in freqs if f not in params.gamma0]
@@ -417,7 +361,6 @@ def cmd_synth(args):
             args.model, params, temps, freqs, args.noise_frac, args.seed
         )
     else:
-        params = load_surface_params(params_path, args.model)
         pts = synth_surface(args.model, params, temps, args.noise_frac, args.seed)
         dataset = HeatingDataset.from_noise_curve(pts, args.f_hz)
     return [params_path], dataset

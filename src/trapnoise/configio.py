@@ -1,7 +1,8 @@
 """Configuration files, dataset CSV I/O, and the run manifest.
 
 Config files are INI-style (:mod:`configparser`), with one section per
-object.  Section names are namespaced so several roles can share one file:
+object.  Section names are namespaced so several roles can share one file,
+and :func:`load_configs` alone picks each role's file, given or packaged:
 
 * ``[material:NAME]``  -- material models (see :func:`load_materials`)
 * ``[stack]``          -- a layer stack, top to bottom (:func:`load_stack`)
@@ -59,6 +60,8 @@ __all__ = [
     "load_scene",
     "load_temp_params",
     "load_surface_params",
+    "load_configs",
+    "load_synth_params",
     "read_heating_csv",
     "read_alpha_csv",
     "write_heating_csv",
@@ -650,6 +653,57 @@ def load_surface_params(path, kind: str) -> dict[str, float]:
         if kind == "arrhenius":
             require_above(out["s_et"], "s_et")
     return out
+
+
+# ---------------------------------------------------------------------------
+# what a command reads
+
+# the packaged file of each config role and of each synthetic model's parameters
+_PACKAGED = {
+    "materials": ("materials", "default"),
+    "stack": ("stacks", "sapphire-ybco"),
+    "circuit": ("circuits", "ybco-trap"),
+    "scene": ("scenes", "ybco-chip"),
+    "gamma1": ("synth", "temp-simple"),
+    "gamma2": ("synth", "temp-piecewise"),
+    "power": ("synth", "surface-power"),
+    "arrhenius": ("synth", "surface-arrhenius"),
+}
+
+
+def load_configs(paths, needed: tuple[str, ...]) -> tuple[list[str], dict]:
+    """Paths in ``needed`` order, and objects by role, of the config roles a
+    command needs.  Each of ``paths`` gives the roles its sections name, at
+    least one needed and none another file gives; packaged files give the
+    rest.  Stacks and circuits are built on the materials, loaded first."""
+    given: dict[str, str] = {}
+    for path in paths:
+        roles = config_roles(path)
+        if not roles & set(needed):
+            raise ConfigFileError(f"{path}: provides none of the roles {needed} used here")
+        for role in (r for r in needed if r in roles):
+            if role in given:
+                raise ConfigFileError(f"role '{role}' given twice: {given[role]} and {path}")
+            given[role] = str(path)
+    files = {r: given.get(r) or str(packaged_config(*_PACKAGED[r])) for r in needed}
+    materials = load_materials(files["materials"]) if "materials" in files else None
+    load = {"materials": lambda path: materials, "scene": load_scene,
+            "stack": lambda path: load_stack(path, materials),
+            "circuit": lambda path: load_circuit(path, materials)}
+    return list(files.values()), {role: load[role](path) for role, path in files.items()}
+
+
+def load_synth_params(path, model: str):
+    """``(path, params)`` of synthetic ``model``, from its packaged file if
+    ``path`` is None: :func:`load_temp_params`, piecewise for ``gamma2``, or
+    :func:`load_surface_params`."""
+    path = str(packaged_config(*_PACKAGED[model]) if path is None else path)
+    if model not in ("gamma1", "gamma2"):
+        return path, load_surface_params(path, model)
+    params = load_temp_params(path)
+    if model == "gamma2" and not params.piecewise:
+        raise ConfigFileError(f"{path}: gamma2 needs t2_K, beta2, t_star_K")
+    return path, params
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ class PatchScene:
         for r in self.regions:
             if r.name == name:
                 return r
-        raise KeyError(f"no region named {name!r}")
+        names = ", ".join(r.name for r in self.regions)
+        raise DomainError(f"no region named {name!r} (regions: {names})")
 
 
 def _tile_count(lo: float, hi: float, step: float) -> int | float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import QuadratureFailure
+from .constants import QuadratureFailure, require_above
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 _XK = np.array([
@@ -71,12 +71,13 @@ def _eval_panels(f, lows: np.ndarray, highs: np.ndarray):
         if i == 0:
             kronrod = np.empty(lows.shape, np.result_type(vals, _WK))
             gauss = np.empty_like(kronrod)
-        kronrod[part] = half[part] * (vals @ _WK)
-        gauss[part] = half[part] * (vals[:, _GAUSS_IDX] @ _WG)
+        kronrod[part] = vals @ _WK
+        gauss[part] = vals[:, _GAUSS_IDX] @ _WG
     # plain |K15 - G7| is conservative; the floor stops panels whose
-    # difference underflows from looking exactly converged.  An infinite
-    # sum gives a NaN error, which adaptive_gk turns into its failure
+    # difference underflows from looking exactly converged.  An infinite sum,
+    # even on a zero-width panel, gives a NaN error: adaptive_gk's failure
     with np.errstate(invalid="ignore"):
+        kronrod, gauss = half * kronrod, half * gauss
         err = np.abs(kronrod - gauss)
     return kronrod, np.maximum(err, np.abs(kronrod) * 1e-16)
 
@@ -90,7 +91,7 @@ def adaptive_gk(
     max_evals: int = 2_000_000,
     breakpoints=None,
 ) -> QuadratureResult:
-    """Integrate ``f`` over [a, b] to the requested tolerance.
+    """Integrate ``f`` over [a, b], finite with b > a, to the requested tolerance.
 
     ``breakpoints`` seeds the initial panel edges (useful when the integrand
     has known scales spanning decades).  Convergence criterion:
@@ -105,8 +106,8 @@ def adaptive_gk(
     the m largest sum to more than max(abs_tol, rel_tol * (|integral| +
     error)), the integral would fail later anyway, and fails now.
     """
-    if b <= a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+    require_above(a, "lower limit", -np.inf)
+    require_above(b, "upper limit", a)
     edges = [a, b] if breakpoints is None else sorted(
         {a, b, *(x for x in breakpoints if a < x < b)}
     )

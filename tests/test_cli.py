@@ -19,7 +19,6 @@ from trapnoise.cli import (
     build_parser,
     main,
     parse_grid,
-    resolve_configs,
 )
 from trapnoise.configio import (
     ConfigFileError,
@@ -326,15 +325,6 @@ def test_manifest_records_the_seed_of_drawing_commands(argv, seed, tmp_path):
     rc = main([a.format(data=data) for a in argv] + ["--out", str(out)])
     assert rc == EXIT_OK
     assert csv_manifest(out)["seed"] == seed
-
-
-def test_resolve_configs_duplicate_role(tmp_path):
-    a = tmp_path / "a.cfg"
-    b = tmp_path / "b.cfg"
-    a.write_text("[stack]\nname = one\nlayers = vacuum bulk\n")
-    b.write_text("[stack]\nname = two\nlayers = vacuum bulk\n")
-    with pytest.raises(ConfigFileError):
-        resolve_configs([str(a), str(b)], ("stack",))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from trapnoise.configio import (
     config_roles,
     format_value,
     load_circuit,
+    load_configs,
     load_materials,
     load_scene,
     load_stack,
     load_surface_params,
+    load_synth_params,
     load_temp_params,
     make_manifest,
     packaged_config,
@@ -191,6 +193,90 @@ def test_config_roles_unknown_section(tmp_path):
     with pytest.raises(ConfigFileError) as err:
         config_roles(path)
     assert "mystery" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# what a command reads
+
+
+def test_load_configs_fills_every_role_from_the_packaged_defaults():
+    paths, loaded = load_configs([], ("materials", "stack"))
+    assert paths == [str(packaged_config("materials", "default")),
+                     str(packaged_config("stacks", "sapphire-ybco"))]
+    assert list(loaded) == ["materials", "stack"]
+    # the stack is built on the materials it returns
+    materials = loaded["materials"]
+    assert all(layer.material is materials[layer.material.name]
+               for layer in loaded["stack"].layers)
+    assert load_configs([], ("scene",))[0] == [str(packaged_config("scenes", "ybco-chip"))]
+    assert load_configs([], ("materials", "circuit"))[0][1] == str(
+        packaged_config("circuits", "ybco-trap"))
+
+
+def test_load_configs_loads_the_materials_first(tmp_path):
+    # the stack names a material only the given file defines
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("[material:void]\nkind = vacuum\n\n[stack]\nlayers = void bulk\n")
+    paths, loaded = load_configs([cfg], ("stack", "materials"))
+    assert paths == [str(cfg), str(cfg)]
+    assert loaded["stack"].layers[0].material is loaded["materials"]["void"]
+
+
+def test_load_configs_duplicate_role(tmp_path):
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    a.write_text("[stack]\nname = one\nlayers = vacuum bulk\n")
+    b.write_text("[stack]\nname = two\nlayers = vacuum bulk\n")
+    with pytest.raises(ConfigFileError) as err:
+        load_configs([str(a), str(b)], ("stack",))
+    assert str(err.value) == f"role 'stack' given twice: {a} and {b}"
+
+
+def test_load_configs_rejects_a_file_with_no_needed_role():
+    scene = packaged_config("scenes", "ybco-chip")
+    with pytest.raises(ConfigFileError) as err:
+        load_configs([scene], ("materials", "stack"))
+    assert str(err.value) == (
+        f"{scene}: provides none of the roles ('materials', 'stack') used here"
+    )
+
+
+def test_load_configs_takes_the_needed_roles_of_a_file_and_skips_the_rest(tmp_path):
+    # materials and a scene in one file: fdt reads its materials, zeta its scene
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text(packaged_config("materials", "default").read_text() + "\n"
+                   + packaged_config("scenes", "ybco-chip").read_text())
+    paths, loaded = load_configs([cfg], ("materials", "stack"))
+    assert paths == [str(cfg), str(packaged_config("stacks", "sapphire-ybco"))]
+    assert set(loaded) == {"materials", "stack"}
+    paths, loaded = load_configs([cfg], ("scene",))
+    assert paths == [str(cfg)]
+    assert [r.name for r in loaded["scene"].regions] == [
+        r.name for r in load_scene(packaged_config("scenes", "ybco-chip")).regions
+    ]
+
+
+@pytest.mark.parametrize("model, name, piecewise", [
+    ("gamma1", "temp-simple", False),
+    ("gamma2", "temp-piecewise", True),
+    ("power", "surface-power", None),
+    ("arrhenius", "surface-arrhenius", None),
+])
+def test_load_synth_params_reads_each_model_s_packaged_file(model, name, piecewise):
+    path, params = load_synth_params(None, model)
+    assert path == str(packaged_config("synth", name))
+    if piecewise is None:
+        assert params == load_surface_params(path, model)
+    else:
+        assert params.piecewise is piecewise
+
+
+def test_load_synth_params_gamma2_needs_piecewise_params():
+    simple = packaged_config("synth", "temp-simple")
+    assert load_synth_params(simple, "gamma1")[0] == str(simple)
+    with pytest.raises(ConfigFileError) as err:
+        load_synth_params(simple, "gamma2")
+    assert str(err.value) == f"{simple}: gamma2 needs t2_K, beta2, t_star_K"
 
 
 # ---------------------------------------------------------------------------

@@ -432,8 +432,10 @@ def test_scene_rejects_a_nan_axial_direction():
 def test_scene_region_lookup():
     scene = simple_scene()
     assert scene.region("east").name == "east"
-    with pytest.raises(KeyError):
+    with pytest.raises(DomainError, match=r"^no region named 'nope' \(regions: inner, east\)$"):
         scene.region("nope")
+    with pytest.raises(DomainError, match="no region named 'nope'"):
+        zeta(scene, 1.0, 2e-6, target_name="nope")
 
 
 def test_region_validation():

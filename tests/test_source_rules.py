@@ -114,8 +114,23 @@ def fit_engine_bypasses(name: str, tree: ast.AST) -> list[int]:
     ]
 
 
+def cli_file_choices(name: str, tree: ast.AST) -> list[int]:
+    """``cli.py`` naming ``packaged_config``, ``config_roles`` or a per-role
+    config loader: configio.load_configs and load_synth_params choose and
+    load every config file a command reads."""
+    if name != "cli.py":
+        return []
+    chooser = {"packaged_config", "config_roles", "load_materials", "load_stack",
+               "load_circuit", "load_scene", "load_temp_params", "load_surface_params"}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if any(getattr(node, key, None) in chooser for key in ("id", "attr", "name"))
+    ]
+
+
 RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions,
-         fit_engine_bypasses]
+         fit_engine_bypasses, cli_file_choices]
 
 
 def violations(rule, sources: dict[str, str]) -> list[str]:
@@ -194,6 +209,18 @@ _PLANTED = [
     (fit_engine_bypasses, "noise.py", """
         from . import leastsq
         lm = leastsq.levenberg_marquardt  # planted
+    """),
+    (cli_file_choices, "cli.py", """
+        from .configio import load_configs, load_synth_params
+        inputs, configs = load_configs(args.config, ("materials", "stack"))
+        stack = configs["stack"]
+        from .configio import load_stack  # planted
+        path = configio.packaged_config("synth", "temp-simple")  # planted
+        roles = config_roles(path)  # planted
+    """),
+    (cli_file_choices, "configio.py", """
+        def load_configs(paths, needed):
+            return load_stack(packaged_config("stacks", "sapphire-ybco"), {})
     """),
 ]
 
