@@ -354,9 +354,7 @@ def cmd_synth(args):
                  else sorted(params.gamma0))
         missing = [f for f in freqs if f not in params.gamma0]
         if missing:
-            raise ConfigFileError(
-                f"{params_path}: no gamma0 for frequencies {missing}"
-            )
+            raise ConfigFileError(f"{params_path}: no gamma0 for --freqs {missing}")
         dataset = synth_dataset(
             args.model, params, temps, freqs, args.noise_frac, args.seed
         )

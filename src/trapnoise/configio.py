@@ -21,8 +21,8 @@ this package writes embeds the dict of :func:`make_manifest` -- as a
 ``# manifest:`` comment line in CSVs and as a top-level ``"manifest"`` field
 in JSON reports -- so outputs are traceable and reruns byte-identical.
 
-Each loader imports the library types it builds when it runs, so importing
-this module loads only :mod:`~trapnoise.constants` of the package.
+Each loader only parses; the library types it builds check the values.  It
+imports them when it runs, so it loads only :mod:`~trapnoise.constants` of the package.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .constants import (
 if TYPE_CHECKING:
     from .inference import HeatingDataset, TempFitParams
     from .layers import LayerStack
-    from .materials import Conductor, MaterialModel
+    from .materials import MaterialModel
     from .noise import ElectrodeModel, FilterNetwork, LeadModel
     from .patches import PatchScene
 
@@ -391,17 +391,6 @@ def _resolve_material(sec: _Section, materials, name: str) -> MaterialModel:
     return materials[name]
 
 
-def _resolve_conductor(sec: _Section, materials, name: str) -> Conductor:
-    from .materials import Conductor
-
-    mat = _resolve_material(sec, materials, name)
-    if not isinstance(mat, Conductor):
-        raise sec.error(
-            f"material {name!r} must be a conductor with a resistivity table"
-        )
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # stacks
 
@@ -448,21 +437,14 @@ def _build_lead(sec: _Section, materials) -> LeadModel:
 
     trace = sec.fields("trace", "material width_m thickness_m length_m")
     if trace is not None:
-        mat, width, thickness, length = trace
-        trace = RectTrace(
-            width=sec.number("trace", width),
-            thickness=sec.number("trace", thickness),
-            length=sec.number("trace", length),
-            material=_resolve_conductor(sec, materials, mat),
-        )
+        mat, *sizes = trace
+        trace = RectTrace(*(sec.number("trace", x) for x in sizes),
+                          _resolve_material(sec, materials, mat))
     bond = sec.fields("bond", "material diameter_m length_m")
     if bond is not None:
-        mat, diameter, length = bond
-        bond = WireBond(
-            diameter=sec.number("bond", diameter),
-            length=sec.number("bond", length),
-            material=_resolve_conductor(sec, materials, mat),
-        )
+        mat, *sizes = bond
+        bond = WireBond(*(sec.number("bond", x) for x in sizes),
+                        _resolve_material(sec, materials, mat))
     contact = sec.floatval("contact_r_ohm", 0.0)
     sec.finish()
     return LeadModel(pcb_trace=trace, wire_bond=bond, contact_r_per_bond=contact)
@@ -594,65 +576,45 @@ def load_scene(path) -> PatchScene:
 def load_temp_params(path) -> TempFitParams:
     """Temperature-model parameters from a ``[temp-model]`` section.
 
-    ``gamma0_phps`` lists one ``f_Hz gamma0`` pair per line; the piecewise
-    keys (``t2_K``, ``beta2``, ``t_star_K``) are all-or-none.  Every
-    temperature, frequency and gamma0 must be > 0.
+    ``gamma0_phps`` lists one ``f_Hz gamma0`` pair per line, each frequency
+    once; the piecewise keys are ``t2_K``, ``beta2`` and ``t_star_K``.
+    :class:`~trapnoise.inference.TempFitParams` checks the values.
     """
     from .inference import TempFitParams
 
     parser = _read_ini(path)
     sec = _single_section(parser, path, "temp-model")
-    t1 = sec.floatval("t1_K", required=True)
-    beta1 = sec.floatval("beta1", required=True)
-    piece = [sec.floatval("t2_K"), sec.floatval("beta2"), sec.floatval("t_star_K")]
-    given = [p is not None for p in piece]
-    if any(given) and not all(given):
-        raise sec.error("t2_K, beta2, t_star_K must be given together")
-    pairs = sec.floats("gamma0_phps", "f_Hz gamma0", required=True)
-    sec.finish()
-    gamma0 = {}
     with sec:
-        for key, value in (("t1_K", t1), ("t2_K", piece[0]), ("t_star_K", piece[2])):
-            if value is not None:
-                require_above(value, key)
+        t1, beta1 = (sec.floatval(key, required=True) for key in ("t1_K", "beta1"))
+        piece = [sec.floatval(key) for key in ("t2_K", "beta2", "t_star_K")]
+        pairs = sec.floats("gamma0_phps", "f_Hz gamma0", required=True)
+        sec.finish()
+        gamma0 = {}
         for f_hz, g0 in pairs:
             if f_hz in gamma0:
                 raise sec.error(f"gamma0_phps: duplicate frequency {f_hz} Hz")
-            require_above(f_hz, "gamma0_phps frequency")
-            require_above(g0, f"gamma0_phps at {f_hz:g} Hz")
             gamma0[f_hz] = g0
-    return TempFitParams(
-        gamma0=gamma0,
-        t1=t1,
-        beta1=beta1,
-        t2=piece[0],
-        beta2=piece[1],
-        t_star=piece[2],
-    )
+        return TempFitParams(gamma0, t1, beta1, *piece)
 
 
 def load_surface_params(path, kind: str) -> dict[str, float]:
-    """Surface-noise model parameters from a ``[surface-model]`` section;
-    the key of the temperature ``t0`` is ``t0_K``.  ``t0``, ``s_et`` and the
-    power-law ``s_e0`` must be > 0, the Arrhenius ``s_e0`` >= 0."""
+    """Surface-noise model parameters from a ``[surface-model]`` section, in
+    the model's ``names`` order; the key of the temperature ``t0`` is
+    ``t0_K``.  The model's :meth:`~trapnoise.inference.SurfaceModel.check`
+    checks the values."""
     from .inference import SURFACE_MODELS
 
     if kind not in SURFACE_MODELS:
         raise ConfigFileError(f"unknown surface model kind {kind!r}")
     parser = _read_ini(path)
     sec = _single_section(parser, path, "surface-model")
-    out = {
-        name: sec.floatval(name + "_K" if name == "t0" else name, required=True)
-        for name in SURFACE_MODELS[kind].names
-    }
-    sec.finish()
     with sec:
-        require_above(out["t0"], "t0_K")
-        # a constant Arrhenius offset may vanish; a power-law amplitude may not
-        require_above(out["s_e0"], "s_e0", or_equal=kind == "arrhenius")
-        if kind == "arrhenius":
-            require_above(out["s_et"], "s_et")
-    return out
+        out = {
+            name: sec.floatval(name + "_K" if name == "t0" else name, required=True)
+            for name in SURFACE_MODELS[kind].names
+        }
+        sec.finish()
+        return SURFACE_MODELS[kind].check(out)
 
 
 # ---------------------------------------------------------------------------

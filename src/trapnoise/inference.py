@@ -161,14 +161,27 @@ def _fit(predict, y, sigma, starts, logged) -> tuple[FitResult, tuple, tuple]:
 @dataclass(frozen=True)
 class SurfaceModel:
     """y(x) = formula(x, *params) with the parameters in ``names`` order;
-    those flagged in ``logged`` are fitted as logarithms."""
+    those flagged in ``logged`` are fitted as logarithms.  Given values must
+    be > 0 if ``positive`` names them and >= 0 if ``nonnegative`` does."""
 
     formula: Callable
     names: tuple[str, ...]
     logged: tuple[bool, ...]
+    positive: tuple[str, ...] = ()
+    nonnegative: tuple[str, ...] = ()
 
     def __call__(self, t, params: dict[str, float]):
         return self.formula(t, *(params[name] for name in self.names))
+
+    def check(self, params: dict[str, float]) -> dict[str, float]:
+        """``params``, if it gives each of ``names`` in the model's domain.
+        The fit calls the bare ``formula``: its trial steps may leave it."""
+        for name in self.names:
+            if name not in params:
+                raise DomainError(f"missing parameter {name} (of {', '.join(self.names)})")
+            if name in self.positive or name in self.nonnegative:
+                require_above(params[name], name, or_equal=name in self.nonnegative)
+        return params
 
 
 @dataclass(frozen=True)
@@ -307,6 +320,9 @@ def model_gamma2(t, gamma0, t1, beta1, t2, beta2, t_star):
 
 @dataclass(frozen=True)
 class TempFitParams:
+    """Gamma1's parameters, and Gamma2's if ``t2``, ``beta2`` and ``t_star``
+    (all or none) are given; temperatures, Gamma0s and frequencies are > 0."""
+
     gamma0: dict[float, float]  # per secular frequency (Hz)
     t1: float
     beta1: float
@@ -314,11 +330,22 @@ class TempFitParams:
     beta2: float | None = None
     t_star: float | None = None
 
+    def __post_init__(self):
+        if len({v is None for v in (self.t2, self.beta2, self.t_star)}) > 1:
+            raise DomainError("t2, beta2 and t_star must be given together")
+        for name in ("t1", "t2", "t_star") if self.piecewise else ("t1",):
+            require_above(getattr(self, name), name)
+        for f_hz, g0 in self.gamma0.items():
+            require_above(f_hz, "gamma0 frequency")
+            require_above(g0, f"gamma0 at {f_hz:g} Hz")
+
     @property
     def piecewise(self) -> bool:
         return self.t_star is not None
 
     def __call__(self, t, f_secular: float):
+        if f_secular not in self.gamma0:
+            raise DomainError(f"no gamma0 at {f_secular} Hz, only at {sorted(self.gamma0)}")
         g0 = self.gamma0[f_secular]
         if self.piecewise:
             return model_gamma2(
@@ -516,11 +543,14 @@ SURFACE_MODELS = {  # S_E(T)
         lambda t, s_e0, beta, t0: s_e0 * (1.0 + t / t0) ** beta,
         ("s_e0", "beta", "t0"),
         (True, False, True),
+        positive=("s_e0", "t0"),
     ),
     "arrhenius": SurfaceModel(  # S_E0 + S_ET exp(-T0/T)
         lambda t, s_e0, s_et, t0: s_e0 + s_et * np.exp(-t0 / t),
         ("s_e0", "s_et", "t0"),
         (True, True, True),
+        positive=("s_et", "t0"),
+        nonnegative=("s_e0",),  # a constant offset may vanish
     ),
 }
 
@@ -737,6 +767,7 @@ def synth_surface(
     """(T, S_E, sigma) tuples from a surface-noise model plus relative noise."""
     if kind not in SURFACE_MODELS:
         raise DomainError(f"unknown surface model {kind!r}")
+    params = SURFACE_MODELS[kind].check(params)
     require_above(noise_frac, "noise_frac", or_equal=True)
     rng = np.random.default_rng(seed)
     out = []

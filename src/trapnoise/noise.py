@@ -140,6 +140,12 @@ def skin_depth(rho: float, omega: float) -> float:
     return float(np.sqrt(2.0 * rho / (omega * CONSTANTS.mu0)))
 
 
+def _require_conductor(material, what: str) -> None:
+    if not isinstance(material, Conductor):  # a lead's resistance reads material.rho
+        raise DomainError(f"{what} material {getattr(material, 'name', material)!r} "
+                          "must be a conductor with a resistivity table")
+
+
 @dataclass(frozen=True)
 class RectTrace:
     """Rectangular conductor trace; current crowds into a skin-depth shell."""
@@ -153,6 +159,7 @@ class RectTrace:
         require_above(self.width, "trace width")
         require_above(self.thickness, "trace thickness")
         require_above(self.length, "trace length")
+        _require_conductor(self.material, "trace")
 
     def resistance(self, omega: float, temperature: float) -> float:
         rho = self.material.rho.lookup(temperature)
@@ -176,6 +183,7 @@ class WireBond:
         require_above(self.diameter, "bond diameter")
         require_above(self.length, "bond length")
         require_above(self.multiplicity, "multiplicity", 1, or_equal=True)
+        _require_conductor(self.material, "bond")
 
     def resistance_single(self, omega: float, temperature: float) -> float:
         rho = self.material.rho.lookup(temperature)

@@ -244,6 +244,7 @@ _LATE_FLAG_FAULTS = [
     (["synth", "--model", "gamma2", "--temps", "0,20"], "temps"),
     (["jnn", "--temps=-1"], "temps"),
     (["synth", "--model", "gamma1", "--freqs", "0"], "--freqs"),
+    (["synth", "--model", "gamma2", "--freqs", "2e6"], "--freqs"),
 ]
 
 
@@ -849,10 +850,15 @@ def test_missing_data_file_exits_data(tmp_path):
          "[electrode:DC] copies must be >= 1, got -3\n"),
         ("jnn", ("circuits", "ybco-trap"), "bonds = 2", "bonds = 1" + "0" * 400,
          "[electrode:CC] bonds must be finite"),
+        ("jnn", ("circuits", "ybco-trap"), "cu 300e-6", "ybco 300e-6",
+         "[lead:standard] trace material 'ybco' must be a conductor"),
+        ("jnn", ("circuits", "ybco-trap"), "au 25e-6 1e-2", "ybco 25e-6 1e-2",
+         "[lead:standard] bond material 'ybco' must be a conductor"),
     ],
     ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan",
          "sc-zero-reference-frequency", "sc-negative-residual", "zero-bonds",
-         "negative-copies", "bonds-past-float-range"],
+         "negative-copies", "bonds-past-float-range", "trace-superconductor",
+         "bond-superconductor"],
 )
 def test_config_value_faults_exit_config(
     command, config, old, new, section, tmp_path, capsys
@@ -870,22 +876,27 @@ def test_config_value_faults_exit_config(
 
 
 _BAD_SYNTH_PARAMS = [
-    ("gamma2", "temp-piecewise", "t1_K = 46.2", "t1_K = -5", "[temp-model] t1_K"),
-    ("gamma2", "temp-piecewise", "t2_K = 102.9", "t2_K = 0", "[temp-model] t2_K"),
+    ("gamma2", "temp-piecewise", "t1_K = 46.2", "t1_K = -5",
+     "[temp-model] t1 must be > 0"),
+    ("gamma2", "temp-piecewise", "t2_K = 102.9", "t2_K = 0",
+     "[temp-model] t2 must be > 0"),
     ("gamma2", "temp-piecewise", "t_star_K = 92.5", "t_star_K = -5",
-     "[temp-model] t_star_K"),
+     "[temp-model] t_star must be > 0"),
     ("gamma2", "temp-piecewise", "0.4e6 3.76", "0.4e6 -3.76",
-     "[temp-model] gamma0_phps at 400000 Hz"),
+     "[temp-model] gamma0 at 400000 Hz"),
     ("gamma2", "temp-piecewise", "0.4e6 3.76", "-0.4e6 3.76",
-     "[temp-model] gamma0_phps frequency"),
-    ("power", "surface-power", "t0_K = 32.0", "t0_K = -50", "[surface-model] t0_K"),
+     "[temp-model] gamma0 frequency"),
+    ("gamma1", "temp-simple", "beta1 = 1.69", "beta1 = 1.69\nt2_K = 50",
+     "[temp-model] t2, beta2 and t_star must be given together"),
+    ("power", "surface-power", "t0_K = 32.0", "t0_K = -50",
+     "[surface-model] t0 must be > 0"),
     ("power", "surface-power", "s_e0 = 3.7e-15", "s_e0 = 0", "[surface-model] s_e0"),
     ("arrhenius", "surface-arrhenius", "s_e0 = 4.7e-15", "s_e0 = -4.7e-15",
      "[surface-model] s_e0"),
     ("arrhenius", "surface-arrhenius", "s_et = 2.1e-13", "s_et = 0",
      "[surface-model] s_et"),
     ("arrhenius", "surface-arrhenius", "t0_K = 169.0", "t0_K = -169",
-     "[surface-model] t0_K"),
+     "[surface-model] t0 must be > 0"),
 ]
 
 

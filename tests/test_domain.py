@@ -2,6 +2,7 @@
 argument through ``require_above`` rejects NaN and +-inf by name."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from trapnoise.constants import (
     require_above,
 )
 from trapnoise.inference import (
+    SURFACE_MODELS,
     HeatingDataset,
     HeatingRecord,
     TempFitParams,
@@ -55,6 +57,15 @@ REGION = PlaneRegion((-1e-4, 1e-4, -1e-4, 1e-4))
 
 def _ybco(lambda0=150e-9, tc=89.0, sigma_n=1.8e6):
     return TwoFluidSC(lambda0, tc, sigma_n, TABLE)
+
+
+def _surface(kind, name):
+    """synth_surface of ``kind`` with parameter ``name`` set to the value."""
+    params = {"s_e0": 1e-15, "beta": 2.0, "s_et": 1e-13, "t0": 20.0}
+    names = SURFACE_MODELS[kind].names
+    return lambda v: synth_surface(
+        kind, {n: v if n == name else params[n] for n in names}, [20.0], 0.1, 1
+    )
 
 
 # (argument name in the message, call with the value under test)
@@ -148,6 +159,19 @@ SITES = {
         "noise_frac",
         lambda v: synth_surface("power", {"s_e0": 1e-15, "beta": 2.0, "t0": 20.0}, [20.0], v, 1),
     ),
+    "TempFitParams.t1": ("t1", lambda v: TempFitParams({1e6: 1.0}, v, 1.0)),
+    "TempFitParams.t2": ("t2", lambda v: replace(PIECEWISE, t2=v)),
+    "TempFitParams.t_star": ("t_star", lambda v: replace(PIECEWISE, t_star=v)),
+    "TempFitParams.gamma0.frequency": (
+        "gamma0 frequency",
+        lambda v: TempFitParams({v: 1.0}, 20.0, 1.0),
+    ),
+    "TempFitParams.gamma0": ("gamma0 at 1e+06 Hz", lambda v: TempFitParams({1e6: v}, 20.0, 1.0)),
+    **{
+        f"synth_surface.{kind}.{name}": (name, _surface(kind, name))
+        for kind, names in (("power", ("s_e0", "t0")), ("arrhenius", ("s_e0", "s_et", "t0")))
+        for name in names
+    },
 }
 
 
@@ -182,3 +206,44 @@ def test_require_above_bounds_and_messages():
         with pytest.raises(DomainError) as err:
             require_above(value, "x", lo, or_equal=or_equal)
         assert str(err.value) == message
+
+
+_YBCO = _ybco()
+
+# direct library calls that the config loaders rejected before the checks
+# moved into the types they build
+_REJECTED = {
+    "arrhenius-negative-s_et": (
+        "^s_et must be > 0, got -2.0$",
+        lambda: synth_surface("arrhenius", {"s_e0": 1.0, "s_et": -2.0, "t0": 30.0},
+                              [10, 20, 50], 0.1, 1),
+    ),
+    "power-negative-t0": (
+        "^t0 must be > 0, got -30.0$",
+        lambda: synth_surface("power", {"s_e0": 1.0, "beta": 2.0, "t0": -30.0},
+                              [10, 20, 50], 0.1, 1),
+    ),
+    "negative-t1": (
+        "^t1 must be > 0, got -5.0$",
+        lambda: TempFitParams({1e6: 1.0}, t1=-5.0, beta1=1.0),
+    ),
+    "t_star-without-t2": (
+        "^t2, beta2 and t_star must be given together$",
+        lambda: TempFitParams({1e6: 1.0}, 20.0, 1.0, t_star=30.0),
+    ),
+    "trace-on-a-superconductor": (
+        "^trace material 'superconductor' must be a conductor",
+        lambda: RectTrace(1e-4, 1e-5, 1e-2, _YBCO),
+    ),
+    "bond-on-a-superconductor": (
+        "^bond material 'superconductor' must be a conductor",
+        lambda: WireBond(25e-6, 1e-3, _YBCO),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_parameter_types_reject_what_the_config_loaders_rejected(case):
+    message, call = _REJECTED[case]
+    with pytest.raises(DomainError, match=message):
+        call()

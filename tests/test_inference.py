@@ -241,6 +241,15 @@ def test_temp_params_callable_dispatch():
     assert PIECEWISE.piecewise is True
 
 
+def test_a_frequency_without_gamma0_is_a_domain_error():
+    params = TempFitParams({1e6: 1.0}, 20.0, 1.0)
+    message = r"^no gamma0 at 2000000.0 Hz, only at \[1000000.0\]$"
+    with pytest.raises(DomainError, match=message):
+        params(20.0, 2e6)
+    with pytest.raises(DomainError, match=message):
+        synth_dataset("gamma1", params, [20.0], [1e6, 2e6], 0.1, seed=1)
+
+
 def test_information_criteria_identity():
     rss, n, m = 136.0, 54, 8
     score = information_criteria(rss, n, m)
@@ -518,6 +527,15 @@ def test_surface_wrong_model_is_rejected():
     fits = fit_surface_models(curve)
     assert fits.arrhenius.p_value < 1e-6
     assert fits.power.p_value > fits.arrhenius.p_value
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("power", {"s_e0": 1e-15, "t0": 20.0}, "beta"),
+    ("arrhenius", {"s_e0": 1e-15, "t0": 20.0}, "s_et"),
+])
+def test_a_missing_surface_parameter_is_a_domain_error(kind, params, name):
+    with pytest.raises(DomainError, match=f"^missing parameter {name} "):
+        synth_surface(kind, params, [20.0], 0.1, seed=1)
 
 
 def test_surface_fit_validation():
