@@ -51,6 +51,7 @@ import numpy as np
 
 from . import __version__
 from .configio import (
+    TEMP_KEYS,
     load_configs,
     load_synth_params,
     make_manifest,
@@ -75,6 +76,7 @@ EXIT_DATA = DataFileError.exit_code
 EXIT_NUMERIC = TrapnoiseError.exit_code
 
 _DEFAULT_TEMPS = "15,40,60,80,90,100,120,160,200"
+_MAX_GRID = 100_000  # grid points after a lo:hi:n token; documented grids have <= 25
 
 # metres per unit of the length flags, and rad/s per Hz of the frequency flags
 _UM = 1e-6
@@ -130,8 +132,9 @@ def parse_grid(text: str, name: str = "grid", lo: float = 0.0, *,
                 start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ConfigFileError(f"bad grid token {token!r}: {exc}") from exc
-            if n < 1:
-                raise ConfigFileError(f"grid count must be >= 1 in {token!r}")
+            room = _MAX_GRID - len(values)
+            if not 1 <= n <= room:
+                raise ConfigFileError(f"grid count must be 1 to {room} in {token!r}")
             values.extend(float(v) for v in np.linspace(start, stop, n))
         else:
             try:
@@ -205,16 +208,10 @@ def cmd_jnn(args):
 
 
 def _temp_fit_dict(fit) -> dict:
-    p = fit.params
-    out = {
-        "gamma0_phps": {repr(f): g for f, g in sorted(p.gamma0.items())},
-        "t1_K": p.t1,
-        "beta1": p.beta1,
-    }
-    if p.piecewise:
-        out.update({"t2_K": p.t2, "beta2": p.beta2, "t_star_K": p.t_star})
+    values = {name: getattr(fit.params, name) for name in TEMP_KEYS}
+    values["gamma0"] = {repr(f): g for f, g in sorted(values["gamma0"].items())}
     return {
-        "params": out,
+        "params": {TEMP_KEYS[n]: v for n, v in values.items() if v is not None},
         "errors": dict(fit.global_errors),
         "score": asdict(fit.score),
     }
@@ -325,11 +322,10 @@ def cmd_zeta(args):
 
     inputs, configs = load_configs(args.config, ("scene",))
     scene = configs["scene"]
-    if all(region.name != args.target for region in scene.regions):
-        names = ", ".join(region.name for region in scene.regions)
-        raise ConfigFileError(
-            f"target region '{args.target}' not in scene (regions: {names})"
-        )
+    try:
+        scene.region(args.target)
+    except DomainError as exc:
+        raise ConfigFileError(f"--target: {exc}") from None
     ratios = parse_grid(args.f_ratios, "--f-ratios", or_equal=True)
     patch_size = args.patch_um * _UM
 

@@ -21,8 +21,9 @@ this package writes embeds the dict of :func:`make_manifest` -- as a
 ``# manifest:`` comment line in CSVs and as a top-level ``"manifest"`` field
 in JSON reports -- so outputs are traceable and reruns byte-identical.
 
-Each loader only parses; the library types it builds check the values.  It
-imports them when it runs, so it loads only :mod:`~trapnoise.constants` of the package.
+Each loader only parses: the types it builds check the values (``PatchScene``
+also normalises the axis), and :data:`TEMP_KEYS` alone spells the temperature
+keys.  Loaders import those types when run, loading only :mod:`~trapnoise.constants`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "write_json_report",
     "format_value",
     "HEATING_COLUMNS",
+    "TEMP_KEYS",
 ]
 
 HEATING_COLUMNS = ("T_K", "f_Hz", "gamma_phps", "sigma_phps")
@@ -536,7 +538,7 @@ def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeMod
 
 
 def load_scene(path) -> PatchScene:
-    """Patch scene from a ``[scene]`` section plus ``[region:NAME]`` rectangles."""
+    """Patch scene of ``[scene]`` and ``[region:NAME]`` sections, its axis as given."""
     from .patches import PatchScene, PlaneRegion
 
     parser = _read_ini(path)
@@ -544,11 +546,7 @@ def load_scene(path) -> PatchScene:
     with sec:
         height = sec.floatval("ion_height_m", required=True)
         ion_xy = (sec.floatval("ion_x_m", 0.0), sec.floatval("ion_y_m", 0.0))
-        ax = sec.floatval("axial_x", 1.0)
-        ay = sec.floatval("axial_y", 0.0)
-        norm = math.hypot(ax, ay)
-        if norm == 0.0:
-            raise sec.error("axial direction must be non-zero")
+        axial = (sec.floatval("axial_x", 1.0), sec.floatval("axial_y", 0.0))
         sec.finish()
 
         regions = []
@@ -562,10 +560,7 @@ def load_scene(path) -> PatchScene:
         if not regions:
             raise ConfigFileError(f"{path}: no [region:NAME] sections found")
         return PatchScene(
-            regions=tuple(regions),
-            ion_height=height,
-            ion_xy=ion_xy,
-            axial_dir=(ax / norm, ay / norm),
+            regions=tuple(regions), ion_height=height, ion_xy=ion_xy, axial_dir=axial
         )
 
 
@@ -573,11 +568,16 @@ def load_scene(path) -> PatchScene:
 # synthetic-model parameter files
 
 
+# the [temp-model] and fit-report key of each TempFitParams field, in report order
+TEMP_KEYS = {"gamma0": "gamma0_phps", "t1": "t1_K", "beta1": "beta1",
+             "t2": "t2_K", "beta2": "beta2", "t_star": "t_star_K"}
+
+
 def load_temp_params(path) -> TempFitParams:
     """Temperature-model parameters from a ``[temp-model]`` section.
 
-    ``gamma0_phps`` lists one ``f_Hz gamma0`` pair per line, each frequency
-    once; the piecewise keys are ``t2_K``, ``beta2`` and ``t_star_K``.
+    :data:`TEMP_KEYS` spells the keys; ``gamma0_phps`` lists one ``f_Hz gamma0``
+    pair per line, each frequency once, and the piecewise keys are optional.
     :class:`~trapnoise.inference.TempFitParams` checks the values.
     """
     from .inference import TempFitParams
@@ -585,16 +585,16 @@ def load_temp_params(path) -> TempFitParams:
     parser = _read_ini(path)
     sec = _single_section(parser, path, "temp-model")
     with sec:
-        t1, beta1 = (sec.floatval(key, required=True) for key in ("t1_K", "beta1"))
-        piece = [sec.floatval(key) for key in ("t2_K", "beta2", "t_star_K")]
-        pairs = sec.floats("gamma0_phps", "f_Hz gamma0", required=True)
+        shape = {name: sec.floatval(key, required=name in ("t1", "beta1"))
+                 for name, key in TEMP_KEYS.items() if name != "gamma0"}
+        pairs = sec.floats(TEMP_KEYS["gamma0"], "f_Hz gamma0", required=True)
         sec.finish()
         gamma0 = {}
         for f_hz, g0 in pairs:
             if f_hz in gamma0:
-                raise sec.error(f"gamma0_phps: duplicate frequency {f_hz} Hz")
+                raise sec.error(f"{TEMP_KEYS['gamma0']}: duplicate frequency {f_hz} Hz")
             gamma0[f_hz] = g0
-        return TempFitParams(gamma0, t1, beta1, *piece)
+        return TempFitParams(gamma0, **shape)
 
 
 def load_surface_params(path, kind: str) -> dict[str, float]:
@@ -664,7 +664,8 @@ def load_synth_params(path, model: str):
         return path, load_surface_params(path, model)
     params = load_temp_params(path)
     if model == "gamma2" and not params.piecewise:
-        raise ConfigFileError(f"{path}: gamma2 needs t2_K, beta2, t_star_K")
+        keys = ", ".join(TEMP_KEYS[name] for name in ("t2", "beta2", "t_star"))
+        raise ConfigFileError(f"{path}: gamma2 needs {keys}")
     return path, params
 
 

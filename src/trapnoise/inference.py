@@ -162,7 +162,7 @@ def _fit(predict, y, sigma, starts, logged) -> tuple[FitResult, tuple, tuple]:
 class SurfaceModel:
     """y(x) = formula(x, *params) with the parameters in ``names`` order;
     those flagged in ``logged`` are fitted as logarithms.  Given values must
-    be > 0 if ``positive`` names them and >= 0 if ``nonnegative`` does."""
+    be finite, > 0 if ``positive`` names them and >= 0 if ``nonnegative`` does."""
 
     formula: Callable
     names: tuple[str, ...]
@@ -179,8 +179,8 @@ class SurfaceModel:
         for name in self.names:
             if name not in params:
                 raise DomainError(f"missing parameter {name} (of {', '.join(self.names)})")
-            if name in self.positive or name in self.nonnegative:
-                require_above(params[name], name, or_equal=name in self.nonnegative)
+            lo = 0.0 if name in self.positive + self.nonnegative else -math.inf
+            require_above(params[name], name, lo, or_equal=name in self.nonnegative)
         return params
 
 
@@ -321,7 +321,7 @@ def model_gamma2(t, gamma0, t1, beta1, t2, beta2, t_star):
 @dataclass(frozen=True)
 class TempFitParams:
     """Gamma1's parameters, and Gamma2's if ``t2``, ``beta2`` and ``t_star``
-    (all or none) are given; temperatures, Gamma0s and frequencies are > 0."""
+    (all or none) are given; temperatures, Gamma0s, frequencies > 0, exponents finite."""
 
     gamma0: dict[float, float]  # per secular frequency (Hz)
     t1: float
@@ -333,8 +333,8 @@ class TempFitParams:
     def __post_init__(self):
         if len({v is None for v in (self.t2, self.beta2, self.t_star)}) > 1:
             raise DomainError("t2, beta2 and t_star must be given together")
-        for name in ("t1", "t2", "t_star") if self.piecewise else ("t1",):
-            require_above(getattr(self, name), name)
+        for name in list(_SHAPE)[: 5 if self.piecewise else 2]:  # betas: finite only
+            require_above(getattr(self, name), name, -math.inf if "beta" in name else 0.0)
         for f_hz, g0 in self.gamma0.items():
             require_above(f_hz, "gamma0 frequency")
             require_above(g0, f"gamma0 at {f_hz:g} Hz")

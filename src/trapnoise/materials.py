@@ -42,10 +42,11 @@ class ResistivityTable:
         t, r = self.temperatures, self.resistivities
         if len(t) != len(r) or len(t) < 2:
             raise DomainError("table needs >= 2 (T, rho) pairs of equal length")
+        for temp, rho in zip(t, r):
+            require_above(temp, f"temperature in table {self.label!r}", -math.inf)
+            require_above(rho, f"resistivity in table {self.label!r}")
         if not all(b > a for a, b in zip(t, t[1:])):
             raise DomainError(f"temperatures must be strictly increasing: {self.label}")
-        for x in r:
-            require_above(x, f"resistivity in table {self.label!r}")
 
     @classmethod
     def from_pairs(cls, pairs, label: str = "") -> "ResistivityTable":

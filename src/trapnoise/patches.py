@@ -62,6 +62,8 @@ class PlaneRegion:
     name: str = ""
 
     def __post_init__(self):
+        for v in self.rect:
+            require_above(v, "region rect", -math.inf)
         x0, x1, y0, y1 = self.rect
         if not (x1 > x0 and y1 > y0):
             raise DomainError(f"degenerate region rect {self.rect}")
@@ -76,7 +78,7 @@ def _overlaps(a: PlaneRegion, b: PlaneRegion) -> bool:
 
 @dataclass(frozen=True)
 class PatchScene:
-    """Disjoint surface regions plus the ion pose above the plane."""
+    """Disjoint surface regions plus the ion pose above the plane, axis normalised."""
 
     regions: tuple[PlaneRegion, ...]
     ion_height: float
@@ -88,8 +90,8 @@ class PatchScene:
         if not all(map(math.isfinite, self.ion_xy)):
             raise DomainError(f"ion position must be finite, got {self.ion_xy}")
         norm = math.hypot(*self.axial_dir)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise DomainError(f"axial_dir must be a unit vector, |v| = {norm}")
+        require_above(norm, "|axial_dir|")  # NaN, inf and 0 fail here
+        object.__setattr__(self, "axial_dir", tuple(v / norm for v in self.axial_dir))
         for i, a in enumerate(self.regions):
             for b in self.regions[i + 1:]:
                 if a.name == b.name:

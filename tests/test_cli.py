@@ -16,6 +16,7 @@ from trapnoise.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
+    _MAX_GRID,
     build_parser,
     main,
     parse_grid,
@@ -71,6 +72,23 @@ def test_parse_grid_forms():
         parse_grid("10:40:0")
     with pytest.raises(ConfigFileError):
         parse_grid("ten,twenty")
+
+
+@pytest.mark.parametrize("n", [_MAX_GRID + 1, 10**20])
+def test_parse_grid_rejects_a_count_past_its_bound_before_allocating(n):
+    # only counts rejected before np.linspace: an allowed huge count would
+    # build its list of floats
+    with pytest.raises(ConfigFileError, match=f"^grid count must be 1 to {_MAX_GRID} in "):
+        parse_grid(f"0:1:{n}")
+
+
+def test_parse_grid_bounds_the_points_of_all_its_tokens():
+    # each token alone is in bound; the second would take the grid past it
+    half = _MAX_GRID // 2 + 1
+    message = f"^grid count must be 1 to {_MAX_GRID - half} in '3:4:{half}'"
+    with pytest.raises(ConfigFileError, match=message):
+        parse_grid(f"1:2:{half},3:4:{half}")
+    assert len(parse_grid(f"1:2:{half},3:4:{_MAX_GRID - half}")) == _MAX_GRID
 
 
 @pytest.mark.parametrize(
@@ -245,6 +263,9 @@ _LATE_FLAG_FAULTS = [
     (["jnn", "--temps=-1"], "temps"),
     (["synth", "--model", "gamma1", "--freqs", "0"], "--freqs"),
     (["synth", "--model", "gamma2", "--freqs", "2e6"], "--freqs"),
+    (["zeta", "--f-ratios", f"0:1:{_MAX_GRID + 1}"], "grid count"),
+    (["zeta", "--f-ratios", "0:1:100000000000000000000"], "grid count"),
+    (["fdt", "--temps", "10:20:100000000000000000000"], "grid count"),
 ]
 
 
@@ -260,7 +281,7 @@ def test_flag_fault_exits_config_before_computing(
 
     # the commands import their library entry points when they run
     for name in ("noise.fdt_noise", "noise.jnn_budget", "inference.synth_dataset",
-                 "inference.synth_surface"):
+                 "inference.synth_surface", "patches.zeta"):
         monkeypatch.setattr(f"trapnoise.{name}", never)
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
@@ -796,7 +817,7 @@ def test_zeta_empty_region_name_is_config_error(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-def test_zeta_unknown_target_is_config_error(tmp_path):
+def test_zeta_unknown_target_is_config_error(tmp_path, capsys):
     rc = main(
         [
             "zeta",
@@ -809,6 +830,18 @@ def test_zeta_unknown_target_is_config_error(tmp_path):
         ]
     )
     assert rc == EXIT_CONFIG
+    assert "--target: no region named 'gold' (regions: ybco, " in capsys.readouterr().err
+
+
+def test_zero_scene_axis_exits_config_naming_file_and_section(tmp_path, capsys):
+    text = packaged_config("scenes", "ybco-chip").read_text()
+    assert "axial_x = 1.0" in text
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(text.replace("axial_x = 1.0", "axial_x = 0"))
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{cfg}: [scene] |axial_dir| must be > 0, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

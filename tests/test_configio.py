@@ -398,8 +398,11 @@ def test_scene_inline_comments_and_case(tmp_path):
         ("ion_height_m = 1e-4\n",
          "[region:a]\nrect_m = 0 1e-4 0 1e-4\n\n[region:b]\nrect_m = 5e-5 2e-4 0 1e-4\n",
          "[scene] regions 'a' and 'b' overlap"),
+        ("ion_height_m = 1e-4\naxial_x = 0\naxial_y = 0\n",
+         "[region:a]\nrect_m = 0 1e-4 0 1e-4\n",
+         "[scene] |axial_dir| must be > 0, got 0.0"),
     ],
-    ids=["negative-height", "overlap"],
+    ids=["negative-height", "overlap", "zero-axis"],
 )
 def test_scene_faults_name_the_scene_section(scene, regions, message, tmp_path):
     path = tmp_path / "bad.cfg"

@@ -78,6 +78,10 @@ SITES = {
         "resistivity in table 'gold'",
         lambda v: ResistivityTable((10.0, 20.0), (1e-9, v), "gold"),
     ),
+    "ResistivityTable.temperatures": (
+        "temperature in table 'gold'",
+        lambda v: ResistivityTable((10.0, v), (1e-9, 2e-9), "gold"),
+    ),
     "LossyDielectric.eps_r": ("eps_r", lambda v: LossyDielectric(v, 0.0)),
     "LossyDielectric.tan_delta": ("tan_delta", lambda v: LossyDielectric(9.4, v)),
     "Conductor.permittivity.omega": ("omega", lambda v: GOLD.permittivity(v, 20.0)),
@@ -133,6 +137,7 @@ SITES = {
         "temperature",
         lambda v: jnn_budget([ElectrodeModel("E", 1e-4, 1e-3, 1e-4)], 1e6, v),
     ),
+    "PlaneRegion.rect": ("region rect", lambda v: PlaneRegion((v, 1e-4, -1e-4, 1e-4))),
     "PlaneRegion.weight": ("region weight", lambda v: PlaneRegion((0.0, 1.0, 0.0, 1.0), v)),
     "PatchScene.ion_height": ("ion height", lambda v: PatchScene((), v)),
     "region_noise_integral.patch_size": (
@@ -160,7 +165,9 @@ SITES = {
         lambda v: synth_surface("power", {"s_e0": 1e-15, "beta": 2.0, "t0": 20.0}, [20.0], v, 1),
     ),
     "TempFitParams.t1": ("t1", lambda v: TempFitParams({1e6: 1.0}, v, 1.0)),
+    "TempFitParams.beta1": ("beta1", lambda v: TempFitParams({1e6: 1.0}, 20.0, v)),
     "TempFitParams.t2": ("t2", lambda v: replace(PIECEWISE, t2=v)),
+    "TempFitParams.beta2": ("beta2", lambda v: replace(PIECEWISE, beta2=v)),
     "TempFitParams.t_star": ("t_star", lambda v: replace(PIECEWISE, t_star=v)),
     "TempFitParams.gamma0.frequency": (
         "gamma0 frequency",
@@ -169,8 +176,8 @@ SITES = {
     "TempFitParams.gamma0": ("gamma0 at 1e+06 Hz", lambda v: TempFitParams({1e6: v}, 20.0, 1.0)),
     **{
         f"synth_surface.{kind}.{name}": (name, _surface(kind, name))
-        for kind, names in (("power", ("s_e0", "t0")), ("arrhenius", ("s_e0", "s_et", "t0")))
-        for name in names
+        for kind, model in SURFACE_MODELS.items()
+        for name in model.names
     },
 }
 

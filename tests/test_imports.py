@@ -29,13 +29,14 @@ def test_light_modules_load_no_numpy_and_no_other_module(module, needs):
 
 
 # a fresh interpreter runs one command (none: a bare import) and prints the
-# trapnoise modules it loaded, plus numpy.ma, which costs about 13 ms
+# trapnoise modules it loaded, plus numpy.ma, which costs about 13 ms, and
+# any scipy module: scipy is a test dependency, so no command may load it
 _CLI_PROBE = """
 import json, sys
 from trapnoise.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("trapnoise.") or m == "numpy.ma")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("trapnoise.")
+                               or m == "numpy.ma" or m.split(".")[0] == "scipy")]))
 """
 
 _BASE = ["cli", "configio", "constants"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapnoise.configio import load_temp_params, packaged_config
 from trapnoise.constants import (
     DomainError,
     heating_rate_from_noise,
@@ -19,6 +20,7 @@ from trapnoise.constants import (
 from trapnoise.inference import (
     OMEGA0,
     SURFACE_MODELS,
+    FitRangeWarning,
     HeatingDataset,
     HeatingRecord,
     IllConditionedWarning,
@@ -380,6 +382,17 @@ def test_piecewise_fit_failing_from_every_start_fails(monkeypatch):
     with pytest.raises(FitFailure, match="failed from all starts"):
         _failing_starts(set(range(1, 9)), FitFailure("injected", None, 1.0, 0),
                         monkeypatch)
+
+
+def test_piecewise_fit_warns_when_t_star_leaves_the_data_range():
+    # simple-model data on an uneven grid: the piecewise optimum puts T* past 290 K
+    temps = [24.5, 24.7, 71.6, 76.3, 81.4, 106.6, 131.9, 170.9, 253.2, 267.0, 290.0]
+    params = load_temp_params(packaged_config("synth", "temp-simple"))
+    data = synth_dataset("gamma1", params, temps, [4e5], 0.5, 12)
+    message = r"^T\* = 349\.1 K lies outside the data range \[24\.5, 290\.0\] K$"
+    with pytest.warns(FitRangeWarning, match=message):
+        comparison = fit_temperature_models(data)
+    assert comparison.piecewise.params.t_star > max(temps)
 
 
 def test_simple_fit_failure_propagates(monkeypatch):

@@ -409,24 +409,27 @@ def test_scene_rejects_a_repeated_region_name():
         )
 
 
-def test_scene_rejects_non_unit_axial_direction():
-    with pytest.raises(DomainError):
-        PatchScene(
-            regions=(PlaneRegion((-1e-3, 1e-3, -1e-3, 1e-3), name="a"),),
-            ion_height=H,
-            axial_dir=(1.0, 1.0),
-        )
+def test_scene_normalises_a_non_unit_axial_direction():
+    region = PlaneRegion((-1e-3, 1e-3, -1e-3, 1e-3), name="a")
+    assert PatchScene((region,), H, axial_dir=(3.0, 4.0)).axial_dir == (0.6, 0.8)
+    assert PatchScene((region,), H, axial_dir=[0.0, -2.5]).axial_dir == (0.0, -1.0)
+    # a unit axis keeps its bits, and so does a scene rebuilt by replace
+    scene = PatchScene((region,), H, axial_dir=(0.6, 0.8))
+    assert replace(scene, ion_height=2 * H).axial_dir == (0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "axial", [(0.0, 0.0), (-0.0, 0.0), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)]
+)
+def test_scene_rejects_a_zero_or_non_finite_axial_direction(axial):
+    with pytest.raises(DomainError, match=r"^\|axial_dir\| must be (> 0|finite)"):
+        PatchScene(regions=(), ion_height=H, axial_dir=axial)
 
 
 @pytest.mark.parametrize("ion_xy", [(0.0, math.inf), (math.nan, 0.0)])
 def test_scene_rejects_a_non_finite_ion_position(ion_xy):
     with pytest.raises(DomainError, match="ion position must be finite"):
         PatchScene(regions=(), ion_height=H, ion_xy=ion_xy)
-
-
-def test_scene_rejects_a_nan_axial_direction():
-    with pytest.raises(DomainError, match="unit vector"):
-        PatchScene(regions=(), ion_height=H, axial_dir=(math.nan, 0.0))
 
 
 def test_scene_region_lookup():
