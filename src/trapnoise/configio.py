@@ -21,9 +21,10 @@ this package writes embeds the dict of :func:`make_manifest` -- as a
 ``# manifest:`` comment line in CSVs and as a top-level ``"manifest"`` field
 in JSON reports -- so outputs are traceable and reruns byte-identical.
 
-Each loader only parses: the types it builds check the values (``PatchScene``
-also normalises the axis), and :data:`TEMP_KEYS` alone spells the temperature
-keys.  Loaders import those types when run, loading only :mod:`~trapnoise.constants`.
+Each loader only parses: the types it builds check the values (``ElectrodeModel``
+its ``bonds``, ``FilmSheet`` its material, ``PatchScene`` its axis), and
+:data:`TEMP_KEYS` alone spells the temperature keys.  Loaders import those
+types when run, loading only :mod:`~trapnoise.constants`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -449,7 +449,7 @@ def _build_lead(sec: _Section, materials) -> LeadModel:
                         _resolve_material(sec, materials, mat))
     contact = sec.floatval("contact_r_ohm", 0.0)
     sec.finish()
-    return LeadModel(pcb_trace=trace, wire_bond=bond, contact_r_per_bond=contact)
+    return LeadModel(trace, bond, contact)
 
 
 def _named(sec: _Section, key: str, known: dict, default):
@@ -482,29 +482,12 @@ def _build_electrodes(
     lead = _named(sec, "lead", leads, LeadModel())
     filt = _named(sec, "filter", filters, None)
     bonds = sec.intval("bonds", 1)
-    require_above(bonds, "bonds", 1, or_equal=True)
-    if bonds > 1:
-        if lead.wire_bond is None:
-            raise sec.error("bonds > 1 requires a lead with a bond wire")
-        lead = replace(
-            lead, wire_bond=replace(lead.wire_bond, multiplicity=bonds)
-        )
     copies = sec.intval("copies", 1)
-    require_above(copies, "copies", 1, or_equal=True)
+    require_above(copies, "copies", 1, or_equal=True)  # expanding a section is parsing
     sec.finish()
     names = [name] if copies == 1 else [f"{name}{i}" for i in range(1, copies + 1)]
-    return [
-        ElectrodeModel(
-            name=elec_name,
-            characteristic_distance=distance,
-            strip_length=strip_length,
-            strip_width=strip_width,
-            films=films,
-            lead=lead,
-            filter=filt,
-        )
-        for elec_name in names
-    ]
+    return [ElectrodeModel(n, distance, strip_length, strip_width, films, lead, filt, bonds)
+            for n in names]
 
 
 def load_circuit(path, materials: dict[str, MaterialModel]) -> list[ElectrodeModel]:

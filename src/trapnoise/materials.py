@@ -175,13 +175,16 @@ MaterialModel = Vacuum | Conductor | TwoFluidSC | LossyDielectric
 
 @dataclass(frozen=True)
 class FilmSheet:
-    """A thin film of a given material, for sheet-resistance budgets."""
+    """A thin conductor or superconductor film, for sheet-resistance budgets."""
 
-    material: MaterialModel
+    material: Conductor | TwoFluidSC
     thickness: float  # m
 
     def __post_init__(self):
         require_above(self.thickness, "thickness")
+        if not isinstance(mat := self.material, (Conductor, TwoFluidSC)):
+            raise DomainError(f"film material {getattr(mat, 'name', mat)!r} "
+                              "must be a conductor or a superconductor")
 
 
 def london_depth(lambda0: float, Tc: float, temperature: float) -> float:
@@ -209,20 +212,18 @@ def sheet_resistance(film: FilmSheet, temperature: float, omega: float) -> float
     """
     mat = film.material
     if isinstance(mat, Conductor):
-        rho = mat.rho
-    elif isinstance(mat, TwoFluidSC) and temperature >= mat.Tc:
-        rho = mat.rho_normal
-    elif isinstance(mat, TwoFluidSC):
-        return mat.sc_sheet.sheet_resistance(omega)
-    else:
-        raise DomainError(f"sheet resistance undefined for material {mat!r}")
-    return rho.lookup(temperature) / film.thickness
+        return mat.rho.lookup(temperature) / film.thickness
+    if temperature >= mat.Tc:
+        return mat.rho_normal.lookup(temperature) / film.thickness
+    return mat.sc_sheet.sheet_resistance(omega)
 
 
 def parallel_sheet(a: float, b: float) -> float:
-    """Parallel combination a*b/(a+b) of two sheet resistances."""
-    if not (a > 0.0 and b > 0.0):  # +inf, an open circuit, is allowed
-        raise DomainError(f"sheet resistances must be > 0, got {a}, {b}")
+    """Parallel combination a*b/(a+b) of sheet resistances: 0 shorts, +inf is open."""
+    if not (a >= 0.0 and b >= 0.0):
+        raise DomainError(f"sheet resistances must be >= 0, got {a}, {b}")
+    if a == 0.0 or b == 0.0:
+        return 0.0
     if math.isinf(a):
         return b
     if math.isinf(b):

@@ -172,20 +172,18 @@ class RectTrace:
 
 @dataclass(frozen=True)
 class WireBond:
-    """Round bond wire; multiplicity counts parallel bonds."""
+    """One round bond wire; its electrode counts the parallel bonds."""
 
     diameter: float
     length: float
     material: Conductor
-    multiplicity: int = 1
 
     def __post_init__(self):
         require_above(self.diameter, "bond diameter")
         require_above(self.length, "bond length")
-        require_above(self.multiplicity, "multiplicity", 1, or_equal=True)
         _require_conductor(self.material, "bond")
 
-    def resistance_single(self, omega: float, temperature: float) -> float:
+    def resistance(self, omega: float, temperature: float) -> float:
         rho = self.material.rho.lookup(temperature)
         delta = skin_depth(rho, omega)
         r = 0.5 * self.diameter
@@ -195,9 +193,9 @@ class WireBond:
 
 @dataclass(frozen=True)
 class LeadModel:
-    """Series path from filter board to chip: trace, bond wires, contacts.
+    """Series path from filter board to chip: trace, bond wire, contacts.
 
-    Bond and contact resistances are divided by the bond multiplicity.
+    Bond and contact resistances are divided by the electrode's ``bonds``.
     """
 
     pcb_trace: RectTrace | None = None
@@ -208,20 +206,22 @@ class LeadModel:
         require_above(self.contact_r_per_bond, "contact resistance", or_equal=True)
 
 
-def lead_resistance(lead: LeadModel, omega: float, temperature: float) -> float:
+def lead_resistance(
+    lead: LeadModel, omega: float, temperature: float, bonds: int = 1
+) -> float:
+    """Trace plus one bond's wire and contact resistance over ``bonds`` bonds."""
     total = 0.0
     if lead.pcb_trace is not None:
         total += lead.pcb_trace.resistance(omega, temperature)
-    n = lead.wire_bond.multiplicity if lead.wire_bond is not None else 1
     per_bond = lead.contact_r_per_bond
     if lead.wire_bond is not None:
-        per_bond += lead.wire_bond.resistance_single(omega, temperature)
-    return total + per_bond / n
+        per_bond += lead.wire_bond.resistance(omega, temperature)
+    return total + per_bond / bonds
 
 
 @dataclass(frozen=True)
 class ElectrodeModel:
-    """One DC electrode with its film stack, lead, filter, and coupling D."""
+    """One DC electrode: film stack, lead, filter, coupling D and parallel bonds."""
 
     name: str
     characteristic_distance: float
@@ -230,11 +230,15 @@ class ElectrodeModel:
     films: tuple[FilmSheet, ...] = ()
     lead: LeadModel = field(default_factory=LeadModel)
     filter: FilterNetwork | None = None
+    bonds: int = 1
 
     def __post_init__(self):
         require_above(self.characteristic_distance, "characteristic distance")
         require_above(self.strip_length, "strip length")
         require_above(self.strip_width, "strip width")
+        require_above(self.bonds, "bonds", 1, or_equal=True)
+        if self.bonds > 1 and self.lead.wire_bond is None:
+            raise DomainError("bonds > 1 requires a lead with a bond wire")
 
 
 def electrode_resistance(e: ElectrodeModel, temperature: float, omega: float) -> float:
@@ -278,7 +282,7 @@ def _electrode_noise(
     r_filter = (
         filter_effective_resistance(e.filter, omega) if e.filter is not None else 0.0
     )
-    r_lead = lead_resistance(e.lead, omega, temperature)
+    r_lead = lead_resistance(e.lead, omega, temperature, e.bonds)
     r_elec = electrode_resistance(e, temperature, omega)
     # this summation order fixes the last digit of the CLI's R_eff column
     r_eff = r_filter + r_lead + r_elec

@@ -32,6 +32,7 @@ build it once per call instead of once per tile, with the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,15 @@ class PatchScene:
         require_above(self.ion_height, "ion height")
         if not all(map(math.isfinite, self.ion_xy)):
             raise DomainError(f"ion position must be finite, got {self.ion_xy}")
-        norm = math.hypot(*self.axial_dir)
+        axis = self.axial_dir
+        norm = math.hypot(*axis)
+        lost = norm > 0.0 and not sys.float_info.min <= norm < math.inf
+        if lost and all(map(math.isfinite, axis)):  # hypot over- or underflowed, so
+            scale = max(map(abs, axis))  # scale by the larger component first
+            axis = tuple(v / scale for v in axis)
+            norm = math.hypot(*axis)
         require_above(norm, "|axial_dir|")  # NaN, inf and 0 fail here
-        object.__setattr__(self, "axial_dir", tuple(v / norm for v in self.axial_dir))
+        object.__setattr__(self, "axial_dir", tuple(v / norm for v in axis))
         for i, a in enumerate(self.regions):
             for b in self.regions[i + 1:]:
                 if a.name == b.name:

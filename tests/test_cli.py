@@ -887,11 +887,14 @@ def test_missing_data_file_exits_data(tmp_path):
          "[lead:standard] trace material 'ybco' must be a conductor"),
         ("jnn", ("circuits", "ybco-trap"), "au 25e-6 1e-2", "ybco 25e-6 1e-2",
          "[lead:standard] bond material 'ybco' must be a conductor"),
+        ("jnn", ("circuits", "ybco-trap"), "au 200e-9, ybco 300e-9",
+         "au 200e-9, sapphire 300e-9",
+         "[electrode:C1] film material 'sapphire' must be a conductor or a superconductor"),
     ],
     ids=["trace-number", "bond-number", "negative-layer", "zero-layer", "nan",
          "sc-zero-reference-frequency", "sc-negative-residual", "zero-bonds",
          "negative-copies", "bonds-past-float-range", "trace-superconductor",
-         "bond-superconductor"],
+         "bond-superconductor", "films"],
 )
 def test_config_value_faults_exit_config(
     command, config, old, new, section, tmp_path, capsys
@@ -906,6 +909,20 @@ def test_config_value_faults_exit_config(
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{cfg}: {section}" in err
+
+
+def test_jnn_takes_an_ideal_superconducting_film(tmp_path):
+    # both residual terms 0: the YBCO sheet shorts the gold below Tc
+    text = packaged_config("materials", "default").read_text()
+    old = "rho_normal_t_max_K = 320.0"
+    assert old in text
+    cfg = tmp_path / "materials.cfg"
+    cfg.write_text(text.replace(old, f"{old}\nsc_rs_ref_ohm = 0\nsc_rs_residual_ohm = 0"))
+    out = tmp_path / "jnn.csv"
+    rc = main(["jnn", "--config", str(cfg), "--temps", "20", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = [r for r in read_rows(out) if r["electrode"] == "C1"]
+    assert [r["R_elec_ohm"] for r in rows] == ["0.0"]
 
 
 _BAD_SYNTH_PARAMS = [

@@ -98,12 +98,12 @@ def test_packaged_trap_circuit(materials):
     assert c1.strip_length == pytest.approx(5.0e-3)
     assert c1.strip_width == pytest.approx(25e-6)
     assert [f.material.name for f in c1.films] == ["au", "ybco"]
-    assert c1.lead.wire_bond.multiplicity == 1
+    assert c1.bonds == 1
     assert c1.filter.series_r == pytest.approx(100.0)
     assert len(c1.filter.capacitors) == 2
     cc = by_name["CC"]
     assert cc.characteristic_distance == pytest.approx(24.3e-3)
-    assert cc.lead.wire_bond.multiplicity == 2
+    assert cc.bonds == 2
     dc = by_name["DC7"]
     assert dc.characteristic_distance == pytest.approx(20e-3)
     # the ten DC electrodes are identical copies apart from the name
@@ -340,6 +340,19 @@ def test_lead_multiplicity_requires_bond_wire(tmp_path, materials):
     )
     with pytest.raises(ConfigFileError):
         load_circuit(path, materials)
+
+
+def test_circuit_film_must_name_a_conductor_or_superconductor(tmp_path, materials):
+    path = tmp_path / "circ.cfg"
+    path.write_text(
+        "[electrode:E]\n"
+        "distance_m = 1e-3\nstrip_length_m = 1e-3\nstrip_width_m = 1e-5\n"
+        "films = au 200e-9, sapphire 300e-9\n"
+    )
+    with pytest.raises(ConfigFileError) as err:
+        load_circuit(path, materials)
+    assert str(err.value) == (f"{path}: [electrode:E] film material 'sapphire' "
+                              "must be a conductor or a superconductor")
 
 
 def test_circuit_duplicate_expanded_names(tmp_path, materials):

@@ -119,7 +119,6 @@ SITES = {
     "RectTrace.length": ("trace length", lambda v: RectTrace(1e-4, 1e-5, v, GOLD)),
     "WireBond.diameter": ("bond diameter", lambda v: WireBond(v, 1e-3, GOLD)),
     "WireBond.length": ("bond length", lambda v: WireBond(25e-6, v, GOLD)),
-    "WireBond.multiplicity": ("multiplicity", lambda v: WireBond(25e-6, 1e-3, GOLD, v)),
     "LeadModel.contact_r_per_bond": ("contact resistance", lambda v: LeadModel(None, None, v)),
     "ElectrodeModel.characteristic_distance": (
         "characteristic distance",
@@ -128,6 +127,10 @@ SITES = {
     "ElectrodeModel.strip_length": (
         "strip length",
         lambda v: ElectrodeModel("E", 1e-4, v, 1e-4),
+    ),
+    "ElectrodeModel.bonds": (
+        "bonds",
+        lambda v: ElectrodeModel("E", 1e-4, 1e-3, 1e-4, bonds=v),
     ),
     "ElectrodeModel.strip_width": (
         "strip width",

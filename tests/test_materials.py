@@ -267,8 +267,13 @@ def test_superconducting_sheet_above_tc_is_normal():
 
 
 def test_sheet_resistance_rejects_dielectric():
-    with pytest.raises(DomainError):
-        sheet_resistance(FilmSheet(LossyDielectric(10.0, 1e-6), 1e-6), 40.0, 1e6)
+    # a film without a sheet resistance fails when it is built, not when used
+    for material, name in ((LossyDielectric(10.0, 1e-6, "sapphire"), "sapphire"),
+                           (Vacuum(), "vacuum")):
+        with pytest.raises(DomainError) as err:
+            FilmSheet(material, 1e-6)
+        assert str(err.value) == (f"film material {name!r} must be a conductor "
+                                  "or a superconductor")
 
 
 def test_parallel_sheet():
@@ -277,6 +282,24 @@ def test_parallel_sheet():
     assert parallel_sheet(math.inf, 3.0) == 3.0
     with pytest.raises(DomainError):
         parallel_sheet(-1.0, 2.0)
+    with pytest.raises(DomainError):
+        parallel_sheet(math.nan, 2.0)
+
+
+def test_parallel_sheet_zero_is_a_short_and_inf_an_open_circuit():
+    # an ideal superconducting sheet (both residual terms 0) shorts its partner
+    assert parallel_sheet(0.0, 2.0) == 0.0
+    assert parallel_sheet(2.0, 0.0) == 0.0
+    assert parallel_sheet(0.0, math.inf) == parallel_sheet(math.inf, 0.0) == 0.0
+    assert parallel_sheet(math.inf, math.inf) == math.inf
+    assert math.copysign(1.0, parallel_sheet(-0.0, 2.0)) == 1.0  # no "-0.0" in a CSV
+    # a film of subnormal thickness is an open circuit
+    au = FilmSheet(Conductor(gold_table(), "au"), 5e-324)
+    assert sheet_resistance(au, 300.0, 1e6) == math.inf
+    assert parallel_sheet(sheet_resistance(au, 300.0, 1e6), 3.0) == 3.0
+    # two positive sheets keep the bits of a*b/(a+b)
+    for a, b in ((2.0, 3.0), (1e-7, 1.4e-3), (0.1, 0.7)):
+        assert parallel_sheet(a, b) == a * b / (a + b)
 
 
 def test_ybco_normal_default_anchors_at_tc():

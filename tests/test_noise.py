@@ -205,27 +205,34 @@ def test_bond_resistance_limits():
         area = math.pi * r**2
     else:
         area = math.pi * (r**2 - (r - delta) ** 2)
-    assert bond.resistance_single(OMEGA_1MHZ, 40.0) == pytest.approx(
+    assert bond.resistance(OMEGA_1MHZ, 40.0) == pytest.approx(
         rho * 1e-2 / area, rel=1e-12
     )
 
 
 def test_lead_resistance_divides_bond_and_contact_by_multiplicity():
     trace = RectTrace(300e-6, 100e-6, 1e-2, Conductor(COPPER, name="cu"))
-    single = LeadModel(
+    lead = LeadModel(
         pcb_trace=trace,
-        wire_bond=WireBond(25e-6, 1e-2, Conductor(GOLD, name="au"), 1),
-        contact_r_per_bond=75e-3,
-    )
-    double = LeadModel(
-        pcb_trace=trace,
-        wire_bond=WireBond(25e-6, 1e-2, Conductor(GOLD, name="au"), 2),
+        wire_bond=WireBond(25e-6, 1e-2, Conductor(GOLD, name="au")),
         contact_r_per_bond=75e-3,
     )
     r_trace = trace.resistance(OMEGA_1MHZ, 40.0)
-    r1 = lead_resistance(single, OMEGA_1MHZ, 40.0)
-    r2 = lead_resistance(double, OMEGA_1MHZ, 40.0)
+    r1 = lead_resistance(lead, OMEGA_1MHZ, 40.0)
+    r2 = lead_resistance(lead, OMEGA_1MHZ, 40.0, bonds=2)
     assert r2 - r_trace == pytest.approx(0.5 * (r1 - r_trace), rel=1e-12)
+
+
+def test_electrode_bonds_divide_its_lead_and_need_a_bond_wire():
+    lead = LeadModel(wire_bond=WireBond(25e-6, 1e-2, Conductor(GOLD, name="au")),
+                     contact_r_per_bond=75e-3)
+    double = ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=lead, bonds=2)
+    n = jnn_budget([double], OMEGA_1MHZ, 40.0).electrodes["E"]
+    assert n.r_lead == lead_resistance(lead, OMEGA_1MHZ, 40.0, 2)
+    with pytest.raises(DomainError, match="^bonds > 1 requires a lead with a bond wire$"):
+        ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=LeadModel(), bonds=2)
+    with pytest.raises(DomainError, match="^bonds must be >= 1, got 0$"):
+        ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=lead, bonds=0)
 
 
 def test_lead_resistance_contact_only():

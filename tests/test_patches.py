@@ -419,6 +419,19 @@ def test_scene_normalises_a_non_unit_axial_direction():
 
 
 @pytest.mark.parametrize(
+    "axial", [(1.7e308, 1.7e308), (-1.7e308, 1e308), (5e-324, 5e-324), (-1e-320, 3e-321)],
+    ids=["overflow", "overflow-mixed", "subnormal", "subnormal-mixed"],
+)
+def test_scene_normalises_an_axis_at_the_ends_of_the_float_range(axial):
+    # math.hypot overflows to inf above, and keeps too few bits below the
+    # smallest normal float; the axis is scaled by its larger component first
+    a, b = PatchScene((), H, axial_dir=axial).axial_dir
+    assert abs(math.hypot(a, b) - 1.0) <= 2 * math.ulp(1.0)
+    assert (math.copysign(1.0, a), math.copysign(1.0, b)) == tuple(
+        math.copysign(1.0, v) for v in axial)
+
+
+@pytest.mark.parametrize(
     "axial", [(0.0, 0.0), (-0.0, 0.0), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)]
 )
 def test_scene_rejects_a_zero_or_non_finite_axial_direction(axial):
