@@ -135,6 +135,9 @@ class SCSheetSpec:
         require_above(self.rs_ref, "reference sheet resistance", or_equal=True)
         require_above(self.omega_ref, "reference omega")
         require_above(self.rs_residual, "residual sheet resistance", or_equal=True)
+        # an ideal sheet written as -0.0 is +0.0, so no budget prints -0.0
+        for name in ("rs_ref", "rs_residual"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
     def sheet_resistance(self, omega: float) -> float:
         return self.rs_ref * (omega / self.omega_ref) ** 2 + self.rs_residual
@@ -175,7 +178,7 @@ MaterialModel = Vacuum | Conductor | TwoFluidSC | LossyDielectric
 
 @dataclass(frozen=True)
 class FilmSheet:
-    """A thin conductor or superconductor film, for sheet-resistance budgets."""
+    """A thin conductor or superconductor film with its sheet resistance at (omega, T)."""
 
     material: Conductor | TwoFluidSC
     thickness: float  # m
@@ -185,6 +188,20 @@ class FilmSheet:
         if not isinstance(mat := self.material, (Conductor, TwoFluidSC)):
             raise DomainError(f"film material {getattr(mat, 'name', mat)!r} "
                               "must be a conductor or a superconductor")
+
+    def sheet_resistance(self, omega: float, temperature: float) -> float:
+        """Sheet resistance (Ohm/sq) at (omega, T).
+
+        Conductors and normal-state superconductors: rho(T)/thickness.
+        Superconducting films below Tc return the configured residual AC sheet
+        resistance, which depends on omega rather than on thickness.
+        """
+        mat = self.material
+        if isinstance(mat, Conductor):
+            return mat.rho.lookup(temperature) / self.thickness
+        if temperature >= mat.Tc:
+            return mat.rho_normal.lookup(temperature) / self.thickness
+        return mat.sc_sheet.sheet_resistance(omega)
 
 
 def london_depth(lambda0: float, Tc: float, temperature: float) -> float:
@@ -201,21 +218,6 @@ def permittivity(model: MaterialModel, omega: float, temperature: float) -> comp
     require_above(omega, "omega")
     require_above(temperature, "temperature")
     return model.permittivity(omega, temperature)
-
-
-def sheet_resistance(film: FilmSheet, temperature: float, omega: float) -> float:
-    """Sheet resistance (Ohm/sq) of a film at temperature T.
-
-    Conductors and normal-state superconductors: rho(T)/thickness.
-    Superconducting films below Tc return the configured residual AC sheet
-    resistance, which depends on omega rather than on thickness.
-    """
-    mat = film.material
-    if isinstance(mat, Conductor):
-        return mat.rho.lookup(temperature) / film.thickness
-    if temperature >= mat.Tc:
-        return mat.rho_normal.lookup(temperature) / film.thickness
-    return mat.sc_sheet.sheet_resistance(omega)
 
 
 def parallel_sheet(a: float, b: float) -> float:

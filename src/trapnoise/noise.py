@@ -7,18 +7,21 @@ single-sided, at angular frequency omega):
   factor (1 + g_parallel) of the layered chip;
 * Johnson noise of the drive circuitry: 4 kB T R_eff / D^2 summed over
   electrodes, with R_eff = R_filter + R_lead + R_elec.
+  Each part computes its own resistance, omega before T, and
+  ``ElectrodeModel.resistances(omega, temperature)`` returns the three terms.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, heating_rate_from_noise, require_above
 from .layers import GreensResult, LayerStack, greens_parallel
-from .materials import Conductor, FilmSheet, parallel_sheet, sheet_resistance
+from .materials import Conductor, FilmSheet, parallel_sheet
 
 __all__ = [
     "RegimeWarning",
@@ -33,10 +36,7 @@ __all__ = [
     "NoiseBudget",
     "blackbody_noise",
     "fdt_noise",
-    "filter_effective_resistance",
     "skin_depth",
-    "lead_resistance",
-    "electrode_resistance",
     "jnn_budget",
 ]
 
@@ -124,14 +124,13 @@ class FilterNetwork:
     def __post_init__(self):
         require_above(self.series_r, "series R")
 
-
-def filter_effective_resistance(net: FilterNetwork, omega: float) -> float:
-    """Re Z of the filter as seen from the electrode."""
-    require_above(omega, "omega")
-    admittance = 1.0 / complex(net.series_r)
-    for cap in net.capacitors:
-        admittance += 1.0 / (cap.esr + 1.0 / (1j * omega * cap.capacitance))
-    return (1.0 / admittance).real
+    def resistance(self, omega: float) -> float:
+        """Re Z of the filter as seen from the electrode."""
+        require_above(omega, "omega")
+        admittance = 1.0 / complex(self.series_r)
+        for cap in self.capacitors:
+            admittance += 1.0 / (cap.esr + 1.0 / (1j * omega * cap.capacitance))
+        return (1.0 / admittance).real
 
 
 def skin_depth(rho: float, omega: float) -> float:
@@ -195,7 +194,8 @@ class WireBond:
 class LeadModel:
     """Series path from filter board to chip: trace, bond wire, contacts.
 
-    Bond and contact resistances are divided by the electrode's ``bonds``.
+    ``ElectrodeModel.resistances`` divides one bond's wire and contact
+    resistance by the electrode's ``bonds`` and adds the trace.
     """
 
     pcb_trace: RectTrace | None = None
@@ -206,22 +206,10 @@ class LeadModel:
         require_above(self.contact_r_per_bond, "contact resistance", or_equal=True)
 
 
-def lead_resistance(
-    lead: LeadModel, omega: float, temperature: float, bonds: int = 1
-) -> float:
-    """Trace plus one bond's wire and contact resistance over ``bonds`` bonds."""
-    total = 0.0
-    if lead.pcb_trace is not None:
-        total += lead.pcb_trace.resistance(omega, temperature)
-    per_bond = lead.contact_r_per_bond
-    if lead.wire_bond is not None:
-        per_bond += lead.wire_bond.resistance(omega, temperature)
-    return total + per_bond / bonds
-
-
 @dataclass(frozen=True)
 class ElectrodeModel:
-    """One DC electrode: film stack, lead, filter, coupling D and parallel bonds."""
+    """One DC electrode: film stack, lead, filter, coupling D and parallel
+    bonds; ``resistances(omega, temperature)`` gives its budget line."""
 
     name: str
     characteristic_distance: float
@@ -240,15 +228,25 @@ class ElectrodeModel:
         if self.bonds > 1 and self.lead.wire_bond is None:
             raise DomainError("bonds > 1 requires a lead with a bond wire")
 
-
-def electrode_resistance(e: ElectrodeModel, temperature: float, omega: float) -> float:
-    """Strip resistance R_sq * l/w of the parallel film sheets (0 if bare)."""
-    if not e.films:
-        return 0.0
-    r_sq = sheet_resistance(e.films[0], temperature, omega)
-    for film in e.films[1:]:
-        r_sq = parallel_sheet(r_sq, sheet_resistance(film, temperature, omega))
-    return r_sq * e.strip_length / e.strip_width
+    def resistances(self, omega: float, temperature: float) -> tuple[float, float, float]:
+        """(R_filter, R_lead, R_elec) in ohm: the filter's Re Z (0 without a
+        filter); the lead's trace plus one bond's wire and contact resistance
+        over ``bonds``; the strip resistance R_sq * l/w of the parallel film
+        sheets (0 if bare)."""
+        r_filter = self.filter.resistance(omega) if self.filter is not None else 0.0
+        lead = self.lead
+        r_lead = 0.0
+        if lead.pcb_trace is not None:
+            r_lead += lead.pcb_trace.resistance(omega, temperature)
+        per_bond = lead.contact_r_per_bond
+        if lead.wire_bond is not None:
+            per_bond += lead.wire_bond.resistance(omega, temperature)
+        r_lead += per_bond / self.bonds
+        if not self.films:
+            return r_filter, r_lead, 0.0
+        r_sq = reduce(parallel_sheet, (f.sheet_resistance(omega, temperature)
+                                       for f in self.films))
+        return r_filter, r_lead, r_sq * self.strip_length / self.strip_width
 
 
 @dataclass(frozen=True)
@@ -279,11 +277,7 @@ class NoiseBudget:
 def _electrode_noise(
     e: ElectrodeModel, omega: float, temperature: float
 ) -> ElectrodeNoise:
-    r_filter = (
-        filter_effective_resistance(e.filter, omega) if e.filter is not None else 0.0
-    )
-    r_lead = lead_resistance(e.lead, omega, temperature, e.bonds)
-    r_elec = electrode_resistance(e, temperature, omega)
+    r_filter, r_lead, r_elec = e.resistances(omega, temperature)
     # this summation order fixes the last digit of the CLI's R_eff column
     r_eff = r_filter + r_lead + r_elec
     d = e.characteristic_distance

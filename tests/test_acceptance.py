@@ -35,9 +35,7 @@ from trapnoise.materials import Conductor, ResistivityTable
 from trapnoise.noise import (
     blackbody_noise,
     fdt_noise,
-    filter_effective_resistance,
     jnn_budget,
-    lead_resistance,
 )
 from trapnoise.patches import region_noise_integral, zeta, zeta_inverse
 
@@ -59,7 +57,7 @@ def materials():
 
 def test_criterion_01_filter_resistance(materials):
     electrodes = load_circuit(packaged_config("circuits", "ybco-trap"), materials)
-    r = filter_effective_resistance(electrodes[0].filter, OMEGA)
+    r = electrodes[0].filter.resistance(OMEGA)
     print(f"[1] R_filter(1 MHz) = {r * 1e3:.4f} mOhm  (target 26.25 +- 0.1%)")
     assert r == pytest.approx(26.25e-3, rel=1e-3)
 
@@ -69,7 +67,7 @@ def test_criterion_02_aluminium_lead_benchmark(materials):
         packaged_config("circuits", "al-lead-benchmark"), materials
     )
     assert len(electrodes) == 2
-    r = lead_resistance(electrodes[0].lead, OMEGA, 20.0)
+    r = electrodes[0].resistances(OMEGA, 20.0)[1]
     budget = jnn_budget(electrodes, OMEGA, 20.0)
     per_lead = [n.s_e for n in budget.electrodes.values()]
     gamma = heating_rate_from_noise(budget.total, OMEGA)

@@ -925,6 +925,25 @@ def test_jnn_takes_an_ideal_superconducting_film(tmp_path):
     assert [r["R_elec_ohm"] for r in rows] == ["0.0"]
 
 
+def test_jnn_writes_a_negative_zero_sheet_as_zero(tmp_path):
+    # -0 residual terms on the electrodes' only film: R_elec is +0.0, not "-0.0"
+    text = packaged_config("materials", "default").read_text()
+    old = "rho_normal_t_max_K = 320.0"
+    materials = tmp_path / "materials.cfg"
+    materials.write_text(text.replace(old, f"{old}\nsc_rs_ref_ohm = -0\nsc_rs_residual_ohm = -0"))
+    text = packaged_config("circuits", "ybco-trap").read_text()
+    old = "films = au 200e-9, ybco 300e-9"
+    assert text.count(old) == 4
+    circuit = tmp_path / "circuit.cfg"
+    circuit.write_text(text.replace(old, "films = ybco 300e-9"))
+    out = tmp_path / "jnn.csv"
+    rc = main(["jnn", "--config", str(materials), "--config", str(circuit),
+               "--temps", "20", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = [r for r in read_rows(out) if r["electrode"] != "TOTAL"]
+    assert len(rows) == 13 and {r["R_elec_ohm"] for r in rows} == {"0.0"}
+
+
 _BAD_SYNTH_PARAMS = [
     ("gamma2", "temp-piecewise", "t1_K = 46.2", "t1_K = -5",
      "[temp-model] t1 must be > 0"),

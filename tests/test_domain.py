@@ -42,7 +42,6 @@ from trapnoise.noise import (
     RectTrace,
     WireBond,
     blackbody_noise,
-    filter_effective_resistance,
     jnn_budget,
     skin_depth,
 )
@@ -108,10 +107,7 @@ SITES = {
     "FilterCapacitor.capacitance": ("capacitance", lambda v: FilterCapacitor(v)),
     "FilterCapacitor.esr": ("ESR", lambda v: FilterCapacitor(1e-9, v)),
     "FilterNetwork.series_r": ("series R", lambda v: FilterNetwork(v)),
-    "filter_effective_resistance.omega": (
-        "omega",
-        lambda v: filter_effective_resistance(FilterNetwork(1e3), v),
-    ),
+    "FilterNetwork.resistance.omega": ("omega", lambda v: FilterNetwork(1e3).resistance(v)),
     "skin_depth.rho": ("rho", lambda v: skin_depth(v, 1e6)),
     "skin_depth.omega": ("omega", lambda v: skin_depth(1e-8, v)),
     "RectTrace.width": ("trace width", lambda v: RectTrace(v, 1e-5, 1e-2, GOLD)),

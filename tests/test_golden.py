@@ -27,6 +27,10 @@ def _circuit(name):
 
 CASES = {
     "jnn-ybco-trap.csv": ["jnn", *_circuit("ybco-trap")],
+    # across Tc at another frequency: the sheet's omega^2 term, the skin
+    # depth and the filter reactance
+    "jnn-ybco-trap-wide.csv": ["jnn", *_circuit("ybco-trap"), "--temps", "4:300:40",
+                               "--omega-hz", "2.3e6"],
     "jnn-al-lead-benchmark.csv": ["jnn", *_circuit("al-lead-benchmark")],
     "zeta-default.csv": ["zeta"],
     "zeta-exact-5um.csv": ["zeta", "--exact", "--patch-um", "5"],

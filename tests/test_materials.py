@@ -18,7 +18,6 @@ from trapnoise.materials import (
     london_depth,
     parallel_sheet,
     permittivity,
-    sheet_resistance,
     ybco_normal_default,
 )
 
@@ -238,7 +237,7 @@ def test_permittivity_rejects_bad_domain():
 
 def test_conductor_sheet_resistance_is_rho_over_t():
     film = FilmSheet(Conductor(gold_table()), 200e-9)
-    assert sheet_resistance(film, 300.0, 2 * math.pi * 1e6) == pytest.approx(
+    assert film.sheet_resistance(2 * math.pi * 1e6, 300.0) == pytest.approx(
         2.271e-8 / 200e-9, rel=1e-12
     )
 
@@ -248,20 +247,25 @@ def test_superconducting_sheet_uses_residual_model():
     omega = 2 * math.pi * 1e6
     spec = SCSheetSpec()
     expected = spec.rs_ref * (omega / spec.omega_ref) ** 2 + spec.rs_residual
-    assert sheet_resistance(film, 40.0, omega) == pytest.approx(expected, rel=1e-12)
+    assert film.sheet_resistance(omega, 40.0) == pytest.approx(expected, rel=1e-12)
     # the residual floor dominates at MHz: the omega^2 term is ~1e-11 Ohm/sq
-    assert sheet_resistance(film, 40.0, omega) == pytest.approx(1e-7, rel=1e-3)
+    assert film.sheet_resistance(omega, 40.0) == pytest.approx(1e-7, rel=1e-3)
     # thickness-independent below Tc
     thick = FilmSheet(ybco(), 900e-9)
-    assert sheet_resistance(thick, 40.0, omega) == sheet_resistance(
-        film, 40.0, omega
-    )
+    assert thick.sheet_resistance(omega, 40.0) == film.sheet_resistance(omega, 40.0)
+
+
+def test_superconducting_sheet_folds_negative_zero():
+    # an ideal sheet written as -0 is +0, as is its sheet resistance
+    spec = SCSheetSpec(rs_ref=-0.0, rs_residual=-0.0)
+    for value in (spec.rs_ref, spec.rs_residual, spec.sheet_resistance(1e6)):
+        assert math.copysign(1.0, value) == 1.0
 
 
 def test_superconducting_sheet_above_tc_is_normal():
     film = FilmSheet(ybco(), 300e-9)
     rho_tc = 1.0 / 1.81e6
-    assert sheet_resistance(film, 89.0, 2 * math.pi * 1e6) == pytest.approx(
+    assert film.sheet_resistance(2 * math.pi * 1e6, 89.0) == pytest.approx(
         rho_tc / 300e-9, rel=1e-9
     )
 
@@ -295,8 +299,8 @@ def test_parallel_sheet_zero_is_a_short_and_inf_an_open_circuit():
     assert math.copysign(1.0, parallel_sheet(-0.0, 2.0)) == 1.0  # no "-0.0" in a CSV
     # a film of subnormal thickness is an open circuit
     au = FilmSheet(Conductor(gold_table(), "au"), 5e-324)
-    assert sheet_resistance(au, 300.0, 1e6) == math.inf
-    assert parallel_sheet(sheet_resistance(au, 300.0, 1e6), 3.0) == 3.0
+    assert au.sheet_resistance(1e6, 300.0) == math.inf
+    assert parallel_sheet(au.sheet_resistance(1e6, 300.0), 3.0) == 3.0
     # two positive sheets keep the bits of a*b/(a+b)
     for a, b in ((2.0, 3.0), (1e-7, 1.4e-3), (0.1, 0.7)):
         assert parallel_sheet(a, b) == a * b / (a + b)

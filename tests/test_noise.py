@@ -14,7 +14,6 @@ from trapnoise.materials import (
     TwoFluidSC,
     Vacuum,
     parallel_sheet,
-    sheet_resistance,
     ybco_normal_default,
 )
 from trapnoise.noise import (
@@ -26,11 +25,8 @@ from trapnoise.noise import (
     RegimeWarning,
     WireBond,
     blackbody_noise,
-    electrode_resistance,
     fdt_noise,
-    filter_effective_resistance,
     jnn_budget,
-    lead_resistance,
     skin_depth,
 )
 
@@ -130,22 +126,18 @@ def test_filter_effective_resistance_against_direct_admittance():
     y += 1.0 / (24e-3 + 1.0 / (1j * omega * 330e-9))
     y += 1.0 / (1.3 + 1.0 / (1j * omega * 470e-12))
     expected = (1.0 / y).real
-    assert filter_effective_resistance(trap_filter(), omega) == pytest.approx(
-        expected, rel=1e-14
-    )
+    assert trap_filter().resistance(omega) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(26.25e-3, rel=1e-3)
 
 
 def test_filter_without_capacitors_is_plain_resistor():
     net = FilterNetwork(series_r=47.0)
-    assert filter_effective_resistance(net, OMEGA_1MHZ) == pytest.approx(47.0)
+    assert net.resistance(OMEGA_1MHZ) == pytest.approx(47.0)
 
 
 def test_filter_low_frequency_limit_is_series_r():
     # capacitors open up as omega -> 0
-    assert filter_effective_resistance(trap_filter(), 1e-2) == pytest.approx(
-        100.0, rel=1e-6
-    )
+    assert trap_filter().resistance(1e-2) == pytest.approx(100.0, rel=1e-6)
 
 
 def test_filter_validation():
@@ -156,7 +148,7 @@ def test_filter_validation():
     with pytest.raises(DomainError):
         FilterCapacitor(1e-9, esr=-0.1)
     with pytest.raises(DomainError):
-        filter_effective_resistance(trap_filter(), 0.0)
+        trap_filter().resistance(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +202,13 @@ def test_bond_resistance_limits():
     )
 
 
-def test_lead_resistance_divides_bond_and_contact_by_multiplicity():
+def lead_r(lead, temperature, bonds=1):
+    """R_lead of a bare strip electrode on ``lead`` at 1 MHz."""
+    e = ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=lead, bonds=bonds)
+    return e.resistances(OMEGA_1MHZ, temperature)[1]
+
+
+def test_lead_resistance_divides_bond_and_contact_by_bonds():
     trace = RectTrace(300e-6, 100e-6, 1e-2, Conductor(COPPER, name="cu"))
     lead = LeadModel(
         pcb_trace=trace,
@@ -218,8 +216,8 @@ def test_lead_resistance_divides_bond_and_contact_by_multiplicity():
         contact_r_per_bond=75e-3,
     )
     r_trace = trace.resistance(OMEGA_1MHZ, 40.0)
-    r1 = lead_resistance(lead, OMEGA_1MHZ, 40.0)
-    r2 = lead_resistance(lead, OMEGA_1MHZ, 40.0, bonds=2)
+    r1 = lead_r(lead, 40.0)
+    r2 = lead_r(lead, 40.0, bonds=2)
     assert r2 - r_trace == pytest.approx(0.5 * (r1 - r_trace), rel=1e-12)
 
 
@@ -228,7 +226,7 @@ def test_electrode_bonds_divide_its_lead_and_need_a_bond_wire():
                      contact_r_per_bond=75e-3)
     double = ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=lead, bonds=2)
     n = jnn_budget([double], OMEGA_1MHZ, 40.0).electrodes["E"]
-    assert n.r_lead == lead_resistance(lead, OMEGA_1MHZ, 40.0, 2)
+    assert n.r_lead == (75e-3 + lead.wire_bond.resistance(OMEGA_1MHZ, 40.0)) / 2
     with pytest.raises(DomainError, match="^bonds > 1 requires a lead with a bond wire$"):
         ElectrodeModel("E", 5.10e-3, 5.0e-3, 25e-6, lead=LeadModel(), bonds=2)
     with pytest.raises(DomainError, match="^bonds must be >= 1, got 0$"):
@@ -237,8 +235,8 @@ def test_electrode_bonds_divide_its_lead_and_need_a_bond_wire():
 
 def test_lead_resistance_contact_only():
     lead = LeadModel(contact_r_per_bond=0.1)
-    assert lead_resistance(lead, OMEGA_1MHZ, 40.0) == pytest.approx(0.1)
-    assert lead_resistance(LeadModel(), OMEGA_1MHZ, 40.0) == 0.0
+    assert lead_r(lead, 40.0) == pytest.approx(0.1)
+    assert lead_r(LeadModel(), 40.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,7 @@ def strip_electrode(films=(), filter_net=None, name="E") -> ElectrodeModel:
 
 
 def test_electrode_resistance_bare_strip_is_zero():
-    assert electrode_resistance(strip_electrode(), 40.0, OMEGA_1MHZ) == 0.0
+    assert strip_electrode().resistances(OMEGA_1MHZ, 40.0)[2] == 0.0
 
 
 def test_electrode_resistance_parallel_films():
@@ -274,13 +272,11 @@ def test_electrode_resistance_parallel_films():
     )
     e = strip_electrode(films=films)
     r_sq = parallel_sheet(
-        sheet_resistance(films[0], 40.0, OMEGA_1MHZ),
-        sheet_resistance(films[1], 40.0, OMEGA_1MHZ),
+        films[0].sheet_resistance(OMEGA_1MHZ, 40.0),
+        films[1].sheet_resistance(OMEGA_1MHZ, 40.0),
     )
     expected = r_sq * 5.0e-3 / 25e-6
-    assert electrode_resistance(e, 40.0, OMEGA_1MHZ) == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert e.resistances(OMEGA_1MHZ, 40.0)[2] == pytest.approx(expected, rel=1e-12)
     # below Tc the superconductor shorts the strip to the ~1e-7 Ohm/sq floor
     assert r_sq == pytest.approx(1e-7, rel=0.01)
 
@@ -289,7 +285,7 @@ def test_jnn_budget_single_resistor_hand_value():
     # one electrode whose only dissipation is a filter: S = 4 kB T R / D^2
     e = strip_electrode(filter_net=FilterNetwork(series_r=50.0))
     budget = jnn_budget([e], OMEGA_1MHZ, 40.0)
-    r_eff = filter_effective_resistance(e.filter, OMEGA_1MHZ)
+    r_eff = e.filter.resistance(OMEGA_1MHZ)
     expected = 4.0 * CONSTANTS.kB * 40.0 * r_eff / 5.10e-3**2
     assert budget.total == pytest.approx(expected, rel=1e-12)
     assert budget.electrodes["E"].s_e == pytest.approx(expected, rel=1e-12)
@@ -360,9 +356,10 @@ def test_jnn_budget_resistance_split():
     )
     for temperature in (20.0, 80.0, 200.0):
         n = jnn_budget([e], OMEGA_1MHZ, temperature).electrodes["E"]
-        assert n.r_filter == filter_effective_resistance(e.filter, OMEGA_1MHZ)
-        assert n.r_lead == lead_resistance(e.lead, OMEGA_1MHZ, temperature)
-        assert n.r_elec == electrode_resistance(e, temperature, OMEGA_1MHZ)
+        assert n.r_filter == e.filter.resistance(OMEGA_1MHZ)
+        assert n.r_lead == e.lead.pcb_trace.resistance(OMEGA_1MHZ, temperature)
+        assert n.r_elec == (e.films[0].sheet_resistance(OMEGA_1MHZ, temperature)
+                            * 5.0e-3 / 25e-6)
         r_eff = n.r_eff
         assert n.r_filter + n.r_lead + n.r_elec == r_eff == n.r_eff
         assert n.s_e == pytest.approx(
@@ -386,7 +383,7 @@ def test_aluminium_lead_benchmark():
         )
         for name in ("C1", "C2")
     ]
-    r = lead_resistance(lead, OMEGA_1MHZ, 20.0)
+    r = lead_r(lead, 20.0)
     assert r == pytest.approx(17.3, rel=0.01)
     budget = jnn_budget(electrodes, OMEGA_1MHZ, 20.0)
     per_lead = budget.electrodes["C1"].s_e

@@ -129,8 +129,23 @@ def cli_file_choices(name: str, tree: ast.AST) -> list[int]:
     ]
 
 
+def temperature_before_omega(name: str, tree: ast.AST) -> list[int]:
+    """A function or method with parameters ``omega`` and ``temperature``
+    that lists ``temperature`` first: every evaluation at (omega, T) takes
+    omega first, so a call never swaps them silently."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            if ("omega" in params and "temperature" in params
+                    and params.index("temperature") < params.index("omega")):
+                lines.append(node.lineno)
+    return lines
+
+
 RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions,
-         fit_engine_bypasses, cli_file_choices]
+         fit_engine_bypasses, cli_file_choices, temperature_before_omega]
 
 
 def violations(rule, sources: dict[str, str]) -> list[str]:
@@ -221,6 +236,19 @@ _PLANTED = [
     (cli_file_choices, "configio.py", """
         def load_configs(paths, needed):
             return load_stack(packaged_config("stacks", "sapphire-ybco"), {})
+    """),
+    (temperature_before_omega, "materials.py", """
+        def permittivity(self, omega, temperature):
+            return 1.0
+        def lookup(self, temperature):
+            return 1.0
+        def skin_depth(rho, omega):
+            return rho
+        def sheet_resistance(self, temperature, omega):  # planted
+            return 0.0
+        async def fetch(temperature, *, omega=1.0):  # planted
+            return 0.0
+        f = lambda temperature, omega: 0.0  # planted
     """),
 ]
 
