@@ -15,14 +15,18 @@ as a function of the fluctuation-strength ratio.
 A region's tiling is a grid of squares anchored at its (x_min, y_min)
 corner whose last column and row keep their partial width.  Exact mode
 sums every tile, in row blocks small enough to stay in cache, with R^10
-built by multiplication.  The default hybrid mode sums directly only those
-partial strips and a core of whole tiles around the ion; it integrates
-the rest of the tiles in the continuum limit, corrected for the midpoint
-rule through fourth order in the patch size (one polynomial in 1/R^2), so
-its cost does not grow with the region's area.  Against exact mode it
-agrees to 1e-10 relative on random scenes and to 4e-7 in the worst case
-found: a strip one tile wide along the kernel's nodal line (da = 0) just
-outside the core.
+built by multiplication.  The default hybrid mode integrates the tiles in
+the continuum limit, corrected for the midpoint rule through fourth order
+in the patch size: the whole tiles by the 2-D rule (one polynomial in
+1/R^2), the partial last column and row by the 1-D rule along their
+length.  It sums directly only a core of tiles near the ion, sized from
+the first neglected term, of order (p / L)^6 at a distance L from the
+ion: none unless a region edge comes within 120 patches of the ion or
+the ion is less than 7 patches up.  So its cost stays flat as the
+patches shrink.  Against exact mode it agrees to 3e-11 relative on random scenes,
+patches up to half the ion height included, and to 2e-10 in the worst
+case found: a region a dozen tiles wide straddling the kernel's nodal
+line (da = 0).
 
 When the trap axis lies along a chip axis, as on real traps, da^2
 depends on one tile coordinate only; the direct sums of both modes then
@@ -50,7 +54,8 @@ __all__ = [
 ]
 
 _CHUNK = 32_768
-_CORE_TILES = 128  # tiles from the ion to each side of the hybrid mode's direct core
+_EDGE_REACH = 120.0  # patches from the ion beyond which a continuum edge may lie
+_CLEAR_HEIGHT = 7.0  # patches up an ion must be for an edge-free core to be skipped
 _MAX_PATCHES = 250_000_000
 
 
@@ -117,16 +122,23 @@ class PatchScene:
 
 
 def _tile_count(lo: float, hi: float, step: float) -> int | float:
-    """Tiles of side ``step`` across [lo, hi]; inf if the ratio overflows."""
-    n = (hi - lo) / step - 1e-12
-    return math.ceil(n) if math.isfinite(n) else math.inf
+    """Tiles of side ``step`` across [lo, hi]; inf past 2^53 tiles, where a
+    float no longer counts them exactly.
+
+    The slack is relative: a last tile narrower than 1e-12 of the ratio
+    is rounding, not a tile."""
+    n = (hi - lo) / step * (1.0 - 1e-12)
+    return math.ceil(n) if n < 2.0**53 else math.inf
 
 
-def _tiles(lo: float, hi: float, step: float):
-    """Centres and widths of a grid anchored at ``lo``; the last cell keeps
-    its true partial width."""
-    edges = lo + step * np.arange(_tile_count(lo, hi, step) + 1)
-    edges[-1] = hi
+def _tiles(lo: float, hi: float, step: float, first: int = 0, stop: int | None = None):
+    """Centres and widths of tiles [first, stop) of a grid anchored at
+    ``lo``; the last cell keeps its true partial width."""
+    n = _tile_count(lo, hi, step)
+    stop = n if stop is None else stop
+    edges = lo + step * np.arange(first, stop + 1)
+    if stop == n:
+        edges[-1] = hi
     return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
@@ -190,7 +202,7 @@ def _direct_sum_k2(cx, wx, cy, wy, scene: PatchScene) -> float:
     return _prefactor(h) * math.fsum(row_sums.tolist())
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 
 
 def _geom_edges(lo: float, hi: float, center: float, scale: float) -> np.ndarray:
@@ -212,7 +224,7 @@ def _geom_edges(lo: float, hi: float, center: float, scale: float) -> np.ndarray
 
 
 def _gauss_nodes(lo: float, hi: float, center: float, scale: float):
-    """Nodes and weights of 12-point Gauss-Legendre on each cell of
+    """Nodes and weights of 14-point Gauss-Legendre on each cell of
     ``_geom_edges``."""
     edges = _geom_edges(lo, hi, center, scale)
     half = 0.5 * np.diff(edges)[:, None]
@@ -249,50 +261,112 @@ def _midpoint_density(dx, dy, scene: PatchScene, patch_size: float):
     return q2 * q2 * q * (c4 + q * (c3 + q * (c2 + q * (c1 + q * c0))))
 
 
-def _continuum_k2(rect, scene: PatchScene, patch_size: float) -> float:
-    """Kernel-squared sum over the whole tiles of side p = patch_size that
-    fill ``rect``, as an integral with the midpoint-rule corrections.
+def _midpoint_line_density(dx, dy, scene: PatchScene, patch_size: float, along: int):
+    """da^2 s^-5 less the Euler-Maclaurin terms of the composite midpoint
+    rule on a row of tiles of side p along x (``along`` = 0) or y (1),
+    through O(p^4): the 1-D analogue of ``_midpoint_density``.
 
-    A tile contributes p^4 k^2 at its centre, k = 3 h da / (2 pi s^(5/2))
-    being the kernel density (the kernel at unit area), so the sum is
-    p^2 (3 h / 2 pi)^2 times the integral of ``_midpoint_density``, up to
-    O(p^6) terms.  The integrand is smooth, so fixed-order Gauss-Legendre
-    cells on a grid graded geometrically away from the ion integrate it to
-    near machine accuracy.
+    With t the offset along the row and a the axial direction's component
+    along it, p f(centre) of f = da^2 s^-5 summed over the row equals the
+    integral of f - b f'' + 7/10 b^2 f'''' in t, b = p^2 / 24, up to
+    O(p^6).  Expanded symbolically, that is q^5 (e4 + q (e3 + q (e2 + q (e1
+    + q e0)))) in q = 1/s, whose coefficients depend on da, t and a.
     """
-    h = scene.ion_height
-    xs, wx = _gauss_nodes(rect[0], rect[1], scene.ion_xy[0], h)
-    ys, wy = _gauss_nodes(rect[2], rect[3], scene.ion_xy[1], h)
-    density = _midpoint_density(
-        xs[None, :] - scene.ion_xy[0], ys[:, None] - scene.ion_xy[1], scene, patch_size
-    )
-    return patch_size**2 * _prefactor(h) * float(wy @ density @ wx)
+    a = scene.axial_dir[along]
+    t = dx if along == 0 else dy
+    b = patch_size**2 / 24.0
+    da = dx * scene.axial_dir[0] + dy * scene.axial_dir[1]
+    u = da * da
+    at = a * da * t
+    t2 = t * t
+    q = 1.0 / (dx * dx + dy * dy + scene.ion_height**2)
+    e0 = 18816.0 * b * b * u * t2 * t2
+    e1 = -b * b * t2 * (7056.0 * u + 9408.0 * at)
+    e2 = b * (b * (252.0 * u + 2016.0 * at + 1008.0 * a * a * t2) - 120.0 * u * t2)
+    e3 = b * (10.0 * u + 40.0 * at - 84.0 * b * a * a)
+    e4 = u - 2.0 * b * a * a
+    q2 = q * q
+    return q2 * q2 * q * (e4 + q * (e3 + q * (e2 + q * (e1 + q * e0))))
 
 
-def _core_span(lo: float, step: float, center: float, n: int) -> tuple[int, int]:
-    """Tile indices [i0, i1) of the direct core along one axis: the ion
-    +- _CORE_TILES tiles, snapped outward to the grid and clipped to the
-    first ``n`` tiles."""
-    u = (center - lo) / step
-    return max(0, math.floor(u - _CORE_TILES)), min(n, math.ceil(u + _CORE_TILES))
+def _axis_rule(lo: float, hi: float, step: float, n: int, span, center: float,
+               scale: float):
+    """Nodes and weights that sum tiles [a, b) = ``span`` of the ``n``-tile
+    grid along one axis, and whether they integrate whole tiles.
+
+    The last tile, or a span no longer than one Gauss cell has nodes,
+    gives its tile centres and squared widths, to be summed one by one;
+    longer spans give ``_gauss_nodes`` with ``step`` times its weights."""
+    a, b = span
+    if b == n or b - a <= _GL_NODES.size:
+        centres, widths = _tiles(lo, hi, step, a, b)
+        return centres, widths * widths, False
+    nodes, weights = _gauss_nodes(lo + step * a, lo + step * b, center, scale)
+    return nodes, step * weights, True
 
 
-def _subtract(rect, window):
-    """rect minus window as up to four disjoint rectangles."""
-    x0, x1, y0, y1 = rect
-    wx0, wx1, wy0, wy1 = window
-    out = []
-    if y0 < wy0:
-        out.append((x0, x1, y0, min(y1, wy0)))
-    if y1 > wy1:
-        out.append((x0, x1, max(y0, wy1), y1))
-    mid_y0, mid_y1 = max(y0, wy0), min(y1, wy1)
-    if mid_y1 > mid_y0:
-        if x0 < wx0:
-            out.append((x0, min(x1, wx0), mid_y0, mid_y1))
-        if x1 > wx1:
-            out.append((max(x0, wx1), x1, mid_y0, mid_y1))
-    return out
+def _block_k2(x_rule, y_rule, scene: PatchScene, patch_size: float) -> float:
+    """Kernel-squared sum over a block of tiles given by one axis rule per
+    axis.
+
+    A tile of sides wx x wy contributes (wx wy)^2 (3 h / 2 pi)^2 f at its
+    centre, f = da^2 s^-5.  Along an axis of whole tiles, p^2 f summed over
+    the centres is p times the integral of f less its midpoint-rule
+    corrections: ``_midpoint_density`` when both axes are whole, else
+    ``_midpoint_line_density`` along the whole one.  The integrand is
+    smooth, so fixed-order Gauss-Legendre cells on a grid graded
+    geometrically away from the ion integrate it to near machine accuracy.
+    Tiles summed one by one along both axes take f at their centres.
+    """
+    xs, wx, whole_x = x_rule
+    ys, wy, whole_y = y_rule
+    dx, dy = xs[None, :] - scene.ion_xy[0], ys[:, None] - scene.ion_xy[1]
+    if whole_x and whole_y:
+        density = _midpoint_density(dx, dy, scene, patch_size)
+    else:
+        step = patch_size if whole_x or whole_y else 0.0
+        density = _midpoint_line_density(dx, dy, scene, step, 0 if whole_x else 1)
+    return _prefactor(scene.ion_height) * float(wy @ density @ wx)
+
+
+def _core_tiles(patch_size: float, height: float) -> int:
+    """Tiles from the ion to each side of the hybrid mode's core window,
+    which takes in every tile nearer the ion than _EDGE_REACH patches.
+
+    The first term the midpoint corrections neglect is of order (p / L)^6
+    of the sum at a continuum edge a distance L from the ion, below 1e-11
+    beyond _EDGE_REACH patches."""
+    reach = _EDGE_REACH**2 - (height / patch_size) ** 2
+    return math.ceil(math.sqrt(reach)) if reach > 0.0 else 0
+
+
+def _core(rect, scene: PatchScene, patch_size: float, nx: int, ny: int):
+    """Tile spans (i0, i1, j0, j1) that the hybrid mode sums directly: the
+    ``_core_tiles`` window about the ion, snapped outward to the grid and
+    clipped to the ``nx`` x ``ny`` tiles, or (0, 0, 0, 0) for none.
+
+    A window inside the whole tiles holds no continuum edge, so it is left
+    to the continuum once the ion is _CLEAR_HEIGHT patches up, where the
+    midpoint rule's error under it, of order exp(-2 pi h / p), is near
+    1e-14."""
+    x0, _, y0, _ = rect
+    half = _core_tiles(patch_size, scene.ion_height)
+    u = (scene.ion_xy[0] - x0) / patch_size
+    v = (scene.ion_xy[1] - y0) / patch_size
+    i0, i1 = max(0, math.floor(u - half)), min(nx, math.ceil(u + half))
+    j0, j1 = max(0, math.floor(v - half)), min(ny, math.ceil(v + half))
+    inside = 0 < i0 and i1 < nx - 1 and 0 < j0 and j1 < ny - 1
+    if (half == 0 or i0 >= i1 or j0 >= j1
+            or inside and scene.ion_height >= _CLEAR_HEIGHT * patch_size):
+        return 0, 0, 0, 0
+    return i0, i1, j0, j1
+
+
+def _spans(n: int, core) -> list[tuple[int, int]]:
+    """[a, b) spans of the ``n`` tiles, cut at the core's ends and before
+    the last tile."""
+    cuts = sorted({0, n - 1, n, *core})
+    return list(zip(cuts, cuts[1:]))
 
 
 def region_noise_integral(
@@ -306,45 +380,56 @@ def region_noise_integral(
     Tiles are squares of side ``patch_size`` anchored at the region's
     (x_min, y_min) corner; the last column and row keep their true partial
     width.  ``exact=True`` sums every tile.  The default hybrid mode sums
-    directly the last column and row, and the whole tiles within
-    _CORE_TILES tiles of the ion (snapped outward to the grid); it hands
-    the rest of the whole tiles to ``_continuum_k2``.  On random scenes
-    (ion heights 5-300 um, patches 0.5-20 um, tilted axes, ions up to
-    0.5 mm off centre) it agrees with exact mode to 1e-10 relative; thin
-    regions along the kernel's nodal line are the worst case, 4e-7.
+    directly only the core that ``_core`` picks: none unless a region edge
+    comes within _EDGE_REACH patches of the ion or the ion is less than
+    _CLEAR_HEIGHT patches up, and never more than about 240 x 240 tiles.  ``_block_k2``
+    takes the rest, in blocks cut at the core and before the last column
+    and row: whole tiles by the 2-D midpoint-corrected integral, the last
+    column and row by the 1-D one along their length, and spans of at most
+    one Gauss cell's 14 nodes (the corner tile among them) tile by tile.
+    So its cost stays flat as the patches shrink.  On random scenes (ion
+    heights 5-300 um, patches 0.5-20 um and up to half the ion height,
+    tilted axes, ions up to 0.5 mm off centre) it agrees with exact mode
+    to 3e-11 relative; a region a dozen tiles wide straddling the kernel's
+    nodal line is the worst case found, 2e-10.
 
-    Raises PatchBudgetError if more than _MAX_PATCHES tiles, or more than
-    a float can count, would be summed directly.
+    Raises DomainError unless patch_size > 0, and PatchBudgetError in
+    either mode if a tile count along an axis passes 2^53, or if more than
+    _MAX_PATCHES tiles would be summed directly (in exact mode only: the
+    hybrid core stays far below).
     """
     require_above(patch_size, "patch_size")
     x0, x1, y0, y1 = region.rect
     nx, ny = _tile_count(x0, x1, patch_size), _tile_count(y0, y1, patch_size)
-    direct = nx * ny if exact else nx + ny
+    if math.isinf(nx * ny):
+        raise PatchBudgetError("the patch count overflows a float; increase patch_size")
+    i0, i1, j0, j1 = (0, nx, 0, ny) if exact else _core(region.rect, scene, patch_size, nx, ny)
+    direct = (i1 - i0) * (j1 - j0)
     if direct > _MAX_PATCHES:
         raise PatchBudgetError(
             f"{direct:.3g} directly summed patches exceed the budget of "
             f"{_MAX_PATCHES:.3g}; increase patch_size"
             + (" or use the hybrid mode" if exact else "")
         )
-    cx, wx = _tiles(x0, x1, patch_size)
-    cy, wy = _tiles(y0, y1, patch_size)
+    total = 0.0
+    if direct:
+        total = _direct_sum_k2(*_tiles(x0, x1, patch_size, i0, i1),
+                               *_tiles(y0, y1, patch_size, j0, j1), scene)
     if exact:
-        return _direct_sum_k2(cx, wx, cy, wy, scene)
-
-    # the whole-tile block is every tile but the last column and row
-    nx, ny = nx - 1, ny - 1
-    total = _direct_sum_k2(cx[nx:], wx[nx:], cy, wy, scene)
-    total += _direct_sum_k2(cx[:nx], wx[:nx], cy[ny:], wy[ny:], scene)
-    i0, i1 = _core_span(x0, patch_size, scene.ion_xy[0], nx)
-    j0, j1 = _core_span(y0, patch_size, scene.ion_xy[1], ny)
-    far = [(0, nx, 0, ny)] if nx > 0 and ny > 0 else []
-    if i0 < i1 and j0 < j1:
-        total += _direct_sum_k2(cx[i0:i1], wx[i0:i1], cy[j0:j1], wy[j0:j1], scene)
-        far = _subtract(far[0], (i0, i1, j0, j1))
-    for a0, a1, b0, b1 in far:
-        rect = (x0 + patch_size * a0, x0 + patch_size * a1,
-                y0 + patch_size * b0, y0 + patch_size * b1)
-        total += _continuum_k2(rect, scene, patch_size)
+        return total
+    # the integrand's poles lie at least the ion's distance from the region
+    # off the real axis, so the Gauss cells can start that wide
+    ix, iy = scene.ion_xy
+    scale = math.hypot(scene.ion_height, max(x0 - ix, 0.0, ix - x1),
+                       max(y0 - iy, 0.0, iy - y1))
+    x_rules = [(s, _axis_rule(x0, x1, patch_size, nx, s, ix, scale))
+               for s in _spans(nx, (i0, i1))]
+    y_rules = [(s, _axis_rule(y0, y1, patch_size, ny, s, iy, scale))
+               for s in _spans(ny, (j0, j1))]
+    for (a0, a1), x_rule in x_rules:
+        for (b0, b1), y_rule in y_rules:
+            if not (i0 <= a0 and a1 <= i1 and j0 <= b0 and b1 <= j1):
+                total += _block_k2(x_rule, y_rule, scene, patch_size)
     return total
 
 

@@ -62,15 +62,18 @@ def direct_sum_k2_general(cx, wx, cy, wy, scene: PatchScene) -> float:
     return patches._prefactor(h) * math.fsum(row_sums * (wy * wy))
 
 
-def midpoint_density_leibniz(dx, dy, scene: PatchScene, patch_size: float):
+def midpoint_density_leibniz(dx, dy, scene: PatchScene, patch_size: float,
+                             along: int | None = None):
     """da^2 s^-5 less the Euler-Maclaurin terms of the composite midpoint
     rule on tiles of side p, through O(p^4), term by term.
 
     Here s = dx^2 + dy^2 + h^2 and da = (dx, dy) . axial_dir.  The
-    corrected integrand is f - a lap(f) + a^2 (7/10 (f_xxxx + f_yyyy) +
-    f_xxyy), f = da^2 s^-5, a = p^2 / 24.  The derivatives follow from
-    Leibniz's rule on u = da^2 (u_x = 2 ax da, u_xx = 2 ax^2, u_xy =
-    2 ax ay) times g = s^-5, whose s-derivatives are g_k below.
+    corrected integrand is f - ax f_xx - ay f_yy + 7/10 (ax^2 f_xxxx +
+    ay^2 f_yyyy) + ax ay f_xxyy, f = da^2 s^-5, with ax = ay = p^2 / 24 for
+    the 2-D rule; the 1-D rule along x (``along`` = 0) or y (1) keeps only
+    that axis's a.  The derivatives follow from Leibniz's rule on u = da^2
+    (u_x = 2 ax da, u_xx = 2 ax^2, u_xy = 2 ax ay) times g = s^-5, whose
+    s-derivatives are g_k below.
     """
     ax, ay = scene.axial_dir
     da = dx * ax + dy * ay
@@ -90,10 +93,12 @@ def midpoint_density_leibniz(dx, dy, scene: PatchScene, patch_size: float):
     gyyyy = 16.0 * dy**4 * g4 + 48.0 * dy * dy * g3 + 12.0 * g2
     gxxyy = 16.0 * dx * dx * dy * dy * g4 + 8.0 * (dx * dx + dy * dy) * g3 + 4.0 * g2
 
-    lap = u * (gxx + gyy) + 4.0 * da * (ax * gx + ay * gy) + 2.0 * g0
-    quartic = (u * (gxxxx + gyyyy) + 8.0 * da * (ax * gxxx + ay * gyyy)
-               + 12.0 * (ax * ax * gxx + ay * ay * gyy))
-    mixed = (u * gxxyy + 4.0 * da * (ax * gxyy + ay * gxxy)
-             + 2.0 * (ax * ax * gyy + ay * ay * gxx) + 8.0 * ax * ay * gxy)
-    a = patch_size**2 / 24.0
-    return u * g0 - a * lap + a * a * (0.7 * quartic + mixed)
+    f_xx = u * gxx + 4.0 * da * ax * gx + 2.0 * ax * ax * g0
+    f_yy = u * gyy + 4.0 * da * ay * gy + 2.0 * ay * ay * g0
+    f_xxxx = u * gxxxx + 8.0 * da * ax * gxxx + 12.0 * ax * ax * gxx
+    f_yyyy = u * gyyyy + 8.0 * da * ay * gyyy + 12.0 * ay * ay * gyy
+    f_xxyy = (u * gxxyy + 4.0 * da * (ax * gxyy + ay * gxxy)
+              + 2.0 * (ax * ax * gyy + ay * ay * gxx) + 8.0 * ax * ay * gxy)
+    a_x, a_y = (patch_size**2 / 24.0 if along in (None, k) else 0.0 for k in (0, 1))
+    return (u * g0 - a_x * f_xx - a_y * f_yy
+            + 0.7 * (a_x * a_x * f_xxxx + a_y * a_y * f_yyyy) + a_x * a_y * f_xxyy)

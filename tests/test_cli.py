@@ -802,7 +802,8 @@ def test_zeta_patch_too_small_to_count_exits_numeric(tmp_path, capsys):
     # 2e-310 um is 2e-316 m: more tiles across a region than a float holds
     out = tmp_path / "zeta.csv"
     assert main(["zeta", "--patch-um", "2e-310", "--out", str(out)]) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numerical error: inf directly summed")
+    assert capsys.readouterr().err.startswith(
+        "numerical error: the patch count overflows a float")
     assert not out.exists()
 
 

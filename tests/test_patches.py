@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from trapnoise import patches
+from trapnoise.configio import load_scene, packaged_config
 from trapnoise.constants import DomainError
 from trapnoise.patches import (
     PatchBudgetError,
@@ -204,8 +205,9 @@ def test_direct_sum_keeps_the_bits_of_the_general_loop(axial, grid, pose, data):
 def test_region_integrals_keep_the_bits_of_the_general_loop(axial, exact, monkeypatch):
     # 51 x 29 and 36 x 36 tiles, each with a partial last column and row,
     # under an off-centre ion right above a tile centre (da = +-0 there);
-    # the small core leaves hybrid mode strips, a core and a continuum
-    monkeypatch.setattr(patches, "_CORE_TILES", 10)
+    # a 10-tile core reaches the edge of the first region, so hybrid mode
+    # sums a core directly and integrates the rest
+    monkeypatch.setattr(patches, "_core_tiles", lambda patch_size, height: 10)
     odd = PlaneRegion((-41.3e-6, 60e-6, -30e-6, 27.5e-6), name="odd")
     even = PlaneRegion((60e-6, 131e-6, -30e-6, 40.9e-6), name="even")
     cx, _ = patches._tiles(-41.3e-6, 60e-6, 2e-6)
@@ -218,18 +220,23 @@ def test_region_integrals_keep_the_bits_of_the_general_loop(axial, exact, monkey
     assert got == want and all(v > 0.0 for v in got)
 
 
+@pytest.mark.parametrize("along", [None, 0, 1], ids=["2d", "along-x", "along-y"])
 @settings(max_examples=200, deadline=None)
 @given(scene=_poses(), patch=st.floats(0.5e-6, 20e-6),
        span=st.floats(1e-6, 1e-3), nodal=st.floats(-1e-3, 1e-3))
-def test_midpoint_density_matches_leibniz_form(scene, patch, span, nodal):
-    # a 41 x 41 grid about the ion, plus points on the nodal line da = 0
+def test_midpoint_density_matches_leibniz_form(along, scene, patch, span, nodal):
+    # a 41 x 41 grid about the ion, plus points on the nodal line da = 0;
+    # the 2-D rule, and the 1-D rule along either axis
     ax, ay = scene.axial_dir
     u = span * np.linspace(-1.0, 1.0, 41)
     t = np.append(nodal * np.linspace(-1.0, 1.0, 41), 0.0)
     dx = np.concatenate([np.repeat(u, u.size), -ay * t])
     dy = np.concatenate([np.tile(u, u.size), ax * t])
-    got = patches._midpoint_density(dx, dy, scene, patch)
-    want = midpoint_density_leibniz(dx, dy, scene, patch)
+    if along is None:
+        got = patches._midpoint_density(dx, dy, scene, patch)
+    else:
+        got = patches._midpoint_line_density(dx, dy, scene, patch, along)
+    want = midpoint_density_leibniz(dx, dy, scene, patch, along)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -267,18 +274,20 @@ def test_hybrid_matches_exact_summation(monkeypatch):
     scene = simple_scene()
     region = scene.region("inner")
     exact = region_noise_integral(region, scene, 2e-6, exact=True)
-    # shrink the direct core so the hybrid path actually mixes both modes
-    monkeypatch.setattr(patches, "_CORE_TILES", 10)
+    # force a small direct core, though it touches no edge, so the hybrid
+    # path actually mixes both modes
+    monkeypatch.setattr(patches, "_core_tiles", lambda patch_size, height: 10)
+    monkeypatch.setattr(patches, "_CLEAR_HEIGHT", math.inf)
     hybrid = region_noise_integral(region, scene, 2e-6)
     assert hybrid == pytest.approx(exact, rel=1e-8)
 
 
 @pytest.mark.parametrize("patch_um", [2.0, 3.0, 7.0])
 def test_hybrid_with_core_covering_region_is_exact(patch_um, monkeypatch):
-    # with no continuum left, the core and the partial last column and row
-    # must tile the region exactly as exact mode does
+    # with no continuum left, the core must tile the region exactly as
+    # exact mode does
     scene = simple_scene(axial=(0.6, 0.8))
-    monkeypatch.setattr(patches, "_CORE_TILES", 10**6)
+    monkeypatch.setattr(patches, "_core_tiles", lambda patch_size, height: 10**6)
     for region in scene.regions:
         exact = region_noise_integral(region, scene, patch_um * 1e-6, exact=True)
         hybrid = region_noise_integral(region, scene, patch_um * 1e-6)
@@ -334,11 +343,91 @@ def _tiled_scenes(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_tiled_scenes())
 def test_hybrid_matches_exact_on_random_scenes(case):
+    # random regions agree to 3e-11; a region a dozen tiles wide straddling
+    # the nodal line, whose integral the da^2 factor suppresses, to 2e-10
     scene, patch = case
     for region in scene.regions:
         exact = region_noise_integral(region, scene, patch, exact=True)
         hybrid = region_noise_integral(region, scene, patch)
-        assert hybrid == pytest.approx(exact, rel=1e-6)
+        assert hybrid == pytest.approx(exact, rel=1e-9)
+
+
+@st.composite
+def _framed_scenes(draw):
+    """A window under the ion and four regions framing it out to +-1 mm,
+    as on the packaged chip, with patches of 2-20 um and p/h up to 0.5."""
+    mm = 1e-3
+    patch = 2e-6 * 10.0 ** draw(st.floats(0.0, 1.0))
+    a, b = draw(st.floats(50e-6, 400e-6)), draw(st.floats(50e-6, 400e-6))
+    regions = (
+        PlaneRegion((-a, a, -b, b), name="window"),
+        PlaneRegion((-mm, mm, -mm, -b), name="south"),
+        PlaneRegion((-mm, mm, b, mm), name="north"),
+        PlaneRegion((-mm, -a, -b, b), name="west"),
+        PlaneRegion((a, mm, -b, b), name="east"),
+    )
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    scene = PatchScene(
+        regions,
+        ion_height=draw(st.floats(2.0 * patch, 300e-6)),
+        ion_xy=(draw(st.floats(-a / 2, a / 2)), draw(st.floats(-b / 2, b / 2))),
+        axial_dir=(math.cos(angle), math.sin(angle)),
+    )
+    return scene, patch
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_framed_scenes())
+def test_hybrid_matches_exact_up_to_half_the_ion_height(case):
+    scene, patch = case
+    for region in scene.regions:
+        exact = region_noise_integral(region, scene, patch, exact=True)
+        assert region_noise_integral(region, scene, patch) == pytest.approx(exact, rel=1e-10)
+
+
+def packaged_scene(height=H) -> PatchScene:
+    return replace(load_scene(packaged_config("scenes", "ybco-chip")), ion_height=height)
+
+
+@pytest.mark.parametrize("height", [225e-6, 50e-6])
+@pytest.mark.parametrize("patch", [1e-6, 2e-6])
+def test_hybrid_matches_exact_on_the_packaged_scene(height, patch):
+    scene = packaged_scene(height)
+    for region in scene.regions:
+        exact = region_noise_integral(region, scene, patch, exact=True)
+        assert region_noise_integral(region, scene, patch) == pytest.approx(exact, rel=1e-10)
+
+
+def test_hybrid_direct_sum_does_not_grow_as_patches_shrink():
+    # partial last columns and rows summed tile by tile would grow as 1/p,
+    # to about 1e6 tiles at 0.02 um
+    scene = packaged_scene()
+    counts = []
+    real = patches._direct_sum_k2
+
+    def counting(cx, wx, cy, wy, scene):
+        counts[-1] += cx.size * cy.size
+        return real(cx, wx, cy, wy, scene)
+
+    with mock.patch.object(patches, "_direct_sum_k2", counting):
+        for patch in (2e-6, 0.5e-6, 0.02e-6):
+            counts.append(0)
+            zeta(scene, 1.0, patch)
+    assert counts == sorted(counts, reverse=True)
+
+
+def test_tiles_have_no_phantom_last_tile():
+    # an absolute slack in the tile count falls below one ulp of the ratio
+    # past about 4,500 tiles and leaves a last tile of width 0 or -3e-19 m
+    scene = packaged_scene()
+    for patch in np.geomspace(0.02e-6, 20e-6, 400):
+        for region in scene.regions:
+            x0, x1, y0, y1 = region.rect
+            for lo, hi in ((x0, x1), (y0, y1)):
+                _, widths = patches._tiles(lo, hi, patch)
+                # the edges lo + k p carry rounding of a few ulp of |lo|
+                noise = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+                assert noise < widths.min() and widths.max() <= patch + noise
 
 
 def test_patch_size_convergence():
@@ -360,20 +449,24 @@ def test_exact_mode_budget_error(monkeypatch):
         region_noise_integral(scene.regions[0], scene, 1e-6, exact=True)
 
 
-def test_hybrid_budget_error(monkeypatch):
-    # the hybrid sums the last column and row directly: 2e5 tiles here
+def test_hybrid_sums_nanometre_patches_within_the_budget(monkeypatch):
+    # 1e8 tiles a side: the hybrid sums no strip directly, so a budget of
+    # 100 direct tiles holds, and the sum keeps the continuum limit
     scene = big_plane_scene()
-    monkeypatch.setattr(patches, "_MAX_PATCHES", 100_000)
-    with pytest.raises(PatchBudgetError):
-        region_noise_integral(scene.regions[0], scene, 1e-6)
+    monkeypatch.setattr(patches, "_MAX_PATCHES", 100)
+    patch = 1e-9
+    val = region_noise_integral(scene.regions[0], scene, patch)
+    assert val == pytest.approx(3.0 * patch**2 / (32.0 * math.pi * H**4), rel=1e-4)
 
 
+@pytest.mark.parametrize("patch", [2e-316, 1e-300, 1e-20])
 @pytest.mark.parametrize("exact", [False, True], ids=["hybrid", "exact"])
-def test_tile_count_past_float_range_is_a_budget_error(exact):
-    # 740 um / 2e-316 m overflows to inf tiles along each axis
+def test_tile_count_past_float_range_is_a_budget_error(exact, patch):
+    # 740 um / 2e-316 m overflows to inf tiles along each axis; 1e-300 m
+    # and 1e-20 m give finite counts past 2^53, where floats stop counting
     scene = simple_scene()
-    with pytest.raises(PatchBudgetError, match="inf directly summed"):
-        region_noise_integral(scene.region("inner"), scene, 2e-316, exact=exact)
+    with pytest.raises(PatchBudgetError, match="patch count overflows a float"):
+        region_noise_integral(scene.region("inner"), scene, patch, exact=exact)
 
 
 def test_region_integral_rejects_bad_patch_size():
