@@ -583,8 +583,7 @@ def load_temp_params(path) -> TempFitParams:
 def load_surface_params(path, kind: str) -> dict[str, float]:
     """Surface-noise model parameters from a ``[surface-model]`` section, in
     the model's ``names`` order; the key of the temperature ``t0`` is
-    ``t0_K``.  The model's :meth:`~trapnoise.inference.SurfaceModel.check`
-    checks the values."""
+    ``t0_K``, and :meth:`~trapnoise.inference.Model.check` checks the values."""
     from .inference import SURFACE_MODELS
 
     if kind not in SURFACE_MODELS:

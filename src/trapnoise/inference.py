@@ -7,9 +7,11 @@ surface-noise offset fits, spline-based log-log slopes, and the
 thermally-activated-fluctuator (TAF) prediction linking the temperature
 slope to the frequency exponent.
 
-Every fit goes through ``_fit``, which minimises sigma-weighted residuals
-from each start and keeps the lowest RSS; quoted RSS and information
-criteria use the same residuals.  ``_natural_fit`` is the one place where
+Each fitted formula is one :class:`Model` row (``TEMP_MODELS``,
+``SURFACE_MODELS``, ``_POWER_LAW``), and every fit goes through ``_fit``,
+which builds the row's sigma-weighted residuals, minimises them from each
+start and keeps the lowest RSS; quoted RSS and information criteria use the
+same residuals.  ``_natural_fit`` is the one place where
 fit coordinates, some of them logarithms, become reported values and
 errors; a value or error out of float range raises FitFailure.
 """
@@ -46,7 +48,8 @@ __all__ = [
     "TempModelFit",
     "TempModelComparison",
     "ModelScore",
-    "SurfaceModel",
+    "Model",
+    "TEMP_MODELS",
     "SURFACE_MODELS",
     "SurfaceModelFit",
     "SurfaceFitParams",
@@ -128,25 +131,30 @@ def _natural_fit(res: FitResult, logged) -> tuple[tuple, tuple]:
     return values, errors
 
 
-def _fit(predict, y, sigma, starts, logged) -> tuple[FitResult, tuple, tuple]:
-    """The least-squares fit of ``predict(theta)`` to ``y`` with errors
-    ``sigma``: the lowest-RSS fit over the start vectors ``starts``, and its
-    natural values and errors by ``_natural_fit`` with ``logged``.
-
-    Of several starts, one that fails is skipped, and FitFailure is raised
-    if all fail; a lone start's failure propagates.
-    """
+def _fit(model, x, y, sigma, starts, owner=None) -> tuple[FitResult, tuple, tuple]:
+    """The lowest-RSS least-squares fit of ``model`` at ``x`` to ``y`` with
+    errors ``sigma`` over the start vectors ``starts``, and its natural values
+    and errors by ``_natural_fit``.  If ``owner`` gives each point's group,
+    the first parameter, a logarithm, takes one value per group, first in
+    theta and in the values.  Of several starts, one that fails is skipped,
+    and FitFailure is raised if all fail; a lone start's failure propagates."""
+    k = len(starts[0]) - len(model.names) + 1  # values of the first parameter
+    rest = model.logged[1:]
 
     def residual(theta):
         # trial steps may overflow; NaN/inf residuals just lose the step
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return (y - predict(theta)) / sigma
+            if owner is None:
+                params = _natural(theta, model.logged)
+            else:  # np.exp and _exp may differ in the last bit; each fit keeps its own
+                params = np.exp(theta[:k])[owner], *_natural(theta[k:], rest)
+            return (y - model.formula(x, *params)) / sigma
 
     best = None
     for theta0 in starts:
         try:
             res = levenberg_marquardt(residual, theta0)
-            fit = res, *_natural_fit(res, logged)
+            fit = res, *_natural_fit(res, model.logged[:1] * k + rest)
         except (FitFailure, np.linalg.LinAlgError):
             if len(starts) == 1:
                 raise
@@ -159,7 +167,7 @@ def _fit(predict, y, sigma, starts, logged) -> tuple[FitResult, tuple, tuple]:
 
 
 @dataclass(frozen=True)
-class SurfaceModel:
+class Model:
     """y(x) = formula(x, *params) with the parameters in ``names`` order;
     those flagged in ``logged`` are fitted as logarithms.  Given values must
     be finite, > 0 if ``positive`` names them and >= 0 if ``nonnegative`` does."""
@@ -173,14 +181,18 @@ class SurfaceModel:
     def __call__(self, t, params: dict[str, float]):
         return self.formula(t, *(params[name] for name in self.names))
 
+    def require(self, name: str, value: float, what: str = "") -> None:
+        """Raise DomainError unless ``value`` is in ``name``'s domain; ``what`` names it."""
+        lo = 0.0 if name in self.positive + self.nonnegative else -math.inf
+        require_above(value, what or name, lo, or_equal=name in self.nonnegative)
+
     def check(self, params: dict[str, float]) -> dict[str, float]:
         """``params``, if it gives each of ``names`` in the model's domain.
         The fit calls the bare ``formula``: its trial steps may leave it."""
         for name in self.names:
             if name not in params:
                 raise DomainError(f"missing parameter {name} (of {', '.join(self.names)})")
-            lo = 0.0 if name in self.positive + self.nonnegative else -math.inf
-            require_above(params[name], name, lo, or_equal=name in self.nonnegative)
+            self.require(name, params[name])
         return params
 
 
@@ -247,7 +259,7 @@ class HeatingDataset:
 # frequency power law
 
 
-_POWER_LAW = SurfaceModel(  # Gamma(omega)
+_POWER_LAW = Model(  # Gamma(omega)
     lambda omega, gamma, alpha: gamma * (np.asarray(omega) / OMEGA0) ** (alpha - 1.0),
     ("gamma_coeff", "alpha"),
     (True, False),
@@ -284,9 +296,10 @@ def fit_freq_power_law(points) -> FreqPowerLawFit:
 
     # log-log regression seeds the nonlinear fit
     slope, intercept = np.polyfit(np.log(omegas / OMEGA0), np.log(gammas), 1)
+    # one group: the coefficient takes np.exp, as each Gamma0 does
     res, values, _ = _fit(
-        lambda theta: _POWER_LAW.formula(omegas, np.exp(theta[0]), theta[1]),
-        gammas, sigmas, [np.array([intercept, slope + 1.0])], _POWER_LAW.logged,
+        _POWER_LAW, omegas, gammas, sigmas, [np.array([intercept, slope + 1.0])],
+        np.zeros(omegas.size, dtype=int),
     )
     return FreqPowerLawFit(**dict(zip(_POWER_LAW.names, values)), fit=res)
 
@@ -307,9 +320,7 @@ def model_gamma2(t, gamma0, t1, beta1, t2, beta2, t_star):
     Continuous at T* because the upper branch equals Gamma1(T*) there.
     """
     t = np.asarray(t, dtype=float)
-    # During optimization trial parameters may turn unphysical (T* <= 0,
-    # runaway exponents); let NaN/inf propagate silently so the step is
-    # simply rejected.
+    # np.where evaluates both branches: the unused one may overflow or divide by 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         below = model_gamma1(t, gamma0, t1, beta1)
         at_star = gamma0 * (1.0 + (t_star / t1) ** beta1)
@@ -318,10 +329,27 @@ def model_gamma2(t, gamma0, t1, beta1, t2, beta2, t_star):
         return np.where(t < t_star, below, above)
 
 
+TEMP_MODELS = {  # Gamma(T), with Gamma0 fitted per secular frequency
+    "gamma1": Model(
+        model_gamma1,
+        ("gamma0", "t1", "beta1"),
+        (True, True, True),
+        positive=("gamma0", "t1"),
+    ),
+    "gamma2": Model(
+        # looks the module global up at each call, so a wrapper put in its place counts calls
+        lambda t, *params: model_gamma2(t, *params),
+        ("gamma0", "t1", "beta1", "t2", "beta2", "t_star"),
+        (True, True, True, True, True, False),
+        positive=("gamma0", "t1", "t2", "t_star"),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class TempFitParams:
     """Gamma1's parameters, and Gamma2's if ``t2``, ``beta2`` and ``t_star``
-    (all or none) are given; temperatures, Gamma0s, frequencies > 0, exponents finite."""
+    (all or none) are given, in the domain of their row; frequencies > 0."""
 
     gamma0: dict[float, float]  # per secular frequency (Hz)
     t1: float
@@ -333,25 +361,25 @@ class TempFitParams:
     def __post_init__(self):
         if len({v is None for v in (self.t2, self.beta2, self.t_star)}) > 1:
             raise DomainError("t2, beta2 and t_star must be given together")
-        for name in list(_SHAPE)[: 5 if self.piecewise else 2]:  # betas: finite only
-            require_above(getattr(self, name), name, -math.inf if "beta" in name else 0.0)
+        model = self.model
+        for name in model.names[1:]:
+            model.require(name, getattr(self, name))
         for f_hz, g0 in self.gamma0.items():
             require_above(f_hz, "gamma0 frequency")
-            require_above(g0, f"gamma0 at {f_hz:g} Hz")
+            model.require("gamma0", g0, f"gamma0 at {f_hz:g} Hz")
 
     @property
     def piecewise(self) -> bool:
         return self.t_star is not None
 
+    @property
+    def model(self) -> Model:  # its row of TEMP_MODELS
+        return TEMP_MODELS["gamma2" if self.piecewise else "gamma1"]
+
     def __call__(self, t, f_secular: float):
         if f_secular not in self.gamma0:
             raise DomainError(f"no gamma0 at {f_secular} Hz, only at {sorted(self.gamma0)}")
-        g0 = self.gamma0[f_secular]
-        if self.piecewise:
-            return model_gamma2(
-                t, g0, self.t1, self.beta1, self.t2, self.beta2, self.t_star
-            )
-        return model_gamma1(t, g0, self.t1, self.beta1)
+        return self.model(t, {**vars(self), "gamma0": self.gamma0[f_secular]})
 
 
 @dataclass(frozen=True)
@@ -444,11 +472,6 @@ class TempModelComparison:
         return self.piecewise.score.aic - self.simple.score.aic
 
 
-# Gamma2's shape parameters in fit order, after ln Gamma0 per frequency, and
-# whether each is fitted as a logarithm; Gamma1 has the first two
-_SHAPE = {"t1": True, "beta1": True, "t2": True, "beta2": True, "t_star": False}
-
-
 def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
     """Global fits of both temperature models with shared shape parameters.
 
@@ -466,7 +489,7 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
         raise UnusableDataError("need at least 4 distinct temperatures")
     freqs = sorted({r.f_secular for r in records})
     k = len(freqs)
-    n_params = k + len(_SHAPE)
+    n_params = k + len(TEMP_MODELS["gamma2"].names) - 1
     if len(records) <= n_params:
         raise UnusableDataError(
             f"need more than {n_params} records for the piecewise model, "
@@ -482,23 +505,16 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
         if rates.size == 0:
             raise UnusableDataError(f"no positive heating rate at {f:g} Hz")
         g0.append(rates.min())
-    shape_logged = tuple(_SHAPE.values())
-    logged = (True,) * k + shape_logged
 
-    def predict(theta):
-        shape = _natural(theta[k:], shape_logged)
-        model = model_gamma2 if len(shape) == 5 else model_gamma1
-        return model(temps, np.exp(theta[:k])[owner], *shape)
-
-    def model_fit(starts) -> TempModelFit:
-        res, values, errors = _fit(predict, gammas, sigmas, starts, logged)
-        shape = dict(zip(_SHAPE, values[k:]))
+    def model_fit(model, starts) -> TempModelFit:
+        res, values, errors = _fit(model, temps, gammas, sigmas, starts, owner)
+        shape = dict(zip(model.names[1:], values[k:]))
         params = TempFitParams(dict(zip(freqs, values)), **shape)
         score = information_criteria(res.rss, temps.size, res.params.size)
-        return TempModelFit(params, score, res, dict(zip(_SHAPE, errors[k:])))
+        return TempModelFit(params, score, res, dict(zip(model.names[1:], errors[k:])))
 
     start = np.concatenate([np.log(g0), [math.log(_median(temps)), math.log(2.0)]])
-    simple = model_fit([start])
+    simple = model_fit(TEMP_MODELS["gamma1"], [start])
 
     n = simple.fit.params.size
     t_lo, t_hi = temps.min(), temps.max()
@@ -514,7 +530,7 @@ def fit_temperature_models(dataset: HeatingDataset) -> TempModelComparison:
             start[:n] += rng.normal(0.0, 0.05, n)
             start[n : n + 2] += rng.normal(0.0, 0.3, 2)
         starts.append(start)
-    piecewise = model_fit(starts)
+    piecewise = model_fit(TEMP_MODELS["gamma2"], starts)
     t_star = piecewise.params.t_star
     if not t_lo <= t_star <= t_hi:
         warnings.warn(
@@ -539,13 +555,13 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
 
 
 SURFACE_MODELS = {  # S_E(T)
-    "power": SurfaceModel(  # S_E0 (1 + T/T0)^beta
+    "power": Model(  # S_E0 (1 + T/T0)^beta
         lambda t, s_e0, beta, t0: s_e0 * (1.0 + t / t0) ** beta,
         ("s_e0", "beta", "t0"),
         (True, False, True),
         positive=("s_e0", "t0"),
     ),
-    "arrhenius": SurfaceModel(  # S_E0 + S_ET exp(-T0/T)
+    "arrhenius": Model(  # S_E0 + S_ET exp(-T0/T)
         lambda t, s_e0, s_et, t0: s_e0 + s_et * np.exp(-t0 / t),
         ("s_e0", "s_et", "t0"),
         (True, True, True),
@@ -603,10 +619,7 @@ def fit_surface_models(curve) -> SurfaceFitParams:
     fits = {}
     for kind, theta0 in starts.items():
         model = SURFACE_MODELS[kind]
-        res, values, errors = _fit(
-            lambda theta: model.formula(temps, *_natural(theta, model.logged)),
-            s_e, sigmas, [theta0], model.logged,
-        )
+        res, values, errors = _fit(model, temps, s_e, sigmas, [theta0])
         dof = temps.size - len(model.names)
         fits[kind] = SurfaceModelFit(
             kind, dict(zip(model.names, values)), dict(zip(model.names, errors)),
@@ -745,7 +758,7 @@ def synth_dataset(
     ``model`` is "gamma1" or "gamma2"; sigma is noise_frac times the model
     value.  Deterministic for fixed seed.
     """
-    if model not in ("gamma1", "gamma2"):
+    if model not in TEMP_MODELS:
         raise DomainError(f"unknown model {model!r}")
     if model == "gamma2" and not params.piecewise:
         raise DomainError("gamma2 requires piecewise parameters")

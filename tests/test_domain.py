@@ -253,3 +253,31 @@ def test_parameter_types_reject_what_the_config_loaders_rejected(case):
     message, call = _REJECTED[case]
     with pytest.raises(DomainError, match=message):
         call()
+
+
+# the domains of the fitted parameters, written out here rather than read
+# from the model rows: exponents may be 0 or negative, temperature scales
+# and Gamma0 may not
+@pytest.mark.parametrize("beta", [0.0, -1.5])
+def test_exponents_may_be_zero_or_negative(beta):
+    assert TempFitParams({1e6: 1.0}, 20.0, beta).beta1 == beta
+    piecewise = replace(PIECEWISE, beta1=beta, beta2=beta)
+    assert (piecewise.beta1, piecewise.beta2) == (beta, beta)
+    params = {"s_e0": 1e-15, "beta": beta, "t0": 20.0}
+    assert math.isfinite(synth_surface("power", params, [20.0], 0.1, 1)[0][1])
+
+
+_AT_ZERO = {
+    "t1": ("t1", lambda: TempFitParams({1e6: 1.0}, 0.0, 1.0)),
+    "t2": ("t2", lambda: replace(PIECEWISE, t2=0.0)),
+    "t_star": ("t_star", lambda: replace(PIECEWISE, t_star=0.0)),
+    "gamma0": ("gamma0 at 1e+06 Hz", lambda: TempFitParams({1e6: 0.0}, 20.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_ZERO))
+def test_temperature_scales_and_gamma0_must_be_positive(name):
+    what, call = _AT_ZERO[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"{what} must be > 0, got 0.0"

@@ -489,6 +489,18 @@ def test_fit_requires_enough_distinct_temperatures():
         fit_temperature_models(HeatingDataset(recs))
 
 
+# at the minimum of 4 distinct temperatures, with enough records, and one below it
+def test_temperature_fit_runs_at_four_distinct_temperatures():
+    params = replace(PIECEWISE, gamma0={0.4e6: 3.76, 0.6e6: 1.92})
+    temps = (20.0, 60.0, 100.0, 140.0)
+    fits = fit_temperature_models(synth_dataset("gamma2", params, temps, FREQS_HZ[:2], 0.05, 1))
+    for fit in (fits.simple, fits.piecewise):
+        assert np.all(np.isfinite(_fit_numbers(fit)))
+    short = synth_dataset("gamma2", params, temps[:3], FREQS_HZ[:2], 0.05, 1)
+    with pytest.raises(UnusableDataError, match="^need at least 4 distinct temperatures$"):
+        fit_temperature_models(short)
+
+
 def test_plateau_width_hand_value():
     assert plateau_width(PIECEWISE, 0.1) == pytest.approx(
         102.9 * 0.1 ** (1.0 / 4.14), rel=1e-12
@@ -563,6 +575,25 @@ def test_surface_fit_needs_three_distinct_temperatures(temps):
     curve = [(t, 1e-14 * (1.0 + 0.1 * i), 1e-15) for i, t in enumerate(temps)]
     with pytest.raises(UnusableDataError, match="at least 3 distinct temperatures"):
         fit_surface_models(curve)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["power", "arrhenius"])
+def test_surface_fit_runs_on_five_points_at_three_distinct_temperatures(kind, seed):
+    params = POWER_PARAMS if kind == "power" else ARRH_PARAMS
+    curve = synth_surface(kind, params, (20.0, 20.0, 60.0, 60.0, 100.0), 0.05, seed)
+    fits = fit_surface_models(curve)
+    for fit in (fits.power, fits.arrhenius):
+        assert np.all(np.isfinite([*fit.params.values(), *fit.errors.values(), fit.chi2]))
+
+
+def test_spline_slope_runs_at_four_distinct_temperatures():
+    curve = synth_surface("power", POWER_PARAMS, (20.0, 40.0, 60.0, 100.0), 0.05, seed=1)
+    t = np.array([20.0, 50.0, 100.0])
+    slope = loglog_spline_slope(curve, n_boot=10)
+    assert np.all(np.isfinite([slope(t), *slope.band(t)]))
+    with pytest.raises(UnusableDataError, match="at least 4 distinct temperatures, got 3"):
+        loglog_spline_slope(curve[:3], n_boot=10)
 
 
 @pytest.mark.parametrize("column", [1, 2], ids=["s_e", "sigma"])

@@ -107,6 +107,15 @@ def test_failure_carries_best_point(monkeypatch):
     assert err.params.shape == (3,)
 
 
+def test_rss_improvement_alone_stops_a_converged_fit(monkeypatch):
+    # with the step-size stop off, only the relative RSS improvement ends
+    # the iterations; the fit converges in 7 of them
+    _, _, _, _, residual = exponential_problem()
+    monkeypatch.setattr(leastsq, "_STEP_TOL", 0.0)
+    res = levenberg_marquardt(residual, np.array([1.0, 1.0, 0.0]))
+    assert res.n_iter <= 10
+
+
 def test_stalls_return_current_point_instead_of_raising():
     # |r| has a non-smooth minimum; LM stalls there and returns gracefully
     def residual(theta):

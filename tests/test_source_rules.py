@@ -144,8 +144,41 @@ def temperature_before_omega(name: str, tree: ast.AST) -> list[int]:
     return lines
 
 
+def fits_off_the_model_table(name: str, tree: ast.AST) -> list[int]:
+    """In ``inference.py``, a ``_fit(...)`` whose first argument is not a
+    plain name, or names a function (not a method) or lambda the module
+    defines, and a ``Model(...)`` built inside a function: each fitted
+    formula is one module-level row, and ``_fit`` builds the only residual
+    from it."""
+    if name != "inference.py":
+        return []
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    callables = {node.name for node in ast.walk(tree) if id(node) not in methods
+                 and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    callables |= {target.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)
+                  for target in node.targets if isinstance(target, ast.Name)}
+    nested = {id(node) for scope in ast.walk(tree) if isinstance(scope, scopes)
+              for node in ast.walk(scope) if node is not scope}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if called == "_fit":
+            first = node.args[0] if node.args else None
+            if not isinstance(first, ast.Name) or first.id in callables:
+                lines.append(node.lineno)
+        elif called == "Model" and id(node) in nested:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions,
-         fit_engine_bypasses, cli_file_choices, temperature_before_omega]
+         fit_engine_bypasses, cli_file_choices, temperature_before_omega,
+         fits_off_the_model_table]
 
 
 def violations(rule, sources: dict[str, str]) -> list[str]:
@@ -249,6 +282,31 @@ _PLANTED = [
         async def fetch(temperature, *, omega=1.0):  # planted
             return 0.0
         f = lambda temperature, omega: 0.0  # planted
+    """),
+    (fits_off_the_model_table, "inference.py", """
+        ROWS = {"one": Model(lambda t, a: a * t, ("a",), (True,))}
+        class Params:
+            @property
+            def model(self):
+                return ROWS["one"]
+        def fit_one(x, y, sigma):
+            model = ROWS["one"]
+            return _fit(model, x, y, sigma, [[0.0]])
+        def fit_two(x, y, sigma):
+            row = Model(lambda t, a: a + t, ("a",), (False,))  # planted
+            _fit(lambda theta: theta[0] * x, x, y, sigma, [[0.0]])  # planted
+            def predict(theta):
+                return theta[0] * x
+            _fit(predict, x, y, sigma, [[0.0]])  # planted
+            return _fit(ROWS["one"], x, y, sigma, [[0.0]])  # planted
+    """),
+    (fits_off_the_model_table, "inference.py", """
+        residual = lambda theta: theta
+        _fit(residual, x, y, sigma, [[0.0]])  # planted
+    """),
+    (fits_off_the_model_table, "noise.py", """
+        def fit(x, y, sigma):
+            return _fit(lambda theta: theta, x, y, sigma, [[0.0]], Model(f, (), ()))
     """),
 ]
 
