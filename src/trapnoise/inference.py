@@ -317,7 +317,8 @@ def model_gamma1(t, gamma0, t1, beta1):
 def model_gamma2(t, gamma0, t1, beta1, t2, beta2, t_star):
     """Piecewise power law: simple below T*, second rise above it.
 
-    Continuous at T* because the upper branch equals Gamma1(T*) there.
+    Continuous at T* because the upper branch equals Gamma1(T*) there, as
+    (0/t2)^beta2 = 0 for beta2 > 0 (0 would double it, and beta2 < 0 give inf).
     """
     t = np.asarray(t, dtype=float)
     # np.where evaluates both branches: the unused one may overflow or divide by 0
@@ -341,7 +342,7 @@ TEMP_MODELS = {  # Gamma(T), with Gamma0 fitted per secular frequency
         lambda t, *params: model_gamma2(t, *params),
         ("gamma0", "t1", "beta1", "t2", "beta2", "t_star"),
         (True, True, True, True, True, False),
-        positive=("gamma0", "t1", "t2", "t_star"),
+        positive=("gamma0", "t1", "t2", "beta2", "t_star"),
     ),
 }
 

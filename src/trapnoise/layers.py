@@ -19,12 +19,22 @@ surface at height d above a laterally infinite stack.
 Evaluation
 ----------
 :func:`~trapnoise.quadrature.adaptive_gk` hands the g_parallel integrands
-at most a few thousand nodes per call, however many panels a round splits,
-so the complex temporaries of the reflection recursion stay cache-sized.
-Every node's value is the same bit for bit as in one call over all of a
-round's nodes, except that the W = 0 fallback of :func:`stack_reflection`
-is chosen per call.  The check of eps runs once per medium and call,
-before any node is evaluated.
+at most a few thousand nodes per call, however many panels a round splits.
+The integrands and their reflection recursion work in buffers of that
+size, which each :func:`greens_parallel` call allocates once: temporaries
+made afresh in every integrand call go back to the system and fault back
+in, which took about a fifth of the time of a call that fails.  A
+lossless medium (Im eps = +0, such as the vacuum on top of every stack)
+takes a real square root for W, with the same bits as the principal
+complex root.  Every node's value is the same bit for bit as in one call
+over all of a round's nodes, except that the W = 0 fallback of
+:func:`stack_reflection` is chosen per call; each complex product keeps
+its operands and their order, as products with fused multiply-add do not
+commute bit for bit.  The reflection kernel costs about 100 ns per node
+on sapphire-ybco and 155 ns on sapphire-ybco-au (the benchmark probe's
+2,000 nodes at 1 MHz and 80 K, one BLAS thread, minimum of 40 calls).
+The check of eps runs once per medium and call of :func:`stack_reflection`
+or :func:`greens_parallel`, before any node is evaluated.
 """
 
 from __future__ import annotations
@@ -108,9 +118,25 @@ class GreensResult:
     evanescent: float
 
 
-def _vertical(eps, u2):
-    """W = sqrt(eps - u2), the principal root: Im W >= 0 as Im eps >= +0."""
-    return np.sqrt(np.asarray(eps - u2, dtype=complex))
+def _vertical(eps, u2, out):
+    """W = sqrt(eps - u2) into ``out``, the principal root: Im W >= 0 as
+    Im eps >= +0.
+
+    Where Im eps = +0 its parts are sqrt(max(x, 0)) and sqrt(max(0 - x, 0))
+    of x = eps - u2, which are the principal root's bits, +0 and NaN
+    included, without its cost; x is never -0.0, whose max with 0 may keep
+    its sign, as Re eps = -0.0 is folded into +0.0 first.
+    """
+    re, im = out.real, out.imag
+    if eps.imag:
+        np.subtract(eps.real, u2, out=re)
+        im[...] = eps.imag
+        return np.sqrt(out, out=out)
+    np.subtract(eps.real + 0.0, u2, out=re)
+    np.subtract(0.0, re, out=im)
+    np.sqrt(np.maximum(re, 0.0, out=re), out=re)
+    np.sqrt(np.maximum(im, 0.0, out=im), out=im)
+    return out
 
 
 def _check_denominator(den, eps_a, eps_b, pol: str):
@@ -121,15 +147,74 @@ def _check_denominator(den, eps_a, eps_b, pol: str):
         )
 
 
-def _interface(eps_a, eps_b, wa, wb):
-    """(Rs, Rp) of the a|b interface from its vertical wavevector factors."""
-    den_s = wa + wb
-    den_p = eps_b * wa + eps_a * wb
+def _interface(eps_a, eps_b, wa, wb, rs, rp, scratch):
+    """(Rs, Rp) of the a|b interface from its vertical wavevector factors,
+    written into ``rs`` and ``rp``; eps_b wa and eps_a wb serve both den_p
+    and the p numerator.  ``scratch`` holds three more buffers."""
+    den_s, b_wa, den_p = scratch
+    np.add(wa, wb, out=den_s)
+    np.multiply(eps_b, wa, out=b_wa)
+    a_wb = np.multiply(eps_a, wb, out=rp)
+    np.add(b_wa, a_wb, out=den_p)
     _check_denominator(den_s, eps_a, eps_b, "s")
     _check_denominator(den_p, eps_a, eps_b, "p")
-    rs = (wa - wb) / den_s
-    rp = (eps_b * wa - eps_a * wb) / den_p
+    np.divide(np.subtract(wa, wb, out=rs), den_s, out=rs)
+    np.divide(np.subtract(b_wa, a_wb, out=rp), den_p, out=rp)
+
+
+def _through_layer(r, big_r, ph, num, den):
+    """R <- (r + R ph) / (1 + r R ph) in ``big_r``: the reflection of the
+    interface r over a layer of phase ph, with two scratch buffers.  No
+    complex product is written over one of its factors: numpy multiplies
+    one element into a factor by another loop, with other last bits."""
+    np.add(r, np.multiply(big_r, ph, out=num), out=num)
+    np.multiply(np.multiply(r, big_r, out=den), ph, out=big_r)
+    np.divide(num, np.add(1.0, big_r, out=big_r), out=big_r)
+
+
+def _checked(eps_media):
+    """The media as complex numbers once each passes the check of
+    :func:`stack_reflection`; Im eps = -0.0 becomes +0.0."""
+    for i, eps in enumerate(eps_media):
+        require_above(eps.real, f"Re eps of medium {i}", -np.inf)
+        require_above(eps.imag, f"Im eps of medium {i}", or_equal=True)
+    # a lossless medium written with Im eps = -0.0 keeps the decaying branch
+    return [complex(eps.real, eps.imag + 0.0) for eps in eps_media]
+
+
+def _reflection(eps_media, thicknesses, u2, k, work):
+    """(Rs, Rp) of checked media at u2; the recursion works in the ten
+    complex buffers ``work``, each of u2's shape, and returns the first two."""
+    lossless = [e.real for e in eps_media[1:-1] if e.imag == 0.0]
+    if lossless and np.isin(u2, lossless).any():
+        # W = 0 in a lossless finite layer, where the recursion gives 0/0
+        return _admittance_reflection(eps_media, thicknesses, u2, k)
+    rs, rp, w, w_below, ph, r_s, r_p, *scratch = work
+    _vertical(eps_media[-1], u2, w_below)
+    _vertical(eps_media[-2], u2, w)
+    _interface(eps_media[-2], eps_media[-1], w, w_below, rs, rp, scratch)
+    for i in range(len(eps_media) - 3, -1, -1):
+        np.exp(np.multiply(2j * k * thicknesses[i], w, out=ph), out=ph)
+        w_below, w = w, _vertical(eps_media[i], u2, w_below)
+        _interface(eps_media[i], eps_media[i + 1], w, w_below, r_s, r_p, scratch)
+        _through_layer(r_s, rs, ph, *scratch[:2])
+        _through_layer(r_p, rp, ph, *scratch[:2])
     return rs, rp
+
+
+def _buffers():
+    """take(n, dtype, count): ``count`` arrays of n elements, views of one
+    block per dtype kept across calls and grown to the largest n asked for;
+    each dtype is always asked for the same count."""
+    blocks = {}
+
+    def take(n, dtype, count):
+        block = blocks.get(dtype)
+        if block is None or block.shape[1] < n:
+            block = blocks[dtype] = np.empty((count, n), dtype)
+        return list(block[:, :n])
+
+    return take
 
 
 def stack_reflection(eps_media, thicknesses, u, k):
@@ -141,26 +226,11 @@ def stack_reflection(eps_media, thicknesses, u, k):
     with Im eps < 0, or with NaN or +-inf in either part, raises
     :class:`DomainError`.
     """
-    for i, eps in enumerate(eps_media):
-        require_above(eps.real, f"Re eps of medium {i}", -np.inf)
-        require_above(eps.imag, f"Im eps of medium {i}", or_equal=True)
-    # a lossless medium written with Im eps = -0.0 keeps the decaying branch
-    eps_media = [complex(eps.real, eps.imag + 0.0) for eps in eps_media]
+    eps_media = _checked(eps_media)
     u2 = np.asarray(u, dtype=float) ** 2
-    lossless = [e.real for e in eps_media[1:-1] if e.imag == 0.0]
-    if lossless and np.isin(u2, lossless).any():
-        # W = 0 in a lossless finite layer, where the recursion gives 0/0
-        return _admittance_reflection(eps_media, thicknesses, u2, k)
-    w_below = _vertical(eps_media[-1], u2)
-    w = _vertical(eps_media[-2], u2)
-    rs, rp = _interface(eps_media[-2], eps_media[-1], w, w_below)
-    for i in range(len(eps_media) - 3, -1, -1):
-        ph = np.exp(2j * k * thicknesses[i] * w)
-        w_below, w = w, _vertical(eps_media[i], u2)
-        r_s, r_p = _interface(eps_media[i], eps_media[i + 1], w, w_below)
-        rs = (r_s + rs * ph) / (1.0 + r_s * rs * ph)
-        rp = (r_p + rp * ph) / (1.0 + r_p * rp * ph)
-    return rs, rp
+    work = [np.empty(np.shape(u2), dtype=complex) for _ in range(10)]
+    rs, rp = _reflection(eps_media, thicknesses, u2, k, work)
+    return rs[()], rp[()]  # a scalar u gives scalars
 
 
 def _admittance_reflection(eps_media, thicknesses, u2, k):
@@ -168,15 +238,18 @@ def _admittance_reflection(eps_media, thicknesses, u2, k):
     through each finite layer: q <- (q - i W^2 g / e) / (1 - i q e g) with
     g = tan(k d W) / W, which is k d at W = 0, and e = 1 (s) or eps (p).
     Unlike the reflection recursion it stays finite where a layer's W = 0."""
-    w = _vertical(eps_media[-1], u2)
+    def vertical(eps):
+        return _vertical(eps, u2, np.empty(np.shape(u2), dtype=complex))
+
+    w = vertical(eps_media[-1])
     qs, qp = w, w / eps_media[-1]
     for eps, d in zip(eps_media[-2:0:-1], thicknesses[::-1]):
-        w = _vertical(eps, u2)
+        w = vertical(eps)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.where(w == 0.0, k * d, np.tan(k * d * w) / w)
         qs = (qs - 1j * w * w * g) / (1.0 - 1j * qs * g)
         qp = (qp - 1j * w * w * g / eps) / (1.0 - 1j * qp * eps * g)
-    w = _vertical(eps_media[0], u2)
+    w = vertical(eps_media[0])
     q0p = w / eps_media[0]
     return (w - qs) / (w + qs), (q0p - qp) / (q0p + qp)
 
@@ -211,19 +284,34 @@ def greens_parallel(
     """
     require_above(distance, "ion height")
     eps_media, thicknesses = _media(stack, omega, temperature)
+    eps_media = _checked(eps_media)
     k = omega / CONSTANTS.c
     kd = k * distance
+    take = _buffers()
 
+    # the integrands work in buffers kept across their calls, and each
+    # returns one, which the quadrature reads before its next call; every
+    # product keeps its operand order, u e^{2ikd cos} (rs - cos^2 rp) and
+    # e^{-2kdt} (rs + t^2 rp), so every node keeps its bits
     def integrand_prop(theta):
+        work = take(theta.size, complex, 10)
         u = np.sin(theta)
         cos = np.cos(theta)
-        rs, rp = stack_reflection(eps_media, thicknesses, u, k)
-        return u * np.exp(2j * kd * cos) * (rs - cos**2 * rp)
+        rs, rp = _reflection(eps_media, thicknesses, u**2, k, work)
+        np.subtract(rs, np.multiply(cos**2, rp, out=rp), out=rs)
+        wave = np.multiply(2j * kd, cos, out=work[2])
+        np.multiply(u, np.exp(wave, out=wave), out=wave)
+        return np.multiply(wave, rs, out=work[3])
 
     def integrand_evan(t):
-        u = np.sqrt(1.0 + t * t)
-        rs, rp = stack_reflection(eps_media, thicknesses, u, k)
-        return np.exp(-2.0 * kd * t) * (rs + t * t * rp)
+        tt, u2, decay = take(t.size, float, 3)
+        np.multiply(t, t, out=tt)
+        np.sqrt(np.add(1.0, tt, out=u2), out=u2)  # u = sqrt(1 + t^2)
+        np.square(u2, out=u2)
+        rs, rp = _reflection(eps_media, thicknesses, u2, k, take(t.size, complex, 10))
+        np.add(rs, np.multiply(tt, rp, out=rp), out=rs)
+        np.multiply(-2.0 * kd, t, out=decay)
+        return np.multiply(np.exp(decay, out=decay), rs, out=rs)
 
     budget = _MAX_EVALS // 2
     res_p = adaptive_gk(

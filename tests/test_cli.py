@@ -952,6 +952,8 @@ _BAD_SYNTH_PARAMS = [
      "[temp-model] t2 must be > 0"),
     ("gamma2", "temp-piecewise", "t_star_K = 92.5", "t_star_K = -5",
      "[temp-model] t_star must be > 0"),
+    ("gamma2", "temp-piecewise", "beta2 = 4.14", "beta2 = 0",
+     "[temp-model] beta2 must be > 0"),
     ("gamma2", "temp-piecewise", "0.4e6 3.76", "0.4e6 -3.76",
      "[temp-model] gamma0 at 400000 Hz"),
     ("gamma2", "temp-piecewise", "0.4e6 3.76", "-0.4e6 3.76",

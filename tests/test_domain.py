@@ -256,15 +256,25 @@ def test_parameter_types_reject_what_the_config_loaders_rejected(case):
 
 
 # the domains of the fitted parameters, written out here rather than read
-# from the model rows: exponents may be 0 or negative, temperature scales
-# and Gamma0 may not
+# from the model rows: exponents but beta2 may be 0 or negative, temperature
+# scales and Gamma0 may not
 @pytest.mark.parametrize("beta", [0.0, -1.5])
 def test_exponents_may_be_zero_or_negative(beta):
     assert TempFitParams({1e6: 1.0}, 20.0, beta).beta1 == beta
-    piecewise = replace(PIECEWISE, beta1=beta, beta2=beta)
-    assert (piecewise.beta1, piecewise.beta2) == (beta, beta)
+    assert replace(PIECEWISE, beta1=beta).beta1 == beta
     params = {"s_e0": 1e-15, "beta": beta, "t0": 20.0}
     assert math.isfinite(synth_surface("power", params, [20.0], 0.1, 1)[0][1])
+
+
+@pytest.mark.parametrize("beta2", [0.0, -1.5])
+def test_second_rise_exponent_must_be_positive(beta2):
+    # at beta2 <= 0 Gamma2 jumps at T* (to twice Gamma1 at 0, to inf below),
+    # and plateau_width would divide by it
+    with pytest.raises(DomainError) as err:
+        TempFitParams({1e6: 1.0}, 20.0, 1.0, t2=100.0, beta2=beta2, t_star=60.0)
+    assert str(err.value) == f"beta2 must be > 0, got {beta2}"
+    with pytest.raises(DomainError, match="^beta2 must be > 0"):
+        replace(PIECEWISE, beta2=beta2)
 
 
 _AT_ZERO = {

@@ -116,6 +116,40 @@ def test_rss_improvement_alone_stops_a_converged_fit(monkeypatch):
     assert res.n_iter <= 10
 
 
+def test_step_size_alone_stops_a_fit_whose_rss_keeps_falling():
+    # r = theta has its zero at 0: each step takes theta to about lambda
+    # times itself, so the RSS falls by nearly all of itself every iteration
+    # and the RSS stop cannot fire; the step-size stop ends the fit at step
+    # 7, under 1e-24.  Without it the RSS would underflow to 0 first
+    trials = []
+
+    def residual(theta):
+        trials.append(theta[0])
+        return theta.copy()
+
+    res = levenberg_marquardt(residual, np.array([1.0]), lambda theta: np.eye(1))
+    assert res.n_iter == 7 and len(trials) == 8
+    step = trials[-2] - trials[-1]
+    assert 0.0 < step <= 1e-24 and res.rss > 0.0
+    assert all(abs(b) < 1e-3 * abs(a) for a, b in zip(trials, trials[1:]))
+
+
+def test_forty_rejected_trials_end_the_fit_where_it_stands():
+    # a kink at theta = 0 where the given slope of 1 is one-sided: every
+    # trial, however damped, climbs the other side.  Each rejection raises
+    # lambda tenfold from 1e-3, and after 40 of them the fit stops
+    trials = []
+
+    def residual(theta):
+        trials.append(theta[0])
+        return np.array([1.0 + 1e100 * abs(theta[0])])
+
+    res = levenberg_marquardt(residual, np.array([0.0]), lambda theta: np.eye(1))
+    assert res.n_iter == 1 and res.params.tolist() == [0.0] and res.rss == 1.0
+    lams = 1e-3 * 10.0 ** np.arange(40)
+    assert trials[1:] == pytest.approx(-1.0 / (1.0 + lams), rel=1e-12, abs=0.0)
+
+
 def test_stalls_return_current_point_instead_of_raising():
     # |r| has a non-smooth minimum; LM stalls there and returns gracefully
     def residual(theta):
