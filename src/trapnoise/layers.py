@@ -23,16 +23,16 @@ at most a few thousand nodes per call, however many panels a round splits.
 The integrands and their reflection recursion work in buffers of that
 size, which each :func:`greens_parallel` call allocates once: temporaries
 made afresh in every integrand call go back to the system and fault back
-in, which took about a fifth of the time of a call that fails.  A
-lossless medium (Im eps = +0, such as the vacuum on top of every stack)
-takes a real square root for W, with the same bits as the principal
-complex root.  Every node's value is the same bit for bit as in one call
-over all of a round's nodes, except that the W = 0 fallback of
-:func:`stack_reflection` is chosen per call; each complex product keeps
-its operands and their order, as products with fused multiply-add do not
-commute bit for bit.  The reflection kernel costs about 100 ns per node
-on sapphire-ybco and 155 ns on sapphire-ybco-au (the benchmark probe's
-2,000 nodes at 1 MHz and 80 K, one BLAS thread, minimum of 40 calls).
+in, which took about a fifth of the time of a call that fails.  Every
+node's value is the same bit for bit as in one call over all of a round's
+nodes, except that the W = 0 fallback of :func:`stack_reflection` is
+chosen per call; each complex product keeps its operands and their order,
+as products with fused multiply-add do not commute bit for bit, and none
+is written over one of its own factors.  :func:`stack_reflection` runs
+the same kernel in buffers it allocates on every call; so timed, the
+kernel costs about 105 ns per node on sapphire-ybco and 160 ns on
+sapphire-ybco-au (the benchmark probe's 2,000 nodes at 1 MHz and 80 K,
+one BLAS thread, minimum of 40 calls).
 The check of eps runs once per medium and call of :func:`stack_reflection`
 or :func:`greens_parallel`, before any node is evaluated.
 """
@@ -45,7 +45,7 @@ import numpy as np
 
 from .constants import CONSTANTS, DegenerateInterfaceError, DomainError, require_above
 from .materials import MaterialModel, TwoFluidSC, permittivity
-from .quadrature import adaptive_gk
+from .quadrature import _CHUNK, adaptive_gk
 
 __all__ = [
     "Layer",
@@ -120,23 +120,10 @@ class GreensResult:
 
 def _vertical(eps, u2, out):
     """W = sqrt(eps - u2) into ``out``, the principal root: Im W >= 0 as
-    Im eps >= +0.
-
-    Where Im eps = +0 its parts are sqrt(max(x, 0)) and sqrt(max(0 - x, 0))
-    of x = eps - u2, which are the principal root's bits, +0 and NaN
-    included, without its cost; x is never -0.0, whose max with 0 may keep
-    its sign, as Re eps = -0.0 is folded into +0.0 first.
-    """
-    re, im = out.real, out.imag
-    if eps.imag:
-        np.subtract(eps.real, u2, out=re)
-        im[...] = eps.imag
-        return np.sqrt(out, out=out)
-    np.subtract(eps.real + 0.0, u2, out=re)
-    np.subtract(0.0, re, out=im)
-    np.sqrt(np.maximum(re, 0.0, out=re), out=re)
-    np.sqrt(np.maximum(im, 0.0, out=im), out=im)
-    return out
+    Im eps >= +0."""
+    np.subtract(eps.real, u2, out=out.real)
+    out.imag[...] = eps.imag
+    return np.sqrt(out, out=out)
 
 
 def _check_denominator(den, eps_a, eps_b, pol: str):
@@ -200,21 +187,6 @@ def _reflection(eps_media, thicknesses, u2, k, work):
         _through_layer(r_s, rs, ph, *scratch[:2])
         _through_layer(r_p, rp, ph, *scratch[:2])
     return rs, rp
-
-
-def _buffers():
-    """take(n, dtype, count): ``count`` arrays of n elements, views of one
-    block per dtype kept across calls and grown to the largest n asked for;
-    each dtype is always asked for the same count."""
-    blocks = {}
-
-    def take(n, dtype, count):
-        block = blocks.get(dtype)
-        if block is None or block.shape[1] < n:
-            block = blocks[dtype] = np.empty((count, n), dtype)
-        return list(block[:, :n])
-
-    return take
 
 
 def stack_reflection(eps_media, thicknesses, u, k):
@@ -287,31 +259,34 @@ def greens_parallel(
     eps_media = _checked(eps_media)
     k = omega / CONSTANTS.c
     kd = k * distance
-    take = _buffers()
+    # adaptive_gk passes at most 15 * _CHUNK nodes per call
+    cwork = np.empty((10, 15 * _CHUNK), dtype=complex)
+    fwork = np.empty((3, 15 * _CHUNK))
 
     # the integrands work in buffers kept across their calls, and each
     # returns one, which the quadrature reads before its next call; every
     # product keeps its operand order, u e^{2ikd cos} (rs - cos^2 rp) and
-    # e^{-2kdt} (rs + t^2 rp), so every node keeps its bits
+    # e^{-2kdt} (rs + t^2 rp), and goes to a buffer that holds none of its
+    # factors, so every node keeps its bits
     def integrand_prop(theta):
-        work = take(theta.size, complex, 10)
+        work = list(cwork[:, :theta.size])
         u = np.sin(theta)
         cos = np.cos(theta)
         rs, rp = _reflection(eps_media, thicknesses, u**2, k, work)
-        np.subtract(rs, np.multiply(cos**2, rp, out=rp), out=rs)
-        wave = np.multiply(2j * kd, cos, out=work[2])
-        np.multiply(u, np.exp(wave, out=wave), out=wave)
-        return np.multiply(wave, rs, out=work[3])
+        np.subtract(rs, np.multiply(cos**2, rp, out=work[2]), out=rs)
+        wave = np.exp(np.multiply(2j * kd, cos, out=work[3]), out=work[3])
+        return np.multiply(np.multiply(u, wave, out=work[4]), rs, out=work[5])
 
     def integrand_evan(t):
-        tt, u2, decay = take(t.size, float, 3)
+        tt, u2, decay = fwork[:, :t.size]
+        work = list(cwork[:, :t.size])
         np.multiply(t, t, out=tt)
         np.sqrt(np.add(1.0, tt, out=u2), out=u2)  # u = sqrt(1 + t^2)
         np.square(u2, out=u2)
-        rs, rp = _reflection(eps_media, thicknesses, u2, k, take(t.size, complex, 10))
-        np.add(rs, np.multiply(tt, rp, out=rp), out=rs)
-        np.multiply(-2.0 * kd, t, out=decay)
-        return np.multiply(np.exp(decay, out=decay), rs, out=rs)
+        rs, rp = _reflection(eps_media, thicknesses, u2, k, work)
+        np.add(rs, np.multiply(tt, rp, out=work[2]), out=rs)
+        np.exp(np.multiply(-2.0 * kd, t, out=decay), out=decay)
+        return np.multiply(decay, rs, out=work[3])
 
     budget = _MAX_EVALS // 2
     res_p = adaptive_gk(

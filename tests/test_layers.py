@@ -15,7 +15,6 @@ from trapnoise.layers import (
     Layer,
     LayerStack,
     NoSuperconductorError,
-    _vertical,
     fresnel_stack,
     greens_parallel,
     stack_reflection,
@@ -345,25 +344,6 @@ def test_negative_zero_loss_gives_the_bits_of_positive_zero(media, negative, log
 
 # ---------------------------------------------------------------------------
 # evaluation: the principal root and the chunked integrand calls change no bit
-
-
-_NEAR_ZERO = st.floats(-1e-300, 1e-300)  # subnormal eps - u^2 comes from here
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    eps=st.floats(-1e300, 1e300) | _NEAR_ZERO,
-    drawn=st.lists(st.floats(0.0, 1e300) | _NEAR_ZERO.map(abs), max_size=6),
-)
-def test_lossless_root_is_the_principal_root_bit_for_bit(eps, drawn):
-    # u^2 = eps exactly, its neighbours a few ulps off, 0, and drawn values
-    near = np.array([eps, -eps])[:, None] * (1.0 + np.array([-4, -1, 0, 1, 4]) * 2.0**-52)
-    near = np.concatenate([near.ravel(), np.nextafter(abs(eps), [0.0, np.inf])])
-    u2 = np.array([0.0, *drawn, *near[near >= 0.0]])
-    expected = np.sqrt(np.asarray(complex(eps, 0.0) - u2, dtype=complex))
-    got = _vertical(complex(eps, 0.0), u2, np.empty(u2.shape, dtype=complex))
-    # uint64 views, so that a -0.0 in either part counts
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def _integrand_calls(to_u, a, b, edges):
