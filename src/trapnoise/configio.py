@@ -711,13 +711,8 @@ def read_heating_csv(path) -> HeatingDataset:
 
 
 def read_alpha_csv(path) -> list[tuple[float, float, float]]:
-    """(alpha, sigma_alpha, T) triples from a ``T_K,alpha,sigma_alpha`` CSV,
-    in the order :func:`~trapnoise.inference.taf_consistency_chi2` takes."""
-    return _read_numeric_csv(
-        path,
-        ("T_K", "alpha", "sigma_alpha"),
-        lambda t_k, alpha, sigma: (alpha, sigma, t_k),
-    )
+    """(T, alpha, sigma_alpha) triples from a ``T_K,alpha,sigma_alpha`` CSV."""
+    return _read_numeric_csv(path, ("T_K", "alpha", "sigma_alpha"), lambda *row: row)
 
 
 def write_heating_csv(path, dataset: HeatingDataset, manifest: dict) -> None:

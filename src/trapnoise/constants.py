@@ -8,7 +8,8 @@ in V^2 m^-2 Hz^-1.
 
 :func:`require_above` is the one domain check of a physical argument: it
 raises :class:`DomainError`, naming the argument, on NaN, on +-inf and on a
-value at or below its bound.
+value at or below its bound.  :func:`pow_or_inf` gives a float power that
+overflows as inf, for that check to reject.
 
 Every error the library raises on purpose is a :class:`TrapnoiseError`,
 whose ``exit_code`` and ``label`` the command line returns and prints.  All
@@ -132,6 +133,16 @@ def require_above(value: float, what: str, lo: float = 0.0, *, or_equal: bool = 
         raise DomainError(f"{what} must be {'>=' if or_equal else '>'} {lo:g}, got {value}")
 
 
+def pow_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent`` of a base > 0 or an even power, but inf where a
+    float power would raise OverflowError, so that :func:`require_above`
+    on the result rejects it by name."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def heating_rate_from_noise(s_e: float, omega: float) -> float:
     """Motional heating rate (phonons/s) of a trapped 40Ca+ ion, from the
     single-sided electric-field noise density ``s_e`` (V^2 m^-2 Hz^-1) at the
@@ -141,7 +152,10 @@ def heating_rate_from_noise(s_e: float, omega: float) -> float:
     """
     require_above(omega, "omega")
     require_above(s_e, "noise density", or_equal=True)
-    return CONSTANTS.q_e**2 * s_e / (4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega)
+    # a tiny omega underflows the denominator to 0
+    denominator = 4.0 * CONSTANTS.m_Ca40 * CONSTANTS.hbar * omega
+    require_above(denominator, "4 m hbar omega")
+    return CONSTANTS.q_e**2 * s_e / denominator
 
 
 def noise_from_heating_rate(gamma: float, omega: float) -> float:

@@ -31,6 +31,7 @@ from .constants import (
     heating_rate_from_noise,
     noise_from_heating_rate,
     omega_from_hz,
+    pow_or_inf,
     require_above,
 )
 from .leastsq import FitFailure, FitResult, levenberg_marquardt
@@ -88,11 +89,19 @@ def _exp(x) -> float:
         return math.nan
 
 
-def _n_distinct(values) -> int:
-    """``np.unique(values).size`` of floats, all NaNs one value, without the
-    import of ``numpy.ma`` that ``np.unique`` makes on its first call."""
-    values = list(values)
-    return len({v for v in values if v == v}) + any(v != v for v in values)
+def _checked_points(points, what: str, names: str):
+    """The x, y and sigma float columns of an analysis's (x, y, sigma) points
+    sorted by x, each value finite and > 0, or UnusableDataError names the
+    analysis ``what``, the column (of the space-separated ``names``) and the point."""
+    pts = [(float(x), float(y), float(sigma)) for x, y, sigma in points]
+    for point in pts:
+        try:
+            for name, value in zip(names.split(), point):
+                require_above(value, name)
+        except DomainError as exc:
+            raise UnusableDataError(f"{what}: {exc} in point {point}") from None
+    pts.sort()
+    return tuple(np.array([p[i] for p in pts]) for i in range(3))
 
 
 def _median(values) -> float:
@@ -219,13 +228,13 @@ class HeatingDataset:
             raise DomainError("dataset must be non-empty")
 
     @classmethod
-    def from_noise_curve(cls, curve, f_hz: float) -> HeatingDataset:
+    def from_noise_curve(cls, rows, f_hz: float) -> HeatingDataset:
         """Records at secular frequency ``f_hz`` from (T, S_E, sigma_S) tuples."""
         omega = omega_from_hz(f_hz)
         return cls(tuple(
             HeatingRecord(t, f_hz, heating_rate_from_noise(s, omega),
                           heating_rate_from_noise(sigma, omega))
-            for t, s, sigma in curve
+            for t, s, sigma in rows
         ))
 
     def noise_curve(self, what: str) -> tuple[float, list[tuple[float, float, float]]]:
@@ -283,16 +292,11 @@ class FreqPowerLawFit:
 
 def fit_freq_power_law(points) -> FreqPowerLawFit:
     """Weighted fit of the frequency power law at fixed temperature."""
-    pts = [(float(w), float(g), float(s)) for w, g, s in points]
-    if len(pts) < 3:
-        raise UnusableDataError(f"need at least 3 points, got {len(pts)}")
-    omegas = np.array([p[0] for p in pts])
-    if _n_distinct(omegas) != omegas.size:
+    omegas, gammas, sigmas = _checked_points(points, "power-law fit", "omega gamma sigma")
+    if omegas.size < 3:
+        raise UnusableDataError(f"need at least 3 points, got {omegas.size}")
+    if len(set(omegas.tolist())) != omegas.size:
         raise UnusableDataError("frequencies must be distinct")
-    gammas = np.array([p[1] for p in pts])
-    sigmas = np.array([p[2] for p in pts])
-    if not (np.all(gammas > 0.0) and np.all(sigmas > 0.0)):
-        raise UnusableDataError("gamma and sigma must be > 0 for the power-law fit")
 
     # log-log regression seeds the nonlinear fit
     slope, intercept = np.polyfit(np.log(omegas / OMEGA0), np.log(gammas), 1)
@@ -548,7 +552,9 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
     if not params.piecewise:
         raise DomainError("plateau width requires the piecewise model")
     require_above(tolerance_frac, "tolerance")
-    return params.t2 * tolerance_frac ** (1.0 / params.beta2)
+    width = params.t2 * pow_or_inf(tolerance_frac, 1.0 / params.beta2)
+    require_above(width, "plateau width", or_equal=True)
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +562,8 @@ def plateau_width(params: TempFitParams, tolerance_frac: float) -> float:
 
 
 SURFACE_MODELS = {  # S_E(T)
-    "power": Model(  # S_E0 (1 + T/T0)^beta
-        lambda t, s_e0, beta, t0: s_e0 * (1.0 + t / t0) ** beta,
+    "power": Model(  # S_E0 (1 + T/T0)^beta; a float T may overflow it
+        lambda t, s_e0, beta, t0: s_e0 * pow_or_inf(1.0 + t / t0, beta),
         ("s_e0", "beta", "t0"),
         (True, False, True),
         positive=("s_e0", "t0"),
@@ -593,15 +599,10 @@ class SurfaceFitParams:
 
 def fit_surface_models(curve) -> SurfaceFitParams:
     """Fit both surface-noise models S_E(T) and score each against chi^2."""
-    pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
-    if len(pts) < 5:
-        raise UnusableDataError(f"need at least 5 points, got {len(pts)}")
-    temps = np.array([p[0] for p in pts])
-    s_e = np.array([p[1] for p in pts])
-    sigmas = np.array([p[2] for p in pts])
-    if not (np.all(s_e > 0.0) and np.all(sigmas > 0.0)):
-        raise UnusableDataError("S_E and sigma must be > 0")
-    n_temps = _n_distinct(temps)
+    temps, s_e, sigmas = _checked_points(curve, "surface-model fit", "T S_E sigma")
+    if temps.size < 5:
+        raise UnusableDataError(f"need at least 5 points, got {temps.size}")
+    n_temps = len(set(temps.tolist()))
     if n_temps < 3:  # one per parameter
         raise UnusableDataError(f"need at least 3 distinct temperatures, got {n_temps}")
     t_mid = _median(temps)
@@ -666,19 +667,14 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
     of ``n_boot`` resamples, refit together at the selected smoothing with
     the factorisation and SVD of the GCV fit.
     """
-    pts = sorted((float(t), float(s), float(sg)) for t, s, sg in curve)
-    t = np.array([p[0] for p in pts])
-    n_distinct = _n_distinct(t)
+    t, s, sg = _checked_points(curve, "log-log slope", "T S_E sigma")
+    n_distinct = len(set(t.tolist()))
     if n_distinct < 4:
         raise UnusableDataError(
             f"need at least 4 distinct temperatures, got {n_distinct}"
         )
     if n_distinct != t.size:
         raise UnusableDataError("temperatures must be distinct")
-    s = np.array([p[1] for p in pts])
-    sg = np.array([p[2] for p in pts])
-    if not (np.all(t > 0.0) and np.all(s > 0.0)):
-        raise UnusableDataError("T and S_E must be > 0 for log-log analysis")
     x = np.log(t)
     y = np.log(s)
     sig_y = sg / s
@@ -721,17 +717,22 @@ def taf_alpha(slope: float, omega: float, tau0: float = 1e-13) -> float:
 
 
 def taf_consistency_chi2(measured, predicted) -> tuple[float, float]:
-    """chi^2 of measured exponents against a prediction callable(T)."""
-    pts = list(measured)
+    """chi^2 of measured (T, alpha, sigma_alpha) exponents against a
+    prediction callable(T); alpha may take any finite value."""
+    pts = [(float(t), float(alpha), float(sigma)) for t, alpha, sigma in measured]
     if len(pts) < 2:
         raise UnusableDataError(f"need at least 2 points, got {len(pts)}")
     chi2 = 0.0
-    for alpha, sigma_alpha, temp in pts:
-        if not sigma_alpha > 0.0:
-            raise UnusableDataError("sigma_alpha must be > 0")
-        if not (math.isfinite(alpha) and math.isfinite(temp)):
-            raise UnusableDataError(f"alpha and T must be finite, got {alpha}, {temp}")
-        chi2 += ((alpha - float(predicted(temp))) / sigma_alpha) ** 2
+    for point in pts:
+        temp, alpha, sigma_alpha = point
+        try:
+            require_above(temp, "T")
+            require_above(alpha, "alpha", -math.inf)
+            require_above(sigma_alpha, "sigma_alpha")
+        except DomainError as exc:
+            raise UnusableDataError(f"TAF consistency: {exc} in point {point}") from None
+        chi2 += pow_or_inf((alpha - float(predicted(temp))) / sigma_alpha, 2)
+    require_above(chi2, "chi^2", or_equal=True)
     return chi2, chi2_sf(chi2, len(pts))
 
 
@@ -768,10 +769,12 @@ def synth_dataset(
         params = replace(params, t2=None, beta2=None, t_star=None)
     rng = np.random.default_rng(seed)
     records = []
-    for f in freqs:
-        for t in temps:
-            noisy, sigma = _noisy(float(params(t, f)), noise_frac, rng)
-            records.append(HeatingRecord(float(t), float(f), max(noisy, 0.0), sigma))
+    # a rate that overflows is inf, which HeatingRecord rejects
+    with np.errstate(over="ignore"):
+        for f in freqs:
+            for t in temps:
+                noisy, sigma = _noisy(float(params(t, f)), noise_frac, rng)
+                records.append(HeatingRecord(float(t), float(f), max(noisy, 0.0), sigma))
     return HeatingDataset(tuple(records))
 
 

@@ -259,6 +259,7 @@ def greens_parallel(
     eps_media = _checked(eps_media)
     k = omega / CONSTANTS.c
     kd = k * distance
+    require_above(kd, "k * ion height")  # a product that underflows to 0
     # adaptive_gk passes at most 15 * _CHUNK nodes per call
     cwork = np.empty((10, 15 * _CHUNK), dtype=complex)
     fwork = np.empty((3, 15 * _CHUNK))
@@ -295,6 +296,7 @@ def greens_parallel(
     )
 
     t_cap = max(37.0 / (2.0 * kd), 10.0)
+    require_above(t_cap, "evanescent cut-off 37/(2 k d)")  # inf for a tiny kd
     scales = [np.sqrt(max(abs(e) - 1.0, 1e-6)) for e in eps_media]
     lo = min(1.0, 1e-3 / (2.0 * kd))
     n_dec = max(int(np.ceil(np.log10(t_cap / lo))) * 4, 8)

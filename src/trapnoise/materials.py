@@ -26,6 +26,7 @@ from .constants import (
     DomainError,
     TemperatureRangeError,
     omega_from_hz,
+    pow_or_inf,
     require_above,
 )
 
@@ -167,9 +168,9 @@ class TwoFluidSC:
         lam = london_depth(self.lambda0, self.Tc, temperature)
         k = omega / CONSTANTS.c
         sigma_normal_carriers = self.sigma_n * temperature / self.Tc
-        k_lam2 = (k * lam) ** 2
-        if not k_lam2:
-            raise DomainError(f"{self.name}: (k lambda)^2 is 0 at omega = {omega}")
+        k_lam2 = pow_or_inf(k * lam, 2)
+        if not 0.0 < k_lam2 < math.inf:
+            raise DomainError(f"{self.name}: (k lambda)^2 is {k_lam2:g} at omega = {omega}")
         return complex(1.0 - 1.0 / k_lam2, _conduction(sigma_normal_carriers, omega))
 
 

@@ -19,7 +19,13 @@ from functools import reduce
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, heating_rate_from_noise, require_above
+from .constants import (
+    CONSTANTS,
+    DomainError,
+    heating_rate_from_noise,
+    pow_or_inf,
+    require_above,
+)
 from .layers import GreensResult, LayerStack, greens_parallel
 from .materials import Conductor, FilmSheet, parallel_sheet
 
@@ -52,6 +58,11 @@ def blackbody_noise(omega: float, temperature: float) -> float:
     """
     require_above(omega, "omega")
     require_above(temperature, "temperature", or_equal=True)
+    s_bb = (
+        2.0 * CONSTANTS.kB * temperature * pow_or_inf(omega, 2)
+        / (3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c**3)
+    )
+    require_above(s_bb, "blackbody noise", or_equal=True)
     if temperature > 0.0:
         ratio = CONSTANTS.hbar * omega / (CONSTANTS.kB * temperature)
         if ratio > 0.01:
@@ -61,10 +72,7 @@ def blackbody_noise(omega: float, temperature: float) -> float:
                 RegimeWarning,
                 stacklevel=2,
             )
-    return (
-        2.0 * CONSTANTS.kB * temperature * omega**2
-        / (3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c**3)
-    )
+    return s_bb
 
 
 @dataclass(frozen=True)
@@ -166,6 +174,7 @@ class RectTrace:
         core_w = max(self.width - 2.0 * delta, 0.0)
         core_t = max(self.thickness - 2.0 * delta, 0.0)
         area = self.width * self.thickness - core_w * core_t
+        require_above(area, "trace skin-depth shell area")  # 0 once delta << width
         return rho * self.length / area
 
 
@@ -187,6 +196,7 @@ class WireBond:
         delta = skin_depth(rho, omega)
         r = 0.5 * self.diameter
         area = np.pi * (r**2 - max(r - delta, 0.0) ** 2)
+        require_above(area, "bond skin-depth shell area")  # 0 once delta << radius
         return rho * self.length / area
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +316,152 @@ def test_library_error_reaches_its_exit_code(
     out = tmp_path / "zeta.csv"
     assert main(["zeta", "--out", str(out)]) == code
     assert capsys.readouterr().err == f"{prefix}: bad\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# flag edges
+
+
+@pytest.fixture(scope="module")
+def edge_data(tmp_path_factory):
+    """A one-frequency gamma2 dataset for ``fit`` and a power-model surface
+    dataset for ``taf``, both at 1 MHz."""
+    root = tmp_path_factory.mktemp("edge-data")
+    paths = {"rates": root / "rates.csv", "surface": root / "surface.csv"}
+    assert main(["synth", "--model", "gamma2", "--freqs", "1e6",
+                 "--out", str(paths["rates"])]) == EXIT_OK
+    assert main(["synth", "--model", "power", "--out", str(paths["surface"])]) == EXIT_OK
+    return paths
+
+
+# each command's required flags, and a one-point value for each grid
+_EDGE_BASE = {
+    "fdt": ["--temps", "40"],
+    "jnn": ["--temps", "40"],
+    "fit": ["--data", "{rates}", "--model", "temp"],
+    "taf": ["--data", "{surface}"],
+    "zeta": ["--f-ratios", "1"],
+    "synth": ["--model", "power", "--temps", "40"],
+}
+# the flags whose range starts at 0 inclusive; every other starts above 0
+_FROM_ZERO = {("jnn", "--temps"), ("zeta", "--f-ratios"), ("taf", "--n-boot"),
+              ("taf", "--seed"), ("synth", "--noise-frac"), ("synth", "--seed")}
+# a value near the top of each flag's range: 1e300, finite in SI units too,
+# and for the counts, which have no top, a huge integer
+_TOPS = {"--n-boot": str(10**15), "--seed": str(2**128)}
+# the bootstrap draws an n_boot x points index array at once; 10**15 rows
+# ask for 64 PiB, which fails at once, without touching memory
+_UNMENDED = {
+    "taf --data --n-boot 1000000000000000": pytest.mark.xfail(
+        raises=MemoryError, strict=True,
+        reason="CHANGES.md FOUND: taf --n-boot has no bound; the bootstrap "
+               "array of a huge value raises MemoryError, exit 1"),
+}
+
+
+def _edge_runs():
+    """(argv, id) of a run at each end of every number and grid flag's range,
+    the other flags at their defaults; ``synth --temps`` runs each model."""
+    runs = []
+    for command, flag in _float_and_grid_flags():
+        if flag == "--seed" and command not in ("taf", "synth"):
+            continue  # retired there
+        ends = ("0" if (command, flag) in _FROM_ZERO else "1e-300", _TOPS.get(flag, "1e300"))
+        models = [None]
+        if command == "synth":
+            models = (["gamma1", "gamma2", "power", "arrhenius"] if flag == "--temps"
+                      else ["gamma2"] if flag == "--freqs" else ["power"])
+        for model in models:
+            base = list(_EDGE_BASE[command])
+            if model is not None:
+                base[1] = model
+            if flag in base:  # a grid: the value under test replaces its one point
+                del base[base.index(flag):base.index(flag) + 2]
+            for value in ends:
+                argv = [command, *base, flag, value]
+                runs.append((argv, " ".join(a for a in argv if "{" not in a)))
+    return runs
+
+
+_EDGE_RUNS = _edge_runs()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=i, marks=_UNMENDED.get(i, ())) for argv, i in _EDGE_RUNS
+])
+def test_flag_edge_runs_or_exits_with_one_line(argv, edge_data, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main([a.format(**edge_data) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+    if rc == EXIT_OK:
+        assert out.exists()
+    else:
+        assert re.fullmatch(r"(config|data|numerical) error: [^\n]+\n", err), err
+        assert not out.exists()
+
+
+def test_flag_edge_runs_cover_every_number_and_grid_flag():
+    swept = {(argv[0], argv[-2]) for argv, _ in _EDGE_RUNS}
+    retired = {(c, "--seed") for c in ("fdt", "fit", "jnn", "zeta")}
+    assert swept == set(_float_and_grid_flags()) - retired
+    assert set(_UNMENDED) <= {i for _, i in _EDGE_RUNS}
+
+
+_OUT_OF_FLOAT_RANGE = [
+    (["fdt", "--omega-hz", "1e160", "--temps", "40"],
+     "blackbody noise must be finite, got inf"),
+    (["fdt", "--distance-um", "1e-300", "--temps", "40"],
+     "evanescent cut-off 37/(2 k d) must be finite, got inf"),
+    (["fdt", "--lambda0-nm", "1e300", "--temps", "40"],
+     "ybco: (k lambda)^2 is inf at omega = 6283185.307179586"),
+    (["jnn", "--omega-hz", "1e200", "--temps", "40"],
+     "trace skin-depth shell area must be > 0, got 0.0"),
+    (["jnn", "--omega-hz", "1e-300", "--temps", "40"],
+     "4 m hbar omega must be > 0, got 0.0"),
+    (["synth", "--model", "power", "--f-hz", "1e-300"],
+     "4 m hbar omega must be > 0, got 0.0"),
+    (["synth", "--model", "power", "--temps", "1e300"],
+     "noise density must be finite, got inf"),
+    (["synth", "--model", "gamma1", "--temps", "1e300"],
+     "heating rate must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _OUT_OF_FLOAT_RANGE,
+    ids=[" ".join(argv) for argv, _ in _OUT_OF_FLOAT_RANGE],
+)
+def test_flag_value_taking_a_result_out_of_float_range_exits_numeric(
+    argv, message, tmp_path, capsys
+):
+    # each value passes its flag's check; a square, product or quotient
+    # made from it overflows or underflows
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, code, message",
+    [("0,-1.0,0.1", EXIT_DATA,
+      "data error: TAF consistency: T must be > 0, got 0.0 in point (0.0, -1.0, 0.1)"),
+     ("-5,-1.0,0.1", EXIT_DATA,
+      "data error: TAF consistency: T must be > 0, got -5.0 in point (-5.0, -1.0, 0.1)"),
+     ("40,-1.0,1e-200", EXIT_NUMERIC, "numerical error: chi^2 must be finite, got inf")],
+    ids=["zero-t", "negative-t", "chi2-overflows"],
+)
+def test_taf_alphas_row_it_cannot_use_writes_nothing(row, code, message, tmp_path, capsys):
+    data, alphas = tmp_path / "rates.csv", tmp_path / "alphas.csv"
+    flat_rate_csv(data)
+    alphas.write_text(f"T_K,alpha,sigma_alpha\n{row}\n80,-1.1,0.1\n")
+    out = tmp_path / "taf.csv"
+    argv = ["taf", "--data", str(data), "--alphas", str(alphas), "--n-boot", "5",
+            "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 

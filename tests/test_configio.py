@@ -555,7 +555,7 @@ def test_heating_csv_missing_file(tmp_path):
 def test_alpha_csv_reads_triples_and_numbers_bad_lines(tmp_path):
     path = tmp_path / "alphas.csv"
     path.write_text("# measured\nT_K,alpha,sigma_alpha\n\n50.0,-1.0,0.1\n")
-    assert read_alpha_csv(path) == [(-1.0, 0.1, 50.0)]
+    assert read_alpha_csv(path) == [(50.0, -1.0, 0.1)]
     for body, lineno in (
         ("T_K,alpha\n50.0,-1.0\n", 1),
         ("T_K,alpha,sigma_alpha\n50.0,-1.0,0.1\n# c\n80.0,-1.1\n", 4),

@@ -12,6 +12,7 @@ from trapnoise.constants import (
     heating_rate_from_noise,
     noise_from_heating_rate,
     omega_from_hz,
+    pow_or_inf,
 )
 
 
@@ -110,3 +111,20 @@ def test_rate_to_noise_and_back_is_exact_to_rounding(log_gamma, omega):
     gamma = 10.0**log_gamma
     back = heating_rate_from_noise(noise_from_heating_rate(gamma, omega), omega)
     assert abs(back - gamma) <= 1e-15 * gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.floats(1e-300, 1e300), exponent=st.floats(-50.0, 50.0))
+def test_pow_or_inf_is_the_float_power_or_inf_where_it_overflows(base, exponent):
+    try:
+        expected = base**exponent
+    except OverflowError:
+        expected = math.inf
+    assert pow_or_inf(base, exponent) == expected
+    assert pow_or_inf(-1e200, 2) == pow_or_inf(1e200, 2) == math.inf
+
+
+def test_heating_rate_rejects_an_omega_whose_denominator_underflows():
+    # 4 m hbar omega is 0 at omega = 1e-300 rad/s, which would divide by 0
+    with pytest.raises(DomainError, match=r"^4 m hbar omega must be > 0, got 0.0$"):
+        heating_rate_from_noise(1e-20, 1e-300)

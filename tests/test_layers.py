@@ -1,6 +1,7 @@
 """Fresnel oracles, the N-layer recursion, and the surface response integral."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -558,6 +559,18 @@ def test_greens_suppressed_above_near_perfect_mirror():
 def test_greens_rejects_nonpositive_distance():
     with pytest.raises(DomainError):
         greens_parallel(gold_half_space(), OMEGA_1MHZ, 300.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "distance, message",
+    [(1e-306, "evanescent cut-off 37/(2 k d) must be finite, got inf"),
+     (5e-324, "k * ion height must be > 0, got 0.0")],
+    ids=["cut-off-overflows", "kd-underflows"],
+)
+def test_greens_rejects_a_height_whose_cut_off_leaves_the_float_range(distance, message):
+    # each height is > 0; 37/(2kd) overflows, or kd itself underflows to 0
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        greens_parallel(gold_half_space(), OMEGA_1MHZ, 300.0, distance)
 
 
 def test_greens_splits_into_propagating_and_evanescent_parts():

@@ -166,6 +166,12 @@ def test_two_fluid_names_itself_where_k_lambda_squared_underflows():
     assert permittivity(ybco(), 2 * math.pi * 1e-140, 20.0).real == -math.inf
 
 
+def test_two_fluid_names_itself_where_k_lambda_squared_overflows():
+    # k lambda is 2e286 at 1 MHz with lambda0 = 1e291 m: its square overflows
+    with pytest.raises(DomainError, match="^ybco: .k lambda.\\^2 is inf at omega = "):
+        permittivity(ybco(lambda0=1e291), 2 * math.pi * 1e6, 20.0)
+
+
 def test_two_fluid_at_and_above_tc_is_normal_metal():
     omega = 2 * math.pi * 1e6
     mat = ybco()

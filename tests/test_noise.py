@@ -1,6 +1,7 @@
 """Blackbody/FDT field noise and the Johnson-noise budget machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ def test_blackbody_domain():
     with pytest.raises(DomainError):
         blackbody_noise(OMEGA_1MHZ, -1.0)
     assert blackbody_noise(OMEGA_1MHZ, 0.0) == 0.0
+
+
+def test_blackbody_rejects_an_overflowing_omega_squared_before_warning():
+    # omega^2 overflows at 2 pi x 1e160 Hz; hbar omega >> kB T would warn too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^blackbody noise must be finite, got inf$"):
+            blackbody_noise(2 * math.pi * 1e160, 40.0)
 
 
 def test_fdt_above_vacuum_equals_blackbody():
@@ -186,6 +195,18 @@ def test_trace_resistance_skin_limited():
     )
     # and it exceeds the DC value
     assert trace.resistance(OMEGA_1MHZ, 150.0) > rho * 1e-2 / (300e-6 * 100e-6)
+
+
+@pytest.mark.parametrize(
+    "part, what",
+    [(RectTrace(300e-6, 100e-6, 1e-2, Conductor(COPPER, name="cu")), "trace"),
+     (WireBond(25e-6, 1e-2, Conductor(GOLD, name="au")), "bond")],
+    ids=["trace", "bond"],
+)
+def test_a_skin_depth_shell_that_rounds_to_zero_area_is_a_domain_error(part, what):
+    # at 1e200 rad/s the skin depth is ~1e-101 m: the shell's area is 0
+    with pytest.raises(DomainError, match=f"^{what} skin-depth shell area must be > 0, got 0.0$"):
+        part.resistance(1e200, 40.0)
 
 
 def test_bond_resistance_limits():

@@ -176,9 +176,33 @@ def fits_off_the_model_table(name: str, tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
+def points_read_off_the_helper(name: str, tree: ast.AST) -> list[int]:
+    """In ``inference.py``, a read of a function's ``points`` or ``curve``
+    parameter other than as the first argument of ``_checked_points``: that
+    helper converts, checks and sorts every analysis's (x, y, sigma) points,
+    and a second reader would build its columns by a rule of its own."""
+    if name != "inference.py":
+        return []
+    lines = []
+    for func in ast.walk(tree):
+        if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or func.name == "_checked_points"):
+            continue
+        a = func.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        read = params & {"points", "curve"}
+        passed = {id(node.args[0]) for node in ast.walk(func)
+                  if isinstance(node, ast.Call) and node.args
+                  and getattr(node.func, "id", None) == "_checked_points"}
+        lines += [node.lineno for node in ast.walk(func)
+                  if isinstance(node, ast.Name) and node.id in read
+                  and id(node) not in passed]
+    return sorted(lines)
+
+
 RULES = [broad_excepts, nan_unsafe_sign_checks, covariance_reads, cli_conversions,
          fit_engine_bypasses, cli_file_choices, temperature_before_omega,
-         fits_off_the_model_table]
+         fits_off_the_model_table, points_read_off_the_helper]
 
 
 def violations(rule, sources: dict[str, str]) -> list[str]:
@@ -307,6 +331,25 @@ _PLANTED = [
     (fits_off_the_model_table, "noise.py", """
         def fit(x, y, sigma):
             return _fit(lambda theta: theta, x, y, sigma, [[0.0]], Model(f, (), ()))
+    """),
+    (points_read_off_the_helper, "inference.py", """
+        def _checked_points(points, what, names):
+            return sorted(points)
+        def fit_one(points):
+            x, y, sigma = _checked_points(points, "fit", ("x", "y", "sigma"))
+            return x.size
+        def fit_two(curve, n_boot=10):
+            t = [p[0] for p in curve]  # planted
+            x, y, sigma = _checked_points(curve[1:], "fit", ("x", "y", "sigma"))  # planted
+            return len(points)
+        def fit_three(data, points=None):
+            _checked_points(data, "fit", ("x", "y", "sigma"))
+            n = len(points)  # planted
+            return _checked_points(points, "fit", ("x", "y", "sigma"))
+    """),
+    (points_read_off_the_helper, "noise.py", """
+        def budget(points):
+            return [p[0] for p in points]
     """),
 ]
 
