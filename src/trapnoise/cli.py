@@ -35,9 +35,13 @@ on purpose, :class:`~trapnoise.constants.TrapnoiseError`, prints its
 ``label`` and message as one line and returns its ``exit_code``.
 
 Importing this module loads only :mod:`~trapnoise.configio` and
-:mod:`~trapnoise.constants`, which defines the error types; each command
-imports the library functions it calls when it runs, so a ``zeta`` run
-never loads the layer-stack code, nor an ``fdt`` run the fits.
+:mod:`~trapnoise.constants`, which defines the error types, and no numpy;
+each command imports the library functions it calls when it runs, so a
+``zeta`` run never loads the layer-stack code, nor an ``fdt`` run the fits.
+``--help``, ``--version``, a usage error and ``jnn``, whose budget is scalar
+math in :mod:`~trapnoise.noise` and :mod:`~trapnoise.materials`, run
+without numpy; a ``lo:hi:n`` grid token gives the floats of
+``numpy.linspace`` bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__
 from .configio import (
@@ -115,6 +117,24 @@ def _number(lo: float = 0.0, *, or_equal: bool = False, unit: float = 1.0, kind=
 _COUNT = _number(or_equal=True, kind=int)  # a count or a seed
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.linspace(start, stop, n).tolist()`` for n >= 1, bit for bit,
+    without importing numpy: the same float operations in the same order."""
+    div = n - 1
+    delta = stop - start
+    if div == 0:
+        values = [0.0 * delta]
+    else:
+        step = delta / div
+        # where the step underflows to 0, numpy scales i/div by delta instead
+        values = ([i / div * delta for i in range(n)] if step == 0.0
+                  else [i * step for i in range(n)])
+    values = [v + start for v in values]
+    if div:
+        values[-1] = stop
+    return values
+
+
 def parse_grid(text: str, name: str = "grid", lo: float = 0.0, *,
                or_equal: bool = False) -> list[float]:
     """Comma-separated values, each finite and above ``lo`` (or at it if
@@ -135,7 +155,7 @@ def parse_grid(text: str, name: str = "grid", lo: float = 0.0, *,
             room = _MAX_GRID - len(values)
             if not 1 <= n <= room:
                 raise ConfigFileError(f"grid count must be 1 to {room} in {token!r}")
-            values.extend(float(v) for v in np.linspace(start, stop, n))
+            values.extend(_linspace(start, stop, n))
         else:
             try:
                 values.append(float(token))
@@ -285,17 +305,18 @@ def cmd_fit(args):
 
 
 def cmd_taf(args):
-    from .inference import loglog_spline_slope, taf_alpha, taf_consistency_chi2
+    from .inference import MAX_BOOT, loglog_spline_slope, taf_alpha, taf_consistency_chi2
 
+    if args.n_boot > MAX_BOOT:
+        raise ConfigFileError(f"--n-boot must be <= {MAX_BOOT}, got {args.n_boot}")
     dataset = read_heating_csv(args.data)
     _, curve_pts = dataset.noise_curve("TAF analysis")
     temps = sorted({r.temperature for r in dataset.records})
     omega = omega_from_hz(args.omega_hz)
     curve = loglog_spline_slope(curve_pts, n_boot=args.n_boot, seed=args.seed)
 
-    t_arr = np.array(temps)
-    slopes = curve(t_arr)
-    lo, hi = curve.band(t_arr)
+    slopes = curve(temps)
+    lo, hi = curve.band(temps)
     rows = [
         [t, s, s_lo, s_hi, taf_alpha(s, omega, args.tau0_s)]
         for t, s, s_lo, s_hi in zip(temps, slopes, lo, hi)

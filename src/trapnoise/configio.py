@@ -24,7 +24,8 @@ in JSON reports -- so outputs are traceable and reruns byte-identical.
 Each loader only parses: the types it builds check the values (``ElectrodeModel``
 its ``bonds``, ``FilmSheet`` its material, ``PatchScene`` its axis), and
 :data:`TEMP_KEYS` alone spells the temperature keys.  Loaders import those
-types when run, loading only :mod:`~trapnoise.constants`.
+types when run, so importing this module loads only
+:mod:`~trapnoise.constants`, and no numpy.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import numbers
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .constants import (
     CONSTANTS, ConfigFileError, DataFileError, DomainError, omega_from_hz, require_above,
@@ -102,19 +102,25 @@ def make_manifest(
 
 
 def format_value(value) -> str:
-    """Stable text form for CSV cells: shortest round-trip for floats."""
+    """Stable text form for CSV cells: shortest round-trip for floats.
+    numpy's integer and floating scalars count as ``numbers.Integral`` and
+    ``numbers.Real``, under which numpy registers them."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            raise DomainError(f"refusing to serialize non-finite value {value}")
-        return repr(value)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    # a float skips the ABC checks, which cost several plain isinstance calls
+    if not isinstance(value, float):
+        if isinstance(value, numbers.Integral):
+            return str(int(value))
+        if not isinstance(value, numbers.Real):
+            return str(value)
+    value = float(value)
+    if math.isnan(value) or math.isinf(value):
+        raise DomainError(f"refusing to serialize non-finite value {value}")
+    return repr(value)
 
 
 def write_csv(path, manifest: dict, header, rows, comments=()) -> None:
@@ -132,9 +138,10 @@ def write_csv(path, manifest: dict, header, rows, comments=()) -> None:
 
 
 def _json_default(value):
-    if isinstance(value, np.integer):
+    # numpy scalars, as in format_value
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, np.floating):
+    if isinstance(value, numbers.Real):
         return float(value)
     raise TypeError(f"{value!r} is not JSON serializable")
 

@@ -39,6 +39,7 @@ from .smoothing import SmoothingSpline, fit_smoothing_spline
 
 __all__ = [
     "OMEGA0",
+    "MAX_BOOT",
     "FitRangeWarning",
     "IllConditionedWarning",
     "UnusableDataError",
@@ -71,6 +72,9 @@ __all__ = [
 ]
 
 OMEGA0 = omega_from_hz(1.0e6)
+# the most bootstrap resamples loglog_spline_slope draws: its refit holds
+# several n_boot x points float arrays, 7.2 MB each at 9 points
+MAX_BOOT = 100_000
 
 
 class FitRangeWarning(UserWarning):
@@ -665,8 +669,11 @@ def loglog_spline_slope(curve, n_boot: int = 200, seed: int = 7041) -> SlopeCurv
 
     The smoothing parameter comes from GCV; the band is a residual bootstrap
     of ``n_boot`` resamples, refit together at the selected smoothing with
-    the factorisation and SVD of the GCV fit.
+    the factorisation and SVD of the GCV fit; ``n_boot`` is 0 to
+    :data:`MAX_BOOT`.
     """
+    if not 0 <= n_boot <= MAX_BOOT:
+        raise DomainError(f"n_boot must be 0 to {MAX_BOOT}, got {n_boot}")
     t, s, sg = _checked_points(curve, "log-log slope", "T S_E sigma")
     n_distinct = len(set(t.tolist()))
     if n_distinct < 4:

@@ -141,7 +141,11 @@ class SCSheetSpec:
             object.__setattr__(self, name, getattr(self, name) + 0.0)
 
     def sheet_resistance(self, omega: float) -> float:
-        return self.rs_ref * (omega / self.omega_ref) ** 2 + self.rs_residual
+        if self.rs_ref == 0.0:  # an ideal sheet keeps its floor at any omega
+            return self.rs_residual
+        rs = self.rs_ref * pow_or_inf(omega / self.omega_ref, 2) + self.rs_residual
+        require_above(rs, "superconducting sheet resistance", or_equal=True)
+        return rs
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,20 @@ single-sided, at angular frequency omega):
   electrodes, with R_eff = R_filter + R_lead + R_elec.
   Each part computes its own resistance, omega before T, and
   ``ElectrodeModel.resistances(omega, temperature)`` returns the three terms.
+
+The Johnson budget is scalar :mod:`math`: importing this module loads only
+:mod:`~trapnoise.constants` and :mod:`~trapnoise.materials`, and no numpy.
+:mod:`~trapnoise.layers`, and numpy with it, loads when :func:`fdt_noise`
+first calls :func:`greens_parallel`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import (
     CONSTANTS,
@@ -26,8 +31,10 @@ from .constants import (
     pow_or_inf,
     require_above,
 )
-from .layers import GreensResult, LayerStack, greens_parallel
 from .materials import Conductor, FilmSheet, parallel_sheet
+
+if TYPE_CHECKING:
+    from .layers import GreensResult, LayerStack
 
 __all__ = [
     "RegimeWarning",
@@ -60,7 +67,7 @@ def blackbody_noise(omega: float, temperature: float) -> float:
     require_above(temperature, "temperature", or_equal=True)
     s_bb = (
         2.0 * CONSTANTS.kB * temperature * pow_or_inf(omega, 2)
-        / (3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c**3)
+        / (3.0 * math.pi * CONSTANTS.eps0 * CONSTANTS.c**3)
     )
     require_above(s_bb, "blackbody noise", or_equal=True)
     if temperature > 0.0:
@@ -82,6 +89,20 @@ class FdtResult:
     s_e: float
     s_blackbody: float
     greens: GreensResult
+
+
+def greens_parallel(
+    stack: LayerStack,
+    omega: float,
+    temperature: float,
+    distance: float,
+    rel_tol: float = 1e-6,
+) -> GreensResult:
+    """:func:`trapnoise.layers.greens_parallel`, imported on the first call;
+    :func:`fdt_noise` calls it by this module's name."""
+    from . import layers
+
+    return layers.greens_parallel(stack, omega, temperature, distance, rel_tol)
 
 
 def fdt_noise(
@@ -144,7 +165,7 @@ class FilterNetwork:
 def skin_depth(rho: float, omega: float) -> float:
     require_above(rho, "rho")
     require_above(omega, "omega")
-    return float(np.sqrt(2.0 * rho / (omega * CONSTANTS.mu0)))
+    return math.sqrt(2.0 * rho / (omega * CONSTANTS.mu0))
 
 
 def _require_conductor(material, what: str) -> None:
@@ -195,7 +216,7 @@ class WireBond:
         rho = self.material.rho.lookup(temperature)
         delta = skin_depth(rho, omega)
         r = 0.5 * self.diameter
-        area = np.pi * (r**2 - max(r - delta, 0.0) ** 2)
+        area = math.pi * (r**2 - max(r - delta, 0.0) ** 2)
         require_above(area, "bond skin-depth shell area")  # 0 once delta << radius
         return rho * self.length / area
 

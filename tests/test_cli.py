@@ -5,10 +5,12 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from trapnoise.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     _MAX_GRID,
+    _linspace,
     build_parser,
     main,
     parse_grid,
@@ -39,6 +42,7 @@ from trapnoise.constants import (
     omega_from_hz,
     require_above,
 )
+from trapnoise.inference import MAX_BOOT
 
 
 def read_rows(path):
@@ -75,9 +79,37 @@ def test_parse_grid_forms():
         parse_grid("ten,twenty")
 
 
+# grid ends: signed zeros, subnormals, the largest float, +-inf and NaN
+_GRID_ENDS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -math.inf, math.nan])
+
+
+def _bits(values):
+    """uint64 views of float64 values; every NaN maps to one value, as IEEE 754
+    leaves open which NaN payload and sign an operation returns, and numpy's
+    own choice changes with the count (its SIMD and scalar loops differ)."""
+    return [None if math.isnan(v) else struct.unpack("<Q", struct.pack("<d", v))[0]
+            for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@example(start=1.0, stop=1.0, n=5)               # equal ends
+@example(start=0.0, stop=5e-324, n=7)            # a step that underflows to 0
+@example(start=-0.0, stop=-0.0, n=1)
+@example(start=-0.0, stop=-1.0, n=1)
+@example(start=-math.inf, stop=math.inf, n=3)
+@example(start=math.nan, stop=2.0, n=4)
+@example(start=-1e308, stop=1e308, n=9)          # the span overflows to inf
+@given(start=_GRID_ENDS, stop=_GRID_ENDS, n=st.integers(1, 300))
+def test_linspace_port_matches_numpy_bit_for_bit(start, stop, n):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, n).tolist()
+    assert _bits(_linspace(start, stop, n)) == _bits(expected)
+
+
 @pytest.mark.parametrize("n", [_MAX_GRID + 1, 10**20])
 def test_parse_grid_rejects_a_count_past_its_bound_before_allocating(n):
-    # only counts rejected before np.linspace: an allowed huge count would
+    # only counts rejected before the grid is built: an allowed huge count would
     # build its list of floats
     with pytest.raises(ConfigFileError, match=f"^grid count must be 1 to {_MAX_GRID} in "):
         parse_grid(f"0:1:{n}")
@@ -348,16 +380,8 @@ _EDGE_BASE = {
 _FROM_ZERO = {("jnn", "--temps"), ("zeta", "--f-ratios"), ("taf", "--n-boot"),
               ("taf", "--seed"), ("synth", "--noise-frac"), ("synth", "--seed")}
 # a value near the top of each flag's range: 1e300, finite in SI units too,
-# and for the counts, which have no top, a huge integer
+# and for the counts a huge integer (past the bound of --n-boot)
 _TOPS = {"--n-boot": str(10**15), "--seed": str(2**128)}
-# the bootstrap draws an n_boot x points index array at once; 10**15 rows
-# ask for 64 PiB, which fails at once, without touching memory
-_UNMENDED = {
-    "taf --data --n-boot 1000000000000000": pytest.mark.xfail(
-        raises=MemoryError, strict=True,
-        reason="CHANGES.md FOUND: taf --n-boot has no bound; the bootstrap "
-               "array of a huge value raises MemoryError, exit 1"),
-}
 
 
 def _edge_runs():
@@ -387,9 +411,8 @@ def _edge_runs():
 _EDGE_RUNS = _edge_runs()
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(argv, id=i, marks=_UNMENDED.get(i, ())) for argv, i in _EDGE_RUNS
-])
+@pytest.mark.parametrize("argv", [argv for argv, _ in _EDGE_RUNS],
+                         ids=[i for _, i in _EDGE_RUNS])
 def test_flag_edge_runs_or_exits_with_one_line(argv, edge_data, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([a.format(**edge_data) for a in argv] + ["--out", str(out)])
@@ -406,7 +429,6 @@ def test_flag_edge_runs_cover_every_number_and_grid_flag():
     swept = {(argv[0], argv[-2]) for argv, _ in _EDGE_RUNS}
     retired = {(c, "--seed") for c in ("fdt", "fit", "jnn", "zeta")}
     assert swept == set(_float_and_grid_flags()) - retired
-    assert set(_UNMENDED) <= {i for _, i in _EDGE_RUNS}
 
 
 _OUT_OF_FLOAT_RANGE = [
@@ -726,6 +748,17 @@ def test_taf_flat_data_predicts_slope_zero_alpha(tmp_path):
     for row in read_rows(out):
         assert abs(float(row["dlnS_dlnT"])) < 1e-6
         assert float(row["alpha_pred"]) == pytest.approx(expected, abs=1e-9)
+
+
+def test_taf_refuses_a_bootstrap_count_past_its_bound(tmp_path, capsys):
+    # refused before the data file is read, so a missing file does not matter
+    out = tmp_path / "taf.csv"
+    argv = ["taf", "--data", str(tmp_path / "missing.csv"),
+            "--n-boot", str(MAX_BOOT + 1), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: --n-boot must be <= {MAX_BOOT}, got {MAX_BOOT + 1}\n")
+    assert not out.exists()
 
 
 def test_taf_accepts_zero_boot_and_seed(tmp_path):

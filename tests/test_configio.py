@@ -291,6 +291,64 @@ def test_unknown_material_kind(tmp_path):
     assert "plasma" in str(err.value)
 
 
+def test_two_fluid_superconductor_takes_an_explicit_normal_state_table(tmp_path):
+    path = tmp_path / "mat.cfg"
+    path.write_text("[material:sc]\nkind = two_fluid_sc\nlambda0_m = 1.5e-7\ntc_K = 88\n"
+                    "sigma_n_S_per_m = 1.8e6\nrho_normal =\n    88 5e-7\n    300 2e-6\n")
+    sc = load_materials(path)["sc"]
+    assert isinstance(sc, TwoFluidSC)
+    # the table as given, not the default built from sigma_n and Tc
+    assert sc.rho_normal.lookup(88.0) == pytest.approx(5e-7, rel=1e-12)
+    assert sc.rho_normal.lookup(300.0) == pytest.approx(2e-6, rel=1e-12)
+    assert sc.rho_normal.label == "sc-normal"
+
+
+@pytest.mark.parametrize("loader, kind", [
+    (load_materials, "material"),
+    (lambda path: load_circuit(path, {}), "electrode"),
+    (load_scene, "region"),
+])
+def test_a_file_without_the_sections_a_loader_needs_is_a_config_error(loader, kind, tmp_path):
+    path = tmp_path / "empty.cfg"
+    # a scene file needs [scene] before its regions are looked for
+    path.write_text("[scene]\nion_height_m = 1e-4\n" if kind == "region" else "# nothing\n")
+    with pytest.raises(ConfigFileError, match=re.escape(f"{path}: no [{kind}:NAME] sections found")):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, section", [
+    (lambda path: load_stack(path, {}), "stack"),
+    (load_scene, "scene"),
+])
+def test_a_missing_single_section_is_a_config_error(loader, section, tmp_path):
+    path = tmp_path / "other.cfg"
+    path.write_text("[region:a]\nrect_m = 0 1 0 1\n")
+    with pytest.raises(ConfigFileError, match=re.escape(f"{path}: missing required "
+                                                        f"section [{section}]")):
+        loader(path)
+
+
+def test_an_unreadable_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigFileError, match=re.escape(f"cannot read config {path}: ")):
+        config_roles(path)
+
+
+def test_a_repeated_gamma0_frequency_is_a_config_error(tmp_path):
+    path = tmp_path / "temp.cfg"
+    path.write_text("[temp-model]\nt1_K = 22\nbeta1 = 1.7\n"
+                    "gamma0_phps =\n    1e6 0.4\n    1e6 0.5\n")
+    with pytest.raises(ConfigFileError, match=re.escape(
+            f"{path}: [temp-model] gamma0_phps: duplicate frequency 1000000.0 Hz")):
+        load_temp_params(path)
+
+
+def test_an_unknown_surface_model_kind_is_a_config_error():
+    path = packaged_config("synth", "surface-power")
+    with pytest.raises(ConfigFileError, match="^unknown surface model kind 'linear'$"):
+        load_surface_params(path, "linear")
+
+
 def test_unknown_key_reports_location(tmp_path):
     path = tmp_path / "mat.cfg"
     path.write_text("[material:foo]\nkind = conductor\nrho_table = 4 1e-10\ncolour = red\n")
@@ -547,6 +605,14 @@ def test_heating_csv_empty_rejected(tmp_path):
         read_heating_csv(path)
 
 
+def test_heating_csv_of_only_comments_and_blank_lines_is_empty(tmp_path):
+    path = tmp_path / "rates.csv"
+    path.write_text("# no header yet\n\n   \n# still none\n")
+    with pytest.raises(DataFileError, match=re.escape(
+            f"{path}: empty file (header row required)")):
+        read_heating_csv(path)
+
+
 def test_heating_csv_missing_file(tmp_path):
     with pytest.raises(DataFileError):
         read_heating_csv(tmp_path / "nope.csv")
@@ -620,6 +686,29 @@ def test_format_value_cases():
         format_value(float("nan"))
     with pytest.raises(DomainError):
         format_value(math.inf)
+
+
+# numpy scalars and the text the writers give them: numpy registers its
+# integer and floating types as numbers.Integral and numbers.Real
+_NUMPY_SCALARS = [
+    (np.int64(-7), "-7"),
+    (np.uint64(2**64 - 1), "18446744073709551615"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(0.1), "0.1"),
+    (np.float64(-0.0), "-0.0"),
+    (np.float64(7.332271e-16), "7.332271e-16"),
+]
+
+
+@pytest.mark.parametrize("value, text", _NUMPY_SCALARS,
+                         ids=[type(v).__name__ + repr(t) for v, t in _NUMPY_SCALARS])
+def test_writers_give_numpy_scalars_their_text(value, text, tmp_path):
+    assert format_value(value) == text
+    path = tmp_path / "report.json"
+    write_json_report(path, {}, {"value": value, "values": [value, {"x": value}]})
+    assert path.read_text().splitlines()[3:9] == [
+        f'  "value": {text},', '  "values": [', f"    {text},", "    {",
+        f'      "x": {text}', "    }"]
 
 
 def test_write_csv_round_trip(tmp_path):

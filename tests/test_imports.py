@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from trapnoise import constants
+from trapnoise import __version__, constants
+from trapnoise.configio import packaged_config
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -17,6 +18,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 @pytest.mark.parametrize("module, needs", [
     ("trapnoise.constants", []),
     ("trapnoise.materials", ["trapnoise.constants"]),
+    ("trapnoise.configio", ["trapnoise.constants"]),
+    # the Johnson budget is scalar math; fdt_noise loads layers when it runs
+    ("trapnoise.noise", ["trapnoise.constants", "trapnoise.materials"]),
 ])
 def test_light_modules_load_no_numpy_and_no_other_module(module, needs):
     # a fresh interpreter, so modules other tests imported do not count
@@ -29,26 +33,28 @@ def test_light_modules_load_no_numpy_and_no_other_module(module, needs):
 
 
 # a fresh interpreter runs one command (none: a bare import) and prints the
-# trapnoise modules it loaded, plus numpy.ma, which costs about 13 ms, and
-# any scipy module: scipy is a test dependency, so no command may load it
+# trapnoise modules it loaded, plus numpy, which costs about 80 ms, numpy.ma,
+# about 13 ms more, and any scipy module: scipy is a test dependency, so no
+# command may load it
 _CLI_PROBE = """
 import json, sys
 from trapnoise.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("trapnoise.")
-                               or m == "numpy.ma" or m.split(".")[0] == "scipy")]))
+                               or m in ("numpy", "numpy.ma") or m.split(".")[0] == "scipy")]))
 """
 
+# a bare import and jnn, whose budget is scalar math, load no numpy
 _BASE = ["cli", "configio", "constants"]
-_STACK = [*_BASE, "layers", "materials", "noise", "quadrature"]
-_FITS = [*_BASE, "inference", "leastsq", "smoothing"]
+_STACK = [*_BASE, "layers", "materials", "noise", "quadrature", "numpy"]
+_FITS = [*_BASE, "inference", "leastsq", "smoothing", "numpy"]
 _RATES = str(GOLDEN / "synth-gamma2-seed3.csv")
 _SURFACE = str(GOLDEN / "synth-power-seed3.csv")
 _COMMANDS = [
     ([], _BASE),
     (["fdt", "--temps", "40"], _STACK),
-    (["jnn"], _STACK),
-    (["zeta"], [*_BASE, "patches"]),
+    (["jnn"], [*_BASE, "materials", "noise"]),
+    (["zeta"], [*_BASE, "patches", "numpy"]),
     (["synth", "--model", "gamma2"], _FITS),
     (["synth", "--model", "power"], _FITS),
     (["fit", "--model", "temp", "--data", _RATES], _FITS),
@@ -69,7 +75,42 @@ def test_cli_command_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
                           capture_output=True, text=True, check=True, env=env)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert modules == sorted(m if m == "numpy.ma" else f"trapnoise.{m}" for m in loaded)
+    assert modules == sorted(m if m.startswith("numpy") else f"trapnoise.{m}" for m in loaded)
+
+
+# the command line where numpy cannot be imported at all: None in sys.modules
+# makes every `import numpy` raise ImportError
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from trapnoise.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+_JNN_ARGS = ["jnn", "--config", "{circuit}", "--out", "{out}"]
+_WITHOUT_NUMPY = [
+    (["--help"], 0, "usage: trapnoise"),
+    (["--version"], 0, f"trapnoise {__version__}"),
+    (["fdt", "--omega-hz", "0", "--out", "{out}"], 2, "argument --omega-hz: must be"),
+    (_JNN_ARGS, 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", _WITHOUT_NUMPY,
+                         ids=["help", "version", "usage-error", "jnn"])
+def test_cli_runs_without_numpy_where_no_array_math_runs(argv, code, text, tmp_path):
+    out = tmp_path / "out.csv"
+    circuit = packaged_config("circuits", "ybco-trap")
+    argv = [a.format(out=out, circuit=circuit) for a in argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert text in proc.stdout + proc.stderr
+    if argv[0] == "jnn":
+        # the golden's bytes: every line but the checkout-dependent manifest
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        got = "".join(line for line in lines if not line.startswith("# manifest:"))
+        assert got == (GOLDEN / "jnn-ybco-trap.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("module, name, base", [

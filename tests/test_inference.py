@@ -19,6 +19,7 @@ from trapnoise.constants import (
     omega_from_hz,
 )
 from trapnoise.inference import (
+    MAX_BOOT,
     OMEGA0,
     SURFACE_MODELS,
     FitRangeWarning,
@@ -669,6 +670,14 @@ def test_spline_slope_rejects_a_relative_error_out_of_range():
     curve[5][1:] = [1e300, 1e-300]
     with pytest.raises(UnusableDataError, match="sigma must be finite and > 0 relative to S_E"):
         loglog_spline_slope(curve, n_boot=10)
+
+
+@pytest.mark.parametrize("n_boot", [MAX_BOOT + 1, 10**15, -1])
+def test_spline_slope_refuses_a_bootstrap_count_out_of_bound(n_boot):
+    # checked before any point or draw: 10**15 resamples would ask for 64 PiB
+    curve = [[t, 2e-15 * t**2.5, 1e-17 * t**2.5] for t in np.geomspace(10.0, 250.0, 9)]
+    with pytest.raises(DomainError, match=f"^n_boot must be 0 to {MAX_BOOT}, got {n_boot}$"):
+        loglog_spline_slope(curve, n_boot=n_boot)
 
 
 # the fit starts take the median of the temperatures; signed zeros and the

@@ -268,6 +268,30 @@ def test_superconducting_sheet_folds_negative_zero():
         assert math.copysign(1.0, value) == 1.0
 
 
+def test_superconducting_sheet_that_overflows_is_a_domain_error():
+    # (omega / omega_ref)^2 leaves the float range near omega = 1e165 rad/s
+    with pytest.raises(DomainError, match="^superconducting sheet resistance must be "
+                                          "finite, got inf$"):
+        SCSheetSpec().sheet_resistance(1e200)
+    # and rs_ref times a finite square may overflow too
+    with pytest.raises(DomainError, match="^superconducting sheet resistance"):
+        SCSheetSpec(rs_ref=1e300).sheet_resistance(1e160)
+
+
+@pytest.mark.parametrize("omega", [1e6, 1e200, 1.7976931348623157e308])
+def test_ideal_superconducting_sheet_keeps_its_floor_at_any_omega(omega):
+    # rs_ref = 0 times an overflowing square would be 0 * inf = NaN
+    assert SCSheetSpec(rs_ref=0.0, rs_residual=2e-7).sheet_resistance(omega) == 2e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.floats(1e-300, 1e160))
+def test_superconducting_sheet_in_range_keeps_its_arithmetic(omega):
+    spec = SCSheetSpec()
+    expected = spec.rs_ref * (omega / spec.omega_ref) ** 2 + spec.rs_residual
+    assert spec.sheet_resistance(omega) == expected
+
+
 def test_superconducting_sheet_above_tc_is_normal():
     film = FilmSheet(ybco(), 300e-9)
     rho_tc = 1.0 / 1.81e6

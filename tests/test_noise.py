@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from trapnoise.constants import CONSTANTS, DomainError, heating_rate_from_noise
-from trapnoise.layers import Layer, LayerStack, greens_parallel
+from trapnoise import noise
+from trapnoise.layers import GreensResult, Layer, LayerStack, greens_parallel
 from trapnoise.materials import (
     Conductor,
     FilmSheet,
@@ -113,6 +114,45 @@ def test_fdt_combines_blackbody_and_surface_response():
     assert res.s_e == pytest.approx(s_bb * (1.0 + greens.g_parallel), rel=1e-6)
     # a warm conductor close by adds far more noise than free space
     assert res.s_e > 100.0 * s_bb
+
+
+def _stub_greens(monkeypatch, g_parallel, error):
+    """Replace ``noise.greens_parallel``, the name fdt_noise calls and the
+    benchmark's tracer wraps, by a stub that records each call."""
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return GreensResult(g_parallel, error, 15, g_parallel, 0.0)
+
+    monkeypatch.setattr(noise, "greens_parallel", stub)
+    return calls
+
+
+def test_fdt_calls_greens_parallel_through_the_noise_module(monkeypatch):
+    stack = LayerStack((Layer(Vacuum()),), name="empty")
+    calls = _stub_greens(monkeypatch, 0.5, 1e-9)
+    res = fdt_noise(stack, OMEGA_1MHZ, 300.0, 225e-6, rel_tol=1e-4)
+    assert calls == [(stack, OMEGA_1MHZ, 300.0, 225e-6, 1e-4)]
+    assert res.greens.g_parallel == 0.5
+    assert res.s_e == res.s_blackbody * 1.5
+
+
+def test_fdt_clamps_a_negative_factor_within_ten_errors_to_zero(monkeypatch):
+    # 1 + g = -1e-12 lies within 10 x error = 1e-11 of 0
+    stack = LayerStack((Layer(Vacuum()),), name="empty")
+    _stub_greens(monkeypatch, -1.0 - 1e-12, 1e-12)
+    res = fdt_noise(stack, OMEGA_1MHZ, 300.0, 225e-6)
+    assert res.s_e == 0.0
+    assert res.s_blackbody > 0.0
+
+
+def test_fdt_refuses_a_negative_factor_beyond_ten_errors(monkeypatch):
+    stack = LayerStack((Layer(Vacuum()),), name="empty")
+    _stub_greens(monkeypatch, -1.0 - 1e-6, 1e-9)
+    with pytest.raises(DomainError, match=r"^unphysical negative noise factor 1\+g = "
+                                          r"-1\.000e-06 \(quadrature error 1\.000e-09\)$"):
+        fdt_noise(stack, OMEGA_1MHZ, 300.0, 225e-6)
 
 
 # ---------------------------------------------------------------------------
